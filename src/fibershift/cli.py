@@ -18,8 +18,10 @@ import hashlib
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .beurling import phi_representation, range_of_phi
+from .beurling import INNER_TOL_DEFAULT, phi_representation, range_of_phi
 from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
@@ -179,7 +181,7 @@ def cmd_verify(args) -> tuple[Report, int]:
     diagnostics = verify_decomposition(res, jm, threads=args.threads)
     report = Report(command="verify", version=__version__, digest=digest,
                     lattice=lat,
-                    inner_tol=args.inner_tol if args.inner_tol is not None else 1e-6,
+                    inner_tol=args.inner_tol if args.inner_tol is not None else INNER_TOL_DEFAULT,
                     ranks_jm=_ranks(jm), ranks_jr=_ranks(res.base),
                     spectrum=tuple(spectrum(jm)),
                     partition=_partition_counts(res.partition),
@@ -201,6 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = _COMMANDS[args.command](args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, BoundsError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -28,9 +28,9 @@ from .full_hardy import is_full_hardy
 from .lattice import TruncationLattice
 from .parallel import fiber_map
 from .ranges import OperatorField, RangeFunctionH, RangeFunctionK, range_from_generators
-from .shifts import commutes_with_S, shift_columns
+from .shifts import commutation_defect, commutes_with_S, shift_columns
 from .subspaces import (DEGREE_TOL, band_projector_distance, canonical_columns,
-                        op_norm, robust_svd)
+                        herm_norm, op_norm, robust_svd)
 from .wandering import DimensionPartition, FrameFields, frame_fields, wandering_range
 
 DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect", "commutation_defect",
@@ -57,12 +57,10 @@ class DecompositionResult:
 
 def _fiber_band(res: DecompositionResult, m: int) -> int:
     """Last degree b such that shifts of the frame vectors up to b are exact."""
-    lat = res.base.lattice
     n = res.base.rank(m)
-    d = -1
-    for i in range(n):
-        d = max(d, z_degree(res.frames.phis[i].fiber(m), DEGREE_TOL))
-    return lat.n_z - 1 - max(d, 0) if d >= 0 else lat.n_z - 1
+    fibers = [phi.fiber(m) for phi in res.frames.phis[:n]]
+    d = z_degree(np.hstack(fibers), DEGREE_TOL) if n else -1
+    return res.base.lattice.n_z - 1 - max(d, 0)
 
 
 def _embedded_base_columns(base_frame: np.ndarray, n_z: int, k: int,
@@ -80,16 +78,6 @@ def _hardy_projector(base_frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
     if base_frame.shape[1] == 0:
         return np.zeros((n_z * k, n_z * k), dtype=complex)
     return np.kron(np.eye(n_z), base_frame @ base_frame.conj().T)
-
-
-def _herm_norm(a: np.ndarray) -> float:
-    """2-norm of a Hermitian matrix via its extreme eigenvalues."""
-    if a.size == 0:
-        return 0.0
-    try:
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    except np.linalg.LinAlgError:
-        return op_norm(a)
 
 
 def _stable_frame(cols: np.ndarray) -> np.ndarray:
@@ -131,19 +119,11 @@ def decompose_range(jm: RangeFunctionH, threads: int = 1) -> DecompositionResult
     base_frames = tuple(eye[:, : jr.rank(m)] for m in range(lat.n_lambda))
     base = RangeFunctionK(lat, base_frames)
 
-    phi_flat = [phi.flat() for phi in frames.phis]
-
-    def build(m: int) -> np.ndarray:
-        f = np.zeros((lat.ambient, lat.ambient), dtype=complex)
-        for i in range(jr.rank(m)):
-            col = phi_flat[i][m]
-            for j in range(lat.n_z):
-                f[:, j * lat.k + i] = col
-                if j < lat.n_z - 1:
-                    col = shift_columns(col[:, None], lat.n_z, lat.k)[:, 0]
-        return f
-
-    ops = np.stack(fiber_map(build, lat.n_lambda, threads))
+    # column j*k + i of F is S^j phi_i; phi_i vanishes on fibers of rank <= i
+    phi = np.stack([p.flat() for p in frames.phis], axis=2)
+    ops = np.zeros((lat.n_lambda, lat.ambient, lat.ambient), dtype=complex)
+    for lo in range(0, lat.ambient, lat.k):
+        ops[:, lo:, lo:lo + lat.k] = phi[:, : lat.ambient - lo]
     field = OperatorField(lat, ops)
     res = DecompositionResult(base, field, partition, frames, {})
     diagnostics = verify_decomposition(res, jm, threads=threads)
@@ -164,12 +144,17 @@ def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH,
     image_defect : containment of W in the target frame, the band-compressed
         projector distance between the banded image span and the target,
         and the off-space mass
-    commutation_defect : band-restricted commutator of F with the fiber shift
+    commutation_defect : band-restricted commutator of F with the fiber
+        shift, read off slices of F. F built by ``decompose_range`` commutes
+        by construction, so the difference is exactly zero and no SVD runs;
+        a perturbed F (say, read from a damaged file) is measured in full.
     invariance_leak : banded image columns, shifted once, measured against
         the image projector W W*
 
     Values are maxima over fibers. All four vanish (to rounding) for a valid
-    decomposition whose frame vectors are band limited.
+    decomposition whose frame vectors are band limited. The base must be the
+    nested coordinate base that ``decompose`` and ``load_decomposition``
+    produce (ValueError otherwise).
     """
     lat = res.base.lattice
     if jm.lattice != lat:
@@ -191,26 +176,20 @@ def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH,
         n = int(dims[m])
         if res.base.rank(m) != n:
             raise ValueError(f"partition and base rank disagree at fiber {m}")
-        base_frame = res.base.frames[m]
+        if not np.array_equal(res.base.frames[m], eye_k[:, :n]):
+            raise ValueError(f"base is not the coordinate base at fiber {m}")
         q = jm.frames[m]
 
-        coord = np.array_equal(base_frame, eye_k[:, :n])
-        if coord:
-            act = (np.arange(lat.n_z)[:, None] * lat.k + np.arange(n)).ravel()
-            w = f[:, act]
-            off = f.copy()
-            off[:, act] = 0.0
-            off_mass = float(np.linalg.norm(off))
-        else:
-            g_full = _embedded_base_columns(base_frame, lat.n_z, lat.k,
-                                            lat.n_z - 1)
-            w = f @ g_full
-            off_mass = float(np.linalg.norm(f - w @ g_full.conj().T))
+        # columns j*k + i with i < n carry F on the full Hardy space over the
+        # base (W = F G); the others must vanish
+        blocks = f.reshape(-1, lat.n_z, lat.k)
+        w = blocks[:, :, :n].reshape(len(f), -1)
+        off_mass = float(np.linalg.norm(blocks[:, :, n:]))
 
         w_band = w[:, : n * (b + 1)]
         gram = w_band.conj().T @ w_band
         gram[np.diag_indices_from(gram)] -= 1.0
-        iso = max(_herm_norm(gram), off_mass)
+        iso = max(herm_norm(gram), off_mass)
 
         if q.shape[1]:
             contain = op_norm(w - q @ (q.conj().T @ w))
@@ -220,11 +199,7 @@ def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH,
         cover = band_projector_distance(v, q, (b + 1) * lat.k)
         image = max(contain, cover, off_mass)
 
-        sf = shift_columns(f, lat.n_z, lat.k)          # S F
-        fs = np.zeros_like(f)                          # F S, column c is F[:, c+k]
-        fs[:, : (lat.n_z - 1) * lat.k] = f[:, lat.k:]
-        dim_c = (lat.n_z - 1) * lat.k
-        comm = op_norm((fs - sf)[:dim_c, :dim_c])
+        comm = commutation_defect(f, lat.n_z, lat.k)
 
         if b >= 1 and n:
             shifted = shift_columns(w[:, : n * b], lat.n_z, lat.k)

@@ -261,7 +261,11 @@ def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
 
 
 def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
-    """Reconstruct a persisted decomposition and its target range."""
+    """Reconstruct a persisted decomposition and its target range.
+
+    The header and the rank arrays fix the file size; ranks out of range, a
+    short file and trailing bytes raise ParseError before any field is read.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
@@ -273,41 +277,43 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
                             rank_tol=rank_tol, orth_tol=orth_tol)
     amb = lat.ambient
     off = _HEADER.size
+    if len(raw) < off + 8 * n_lambda:
+        raise ParseError(f"{path}: truncated file")
 
     def take(dtype, count, shape=None):
         nonlocal off
-        try:
-            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        except ValueError:
-            raise ParseError(f"{path}: truncated file") from None
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
         off += arr.nbytes
         return arr if shape is None else arr.reshape(shape)
 
     ranks_jr = take("<u4", n_lambda).astype(int)
     ranks_jm = take("<u4", n_lambda).astype(int)
-    diag_vals = take("<f8", len(DIAGNOSTIC_KEYS))
-    ops = take("<c16", n_lambda * amb * amb, (n_lambda, amb, amb)).astype(complex)
-    jm_frames = tuple(take("<c16", amb * int(r), (amb, int(r))).astype(complex)
-                      for r in ranks_jm)
-
     if np.any(ranks_jr > k):
         raise ParseError(f"{path}: wandering rank exceeds k")
+    if np.any(ranks_jm > amb):
+        raise ParseError(f"{path}: range rank exceeds the fiber dimension")
+    size = off + 8 * len(DIAGNOSTIC_KEYS) + 16 * amb * (n_lambda * amb + int(ranks_jm.sum()))
+    if len(raw) != size:
+        raise ParseError(f"{path}: truncated file" if len(raw) < size else
+                         f"{path}: {len(raw) - size} trailing bytes")
+    diag_vals = take("<f8", len(DIAGNOSTIC_KEYS))
+    ops = take("<c16", n_lambda * amb * amb, (n_lambda, amb, amb))
+    jm_frames = tuple(take("<c16", amb * r, (amb, r)) for r in ranks_jm)
+
     eye = np.eye(k, dtype=complex)
-    base = RangeFunctionK(lat, tuple(eye[:, : int(r)] for r in ranks_jr))
+    base = RangeFunctionK(lat, tuple(eye[:, :r] for r in ranks_jr))
     field = OperatorField(lat, ops)
     classes = {}
     for m, r in enumerate(ranks_jr):
         classes.setdefault(int(r), []).append(m)
     partition = DimensionPartition({d: tuple(ms) for d, ms in classes.items()})
 
-    phis = []
-    for i in range(k):
-        data = np.zeros((n_lambda, n_z, k), dtype=complex)
-        for m in range(n_lambda):
-            if i < ranks_jr[m]:
-                data[m] = ops[m][:, i].reshape(n_z, k)
-        phis.append(FiberedField(lat, data))
-    frames = FrameFields(tuple(phis), partition)
+    # frame fields are the degree-zero columns of F, zero past each fiber's rank
+    active = np.arange(k)[None, :] < ranks_jr[:, None]
+    cols = np.where(active[:, None, :], ops[:, :, :k], 0.0)
+    phis = tuple(FiberedField(lat, cols[:, :, i].reshape(n_lambda, n_z, k))
+                 for i in range(k))
+    frames = FrameFields(phis, partition)
 
     diagnostics = {key: float(v) for key, v in zip(DIAGNOSTIC_KEYS, diag_vals)}
     res = DecompositionResult(base, field, partition, frames, diagnostics)

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .fields import FiberedField, z_degree
+from .fields import FiberedField
 from .lattice import TruncationLattice
 from .ranges import OperatorField, RangeFunctionH
 from .subspaces import DEGREE_TOL, op_norm, project_onto
@@ -93,13 +93,13 @@ def shift_columns(cols: np.ndarray, n_z: int, k: int) -> np.ndarray:
 
 
 def _band_columns(frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
-    """Columns whose effective degree keeps the shifted image below the top."""
-    keep = []
-    for c in range(frame.shape[1]):
-        d = z_degree(frame[:, c].reshape(n_z, k), DEGREE_TOL)
-        if d <= n_z - 3:
-            keep.append(c)
-    return frame[:, keep] if keep else frame[:, :0]
+    """Columns whose effective degree keeps the shifted image below the top.
+
+    Those are the columns with no coefficient above DEGREE_TOL at the top two
+    degrees; a frame column is never zero, so this is degree <= n_z - 3.
+    """
+    top = np.abs(frame[max(n_z - 2, 0) * k:]) > DEGREE_TOL
+    return frame[:, ~top.any(axis=0)]
 
 
 def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
@@ -124,20 +124,24 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     return worst <= lat.orth_tol, worst
 
 
+def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:
+    """``||F S - S F||`` on inputs and outputs of degree <= n_z - 2, read off
+    slices of F. The SVD runs only when the difference is not exactly zero,
+    which it is when the columns of F are shifted copies of its first block.
+    """
+    dim = (n_z - 1) * k
+    d = f[:dim, k:].copy()
+    d[k:] -= f[: dim - k, :dim]
+    return op_norm(d) if np.any(d) else 0.0
+
+
 def commutes_with_S(field_op: OperatorField) -> tuple[bool, float]:
     """Whether the operator field commutes with the fiber shift on the band.
 
-    The defect at fiber m is ||F S - S F|| with inputs restricted to degrees
-    <= n_z - 2 and outputs compressed to degrees <= n_z - 2, the region
-    where the truncated shift is exact. Commutation with the grid rotation
+    The defect at fiber m is ``commutation_defect`` of F(lambda_m): the band
+    is where the truncated shift is exact. Commutation with the grid rotation
     is structural for operator fields and needs no check.
     """
     lat = field_op.lattice
-    s = shift_matrix(lat)
-    dim = (lat.n_z - 1) * lat.k
-    worst = 0.0
-    for m in range(lat.n_lambda):
-        f = field_op.ops[m]
-        d = (f @ s - s @ f)[:dim, :dim]
-        worst = max(worst, op_norm(d))
+    worst = max(commutation_defect(f, lat.n_z, lat.k) for f in field_op.ops)
     return worst <= lat.orth_tol, worst

@@ -159,11 +159,25 @@ def residual_norms(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Largest singular value, with the empty matrix mapped to 0."""
+    """Largest singular value (0 for the empty matrix), computed without
+    singular vectors; a LAPACK failure falls back to ``robust_svd``."""
     if a.size == 0:
         return 0.0
-    s = robust_svd(a)[1]
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        s = robust_svd(a)[1]
     return float(s[0]) if s.size else 0.0
+
+
+def herm_norm(a: np.ndarray) -> float:
+    """2-norm of a Hermitian matrix via its extreme eigenvalues."""
+    if a.size == 0:
+        return 0.0
+    try:
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    except np.linalg.LinAlgError:
+        return op_norm(a)
 
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
@@ -195,11 +209,4 @@ def band_projector_distance(q1: np.ndarray, q2: np.ndarray, dim_keep: int) -> fl
         return 0.0
     p1 = a @ a.conj().T if a.shape[1] else np.zeros((dim_keep, dim_keep), dtype=complex)
     p2 = b @ b.conj().T if b.shape[1] else np.zeros((dim_keep, dim_keep), dtype=complex)
-    diff = p1 - p2
-    if diff.size == 0:
-        return 0.0
-    # Hermitian, so the 2-norm is the extreme eigenvalue magnitude.
-    try:
-        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
-    except np.linalg.LinAlgError:
-        return op_norm(diff)
+    return herm_norm(p1 - p2)

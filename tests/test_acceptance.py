@@ -31,6 +31,8 @@ from helpers import (blaschke_coeffs, brute_projector, frame_projector,
                      grid_seeds, haar_frame, haar_unitary, laurent_seeds,
                      run_cli, write_problem)
 
+pytestmark = pytest.mark.acceptance
+
 BUDGET = 60.0  # seconds per gate
 
 # generator-set mix for the reconstruction gates: (k, seed count) per run

@@ -10,9 +10,9 @@ from fibershift import (TruncationLattice, decompose_range,
                         range_from_generators, shat_closure)
 from fibershift.errors import BoundsError, ParseError
 from fibershift.factorization import verify_decomposition
-from fibershift.fileio import (Report, load_decomposition, load_problem,
-                               problem_fields, render_csv, render_text,
-                               save_decomposition)
+from fibershift.fileio import (_HEADER, Report, load_decomposition,
+                               load_problem, problem_fields, render_csv,
+                               render_text, save_decomposition)
 from fibershift.fields import eval_field
 
 from helpers import grid_seeds, laurent_seeds, run_cli, write_problem
@@ -142,6 +142,27 @@ def test_load_decomposition_rejects_truncation(tmp_path):
         load_decomposition(str(path))
 
 
+@pytest.mark.parametrize("edit, needle", [
+    (lambda raw: raw + b"\0", "1 trailing bytes"),
+    (lambda raw: raw[:-1], "truncated"),
+    # the first wandering rank, then the first range rank, past their bounds
+    (lambda raw: raw[:_HEADER.size] + (3).to_bytes(4, "little")
+     + raw[_HEADER.size + 4:], "wandering rank exceeds k"),
+    (lambda raw: raw[:_HEADER.size + 8] + (17).to_bytes(4, "little")
+     + raw[_HEADER.size + 12:], "range rank exceeds"),
+])
+def test_load_decomposition_checks_layout(tmp_path, edit, needle):
+    rng = np.random.default_rng(63)
+    lat = TruncationLattice(2, 8, 2)
+    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    path = tmp_path / "d.fshd"
+    save_decomposition(decompose_range(jm), jm, str(path))
+    load_decomposition(str(path))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ParseError, match=needle):
+        load_decomposition(str(path))
+
+
 def test_render_text_layout():
     lat = TruncationLattice(2, 4, 1)
     report = Report(command="analyze", version="0.1.0", digest="ab" * 32,
@@ -212,6 +233,44 @@ def test_cli_decompose_verify_roundtrip(tmp_path):
     # the .fshd file directly is also accepted
     code, _ = run_cli(["verify", outdir + "/decomposition.fshd"])
     assert code == 0
+
+
+def _diagnostic(report: str, key: str) -> float:
+    return float(next(line.split()[1] for line in report.splitlines()
+                      if line.strip().startswith(key + " ")))
+
+
+def test_cli_verify_catches_perturbed_field(tmp_path):
+    """One active entry of F moved by 1e-3 on disk breaks commutation."""
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    outdir = tmp_path / "result"
+    code, out = run_cli(["decompose", path, "--out", str(outdir)])
+    assert code == 0
+    assert _diagnostic(out, "commutation_defect") == 0.0
+    fshd = outdir / "decomposition.fshd"
+    raw = bytearray(fshd.read_bytes())
+    # fiber 0, entry (3, 2) of F: the z^3 coefficient of S^2 phi_1
+    n_lambda, amb = 4, 8
+    entry = _HEADER.size + 8 * n_lambda + 8 * 4 + 16 * (3 * amb + 2)
+    value = np.frombuffer(bytes(raw[entry:entry + 16]), dtype="<c16")[0]
+    raw[entry:entry + 16] = np.array([value + 1e-3], dtype="<c16").tobytes()
+    fshd.write_bytes(bytes(raw))
+    code, vout = run_cli(["verify", str(outdir)])
+    assert code == 2
+    assert _diagnostic(vout, "commutation_defect") > 1e-8  # orth_tol
+
+
+def test_cli_lapack_failure_exits_2(tmp_path, monkeypatch):
+    """LinAlgError is a ValueError subclass but not bad input."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    code, out = run_cli(["decompose", path])
+    assert code == 2
+    assert out == ""
 
 
 BLASCHKE_PROBLEM = """\

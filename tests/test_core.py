@@ -180,6 +180,25 @@ def test_robust_svd_fallback_chain(monkeypatch):
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-8)
 
 
+def test_op_norm_values_only_fallback(monkeypatch):
+    """A failed values-only SVD falls back to the robust_svd chain."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    top = np.linalg.svd(a, compute_uv=False)[0]
+    real_svd = np.linalg.svd
+    calls = []
+
+    def fail_values_only(x, **kw):
+        calls.append(kw.get("compute_uv", True))
+        if not kw.get("compute_uv", True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(x, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_values_only)
+    assert op_norm(a) == pytest.approx(top, rel=1e-12)
+    assert calls == [False, True]
+
+
 def test_complement_frame():
     rng = np.random.default_rng(5)
     q = haar_frame(rng, 6, 2)

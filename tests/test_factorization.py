@@ -8,7 +8,10 @@ from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         TruncationLattice, connecting_isometry, decompose,
                         initial_space_is_full_hardy, range_from_generators,
                         shat_closure, verify_decomposition)
+from fibershift.factorization import DecompositionResult
 from fibershift.fields import field_from_fibers
+from fibershift.ranges import RangeFunctionK
+from fibershift.shifts import shift_columns
 
 from helpers import frame_projector, grid_seeds, haar_frame, haar_unitary
 
@@ -48,11 +51,34 @@ def test_decompose_random_closure():
     res = decompose(gens, lat)
     assert set(res.diagnostics) == set(DIAGNOSTIC_KEYS)
     assert max(res.diagnostics.values()) < 1e-8
+    # F commutes with the shift by construction, so the defect is exact
+    assert res.diagnostics["commutation_defect"] == 0.0
     assert max(res.partition.dimensions()) <= lat.k
     # base spans are nested coordinate spans
     for m in range(lat.n_lambda):
         r = res.base.rank(m)
         assert np.array_equal(res.base.frames[m], np.eye(lat.k)[:, :r])
+        # column j*k + i of F is phi_i shifted j times, and zero for i >= r
+        expected = np.zeros((lat.ambient, lat.ambient), dtype=complex)
+        col = np.stack([phi.flat()[m] for phi in res.frames.phis[:r]], axis=1)
+        for j in range(lat.n_z):
+            expected[:, j * lat.k: j * lat.k + r] = col
+            col = shift_columns(col, lat.n_z, lat.k)
+        assert np.array_equal(res.field.ops[m], expected)
+
+
+def test_verify_rejects_non_coordinate_base():
+    rng = np.random.default_rng(53)
+    lat = TruncationLattice(4, 8, 2)
+    gens = shat_closure(grid_seeds(rng, lat, 1))
+    jm = range_from_generators(gens, lat)
+    res = decompose(gens, lat)
+    frames = tuple(haar_frame(rng, lat.k, res.base.rank(m))
+                   for m in range(lat.n_lambda))
+    rotated = DecompositionResult(RangeFunctionK(lat, frames), res.field,
+                                  res.partition, res.frames, {})
+    with pytest.raises(ValueError, match="coordinate base"):
+        verify_decomposition(rotated, jm)
 
 
 def test_verify_against_wrong_target():

@@ -7,7 +7,10 @@ from fibershift import (FiberedField, OperatorField, RangeFunctionH,
                         TruncationLattice, apply_S_hat, apply_U, apply_U_star,
                         commutes_with_S, is_S_invariant, range_from_generators,
                         shat_closure, shift_matrix)
-from fibershift.shifts import shift_columns, shift_fiber, shift_star_fiber
+from fibershift.fields import z_degree
+from fibershift.shifts import (_band_columns, commutation_defect, shift_columns,
+                               shift_fiber, shift_star_fiber)
+from fibershift.subspaces import DEGREE_TOL
 
 from helpers import grid_seeds
 
@@ -102,6 +105,20 @@ def test_invariance_band_restriction():
     assert ok and leak == 0.0
 
 
+def test_band_columns_match_degree_loop():
+    """One reduction per frame selects what the per-column degree loop did."""
+    rng = np.random.default_rng(17)
+    n_z, k = 6, 2
+    frame = rng.standard_normal((n_z * k, 12)) + 1j * rng.standard_normal((n_z * k, 12))
+    for c in range(12):  # column c reaches degree c % n_z, below-floor noise above it
+        d = c % n_z
+        frame[(d + 1) * k:, c] = 1e-13 * (c % 3)
+    keep = [c for c in range(12)
+            if z_degree(frame[:, c].reshape(n_z, k), DEGREE_TOL) <= n_z - 3]
+    assert keep == [0, 1, 2, 3, 6, 7, 8, 9]
+    assert np.array_equal(_band_columns(frame, n_z, k), frame[:, keep])
+
+
 def test_commutes_with_S():
     lat = TruncationLattice(4, 4, 2)
     s = shift_matrix(lat)
@@ -112,3 +129,9 @@ def test_commutes_with_S():
     bad = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
     ok, defect = commutes_with_S(OperatorField(lat, bad))
     assert not ok and defect > 0.1
+    # the sliced commutator equals the dense one on the band
+    dim = 3 * lat.k
+    for f in bad:
+        dense = (f @ s - s @ f)[:dim, :dim]
+        assert commutation_defect(f, lat.n_z, lat.k) == \
+            np.linalg.svd(dense, compute_uv=False)[0]
