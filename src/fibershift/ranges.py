@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthogonal, ToleranceAmbiguity
+from .errors import NotOrthogonal
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
 from .parallel import fiber_map
@@ -22,8 +22,10 @@ from .subspaces import (
     complement_frame,
     op_norm,
     orthonormal_frame,
+    rank_decision,
     residual_norms,
     robust_svd,
+    singular_values,
 )
 
 
@@ -103,6 +105,16 @@ class OperatorField:
         return max(op_norm(self.ops[m]) for m in range(self.lattice.n_lambda))
 
 
+def _generator_stacks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
+    """Generator fibers stacked as columns, shape (n_lambda, ambient, n_gens)."""
+    if not gens:
+        raise ValueError("at least one generator required")
+    for g in gens:
+        if g.lattice != lattice:
+            raise ValueError("generator lattice mismatch")
+    return np.stack([g.flat() for g in gens], axis=2)
+
+
 def range_from_generators(gens: list[FiberedField], lattice: TruncationLattice,
                           threads: int = 1) -> RangeFunctionH:
     """Pointwise span of the generators' fibers.
@@ -111,18 +123,28 @@ def range_from_generators(gens: list[FiberedField], lattice: TruncationLattice,
     canonical orthonormal frame. Raises ToleranceAmbiguity when a rank
     decision falls inside the guard band.
     """
-    if not gens:
-        raise ValueError("at least one generator required")
-    for g in gens:
-        if g.lattice != lattice:
-            raise ValueError("generator lattice mismatch")
-    stacks = np.stack([g.flat() for g in gens], axis=2)  # (n_lambda, ambient, n_gens)
+    stacks = _generator_stacks(gens, lattice)
 
     def one(m: int) -> np.ndarray:
         return orthonormal_frame(stacks[m], lattice.rank_tol, fiber=m)
 
     frames = fiber_map(one, lattice.n_lambda, threads)
     return RangeFunctionH(lattice, tuple(frames))
+
+
+def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice,
+                    threads: int = 1) -> np.ndarray:
+    """Per-fiber ranks of ``range_from_generators`` without building frames.
+
+    Each fiber costs one SVD without singular vectors; the rank decision,
+    guard band included, is the one ``range_from_generators`` makes.
+    """
+    stacks = _generator_stacks(gens, lattice)
+
+    def one(m: int) -> int:
+        return rank_decision(singular_values(stacks[m]), lattice.rank_tol, fiber=m)
+
+    return np.array(fiber_map(one, lattice.n_lambda, threads), dtype=int)
 
 
 def member(f: FiberedField, range_fn: RangeFunctionH) -> tuple[bool, float]:
@@ -216,23 +238,13 @@ def image_and_kernel_ranges(field_op: OperatorField, range_fn: RangeFunctionH,
     lat = field_op.lattice
     if range_fn.lattice != lat:
         raise ValueError("lattice mismatch")
-    ambient = lat.ambient
 
     def one(m: int) -> tuple[np.ndarray, np.ndarray]:
         op = field_op.ops[m]
         img = orthonormal_frame(op @ range_fn.frames[m], lat.rank_tol, fiber=m)
-        u, s, vh = robust_svd(op)
-        smax = float(s[0]) if s.size else 0.0
-        if smax == 0.0:
-            ker = canonical_columns(np.eye(ambient, dtype=complex))
-        else:
-            cutoff = lat.rank_tol * smax
-            in_band = (s >= 0.5 * cutoff) & (s <= 2.0 * cutoff)
-            if np.any(in_band):
-                raise ToleranceAmbiguity(
-                    f"kernel rank decision ambiguous at cutoff {cutoff:.3e}", fiber=m)
-            rank = int(np.count_nonzero(s > cutoff))
-            ker = canonical_columns(vh[rank:].conj().T)
+        _, s, vh = robust_svd(op)
+        rank = rank_decision(s, lat.rank_tol, fiber=m)
+        ker = canonical_columns(vh[rank:].conj().T)
         return img, ker
 
     pairs = fiber_map(one, lat.n_lambda, threads)

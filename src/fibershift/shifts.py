@@ -124,6 +124,20 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     return worst <= lat.orth_tol, worst
 
 
+def _invariance(range_fn: RangeFunctionH) -> tuple[bool, float]:
+    """``is_S_invariant``, computed once per range function.
+
+    Range functions are immutable, so the verdict is kept on the object;
+    a command that reports the leak and then takes the wandering part pays
+    for one check.
+    """
+    cached = range_fn.__dict__.get("_s_invariance")
+    if cached is None:
+        cached = is_S_invariant(range_fn)
+        object.__setattr__(range_fn, "_s_invariance", cached)
+    return cached
+
+
 def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:
     """``||F S - S F||`` on inputs and outputs of degree <= n_z - 2, read off
     slices of F. The SVD runs only when the difference is not exactly zero,

@@ -1,9 +1,9 @@
 """Frame calculus for per-fiber subspaces.
 
 All subspaces are represented by matrices with orthonormal columns. Rank
-decisions happen in exactly one place (``orthonormal_frame``), with a
-relative singular value cutoff and a guard band that refuses ambiguous
-inputs instead of silently committing to a rank.
+decisions happen in exactly one place (``rank_decision``), with a relative
+singular value cutoff and a guard band that refuses ambiguous inputs
+instead of silently committing to a rank.
 """
 
 from __future__ import annotations
@@ -43,11 +43,13 @@ def robust_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     gesdd sporadically refuses to converge on valid near-rank-deficient
     input. The transposed problem usually succeeds; failing that, the
-    Gram-matrix eigenproblem always converges. The Gram route halves the
-    accurate digits near the noise floor, which stays far below every
-    cutoff this package decides at, and left vectors for negligible
-    singular values are left as zero columns there (no caller selects
-    them).
+    Gram-matrix eigenproblem always converges. Its eigenvectors are the
+    right singular vectors of the tall orientation, null space included.
+    The singular values are read back as the norms ||b v_i||: square roots
+    of the eigenvalues would lift every exact zero to about 1e-8 * s_max,
+    above the rank cutoff. Singular values below about 1e-8 * s_max are
+    not separated from each other there, and left vectors for negligible
+    ones are left as zero columns (no caller selects them).
     """
     a = np.asarray(a, dtype=complex)
     try:
@@ -61,17 +63,17 @@ def robust_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pass
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.conj().T
-    w, v = np.linalg.eigh(b.conj().T @ b)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    v = v[:, order]
-    s = np.sqrt(w)
-    # the columns b v_i are exactly orthogonal with norms s_i, so the kept
-    # left vectors come from plain normalization (QR would rephase them)
+    _, v = np.linalg.eigh(b.conj().T @ b)
+    bv = b @ v
+    s = np.linalg.norm(bv, axis=0)
+    order = np.argsort(s)[::-1]
+    s, v, bv = s[order], v[:, order], bv[:, order]
+    # the columns b v_i are orthogonal to rounding with norms s_i, so the
+    # kept left vectors come from plain normalization (QR would rephase them)
     u = np.zeros((b.shape[0], v.shape[1]), dtype=complex)
     keep = s > (s[0] * 1e-14 if s.size else 0.0)
     if np.any(keep):
-        u[:, keep] = (b @ v[:, keep]) / s[keep]
+        u[:, keep] = bv[:, keep] / s[keep]
     if tall:
         return u, s, v.conj().T
     return v, s, u.conj().T
@@ -98,41 +100,45 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     Columns are phase normalized, then ordered by decreasing singular value
     with exact ties broken lexicographically on the (real, imag) coefficient
     sequence. With ``s`` omitted all columns count as tied.
+
+    The order is that of one ``np.lexsort`` over all 2 * rows + 1 keys, but
+    only as many leading coefficient rows are sorted on as it takes for no
+    two adjacent sorted columns to tie: the trailing keys of a full lexsort
+    never change the order of columns that already differ.
     """
     if q.shape[1] == 0:
         return np.array(q, dtype=complex)
     q = _phase_normalize(q)
-    if s is None:
-        sv = np.zeros(q.shape[1])
-    else:
-        sv = np.asarray(s, dtype=float)
-    # lexsort keys run least to most significant: the interleaved
-    # (real, imag) rows break exact ties, -sv decides first
-    interleaved = np.empty((2 * q.shape[0], q.shape[1]))
-    interleaved[0::2] = q.real
-    interleaved[1::2] = q.imag
-    order = np.lexsort(np.vstack([interleaved[::-1], -sv[None, :]]))
-    return q[:, order]
+    neg = -(np.zeros(q.shape[1]) if s is None else np.asarray(s, dtype=float))
+    rows = 0
+    while True:
+        # keys most significant first: -s, then re, im of rows 0..rows-1
+        keys = np.empty((2 * rows + 1, q.shape[1]))
+        keys[0] = neg
+        keys[1::2] = q[:rows].real
+        keys[2::2] = q[:rows].imag
+        order = np.lexsort(keys[::-1])
+        if rows == q.shape[0]:
+            return q[:, order]
+        ranked = keys[:, order]
+        a, b = ranked[:, :-1], ranked[:, 1:]
+        # lexsort counts NaNs as equal to each other
+        tied = ((a == b) | (np.isnan(a) & np.isnan(b))).all(axis=0)
+        if not tied.any():
+            return q[:, order]
+        rows = min(max(2 * rows, 1), q.shape[0])
 
 
-def orthonormal_frame(columns: np.ndarray, rank_tol: float,
-                      fiber: int | None = None) -> np.ndarray:
-    """Orthonormal basis for the span of ``columns`` (ambient x m).
+def rank_decision(s: np.ndarray, rank_tol: float, fiber: int | None = None) -> int:
+    """Number of singular values above ``rank_tol * max(s)``.
 
-    Singular values >= rank_tol * s_max are kept. If any singular value lies
-    inside [0.5, 2] times the cutoff the rank decision is ambiguous and
-    ToleranceAmbiguity is raised. An all-zero input yields an empty frame.
+    ``s`` holds singular values in decreasing order. If any lies inside
+    [0.5, 2] times the cutoff the decision is ambiguous and
+    ToleranceAmbiguity is raised. Empty or all-zero input has rank 0.
     """
-    a = np.asarray(columns, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("columns must be a 2-d array")
-    ambient = a.shape[0]
-    if a.shape[1] == 0:
-        return np.zeros((ambient, 0), dtype=complex)
-    u, s, _ = robust_svd(a)
-    smax = float(s[0]) if s.size else 0.0
+    smax = float(s[0]) if len(s) else 0.0
     if smax == 0.0:
-        return np.zeros((ambient, 0), dtype=complex)
+        return 0
     cutoff = rank_tol * smax
     in_band = (s >= 0.5 * cutoff) & (s <= 2.0 * cutoff)
     if np.any(in_band):
@@ -141,7 +147,24 @@ def orthonormal_frame(columns: np.ndarray, rank_tol: float,
             f"singular value {worst:.3e} inside guard band of cutoff {cutoff:.3e}",
             fiber=fiber,
         )
-    rank = int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(s > cutoff))
+
+
+def orthonormal_frame(columns: np.ndarray, rank_tol: float,
+                      fiber: int | None = None) -> np.ndarray:
+    """Orthonormal basis for the span of ``columns`` (ambient x m).
+
+    The rank comes from ``rank_decision`` on the singular values of the
+    columns (ToleranceAmbiguity inside the guard band). An all-zero input
+    yields an empty frame.
+    """
+    a = np.asarray(columns, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError("columns must be a 2-d array")
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    u, s, _ = robust_svd(a)
+    rank = rank_decision(s, rank_tol, fiber)
     return canonical_columns(u[:, :rank], s[:rank])
 
 
@@ -158,15 +181,20 @@ def residual_norms(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(r, axis=0)
 
 
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values in decreasing order, computed without singular
+    vectors; a LAPACK failure falls back to ``robust_svd``."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return robust_svd(a)[1]
+
+
 def op_norm(a: np.ndarray) -> float:
-    """Largest singular value (0 for the empty matrix), computed without
-    singular vectors; a LAPACK failure falls back to ``robust_svd``."""
+    """Largest singular value (0 for the empty matrix)."""
     if a.size == 0:
         return 0.0
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        s = robust_svd(a)[1]
+    s = singular_values(a)
     return float(s[0]) if s.size else 0.0
 
 

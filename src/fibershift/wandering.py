@@ -1,9 +1,11 @@
 """Wandering subspaces of shift-invariant range functions.
 
 For an invariant fiber subspace J the wandering part is J minus its shifted
-image. Its dimension never exceeds k, the shifted copies of its frame are
-orthogonal while they stay inside the reliable band, and stacking those
-copies reconstructs the original subspace.
+image, computed in the coordinates of J's own frame (one small SVD and one
+rank decision per fiber), so it lies in J by construction. Its dimension
+never exceeds k, the shifted copies of its frame are orthogonal while they
+stay inside the reliable band, and stacking those copies reconstructs the
+original subspace.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandExceeded, NotInvariant, RankTooLarge
+from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
 from .fields import FiberedField, z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import is_S_invariant, shift_columns
-from .subspaces import DEGREE_TOL, orthonormal_frame
+from .shifts import _invariance, shift_columns
+from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,31 @@ class FrameFields:
 
 def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
                      fiber: int | None = None) -> np.ndarray:
-    """Frame of J minus (fiber shift applied to J) for one fiber."""
+    """Frame of J minus (fiber shift applied to J) for one fiber.
+
+    With Q the frame of an invariant J, S Q = Q C for the r x r matrix
+    C = Q* S Q, so S J = Q range(C) and J minus S J = Q ker(C*). The rank
+    of C is decided once on its singular values; the kernel of C* is read
+    off the right singular vectors of C*, which the ``robust_svd`` fallback
+    also returns in full.
+
+    A numerical J is invariant only up to the part L = S Q - Q C of S J
+    outside J. While ||L|| stays below half the cutoff it cannot move a
+    singular value across the guard band, so the rank of C is the rank of
+    S Q; beyond that the decision is refused (ToleranceAmbiguity).
+    """
     if frame.shape[1] == 0:
         return frame
-    shifted = shift_columns(frame, n_z, k)
-    sj = orthonormal_frame(shifted, rank_tol, fiber=fiber)
-    rest = frame - sj @ (sj.conj().T @ frame)
-    return orthonormal_frame(rest, rank_tol, fiber=fiber)
+    c_star = frame[: (n_z - 1) * k].conj().T @ frame[k:]
+    _, s, vh = robust_svd(c_star)
+    rank = rank_decision(s, rank_tol, fiber)
+    cutoff = rank_tol * float(s[0])
+    leak = np.linalg.norm(shift_columns(frame, n_z, k) - frame @ c_star.conj().T)
+    if leak > 0.5 * cutoff:
+        raise ToleranceAmbiguity(
+            f"shift leaves the subspace by {leak:.3e}, beyond half the cutoff "
+            f"{cutoff:.3e}", fiber=fiber)
+    return canonical_columns(frame @ vh[rank:].conj().T)
 
 
 def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
@@ -85,7 +105,7 @@ def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     orth_tol on the reliable band.
     """
     lat = range_fn.lattice
-    ok, leak = is_S_invariant(range_fn)
+    ok, leak = _invariance(range_fn)
     if not ok:
         raise NotInvariant(f"input is not shift invariant (leak {leak:.3e})")
     frames = tuple(

@@ -8,6 +8,7 @@ import pytest
 
 from fibershift import (TruncationLattice, decompose_range,
                         range_from_generators, shat_closure)
+from fibershift.cli import build_parser, cmd_analyze, cmd_spectrum
 from fibershift.errors import BoundsError, ParseError
 from fibershift.factorization import verify_decomposition
 from fibershift.fileio import (_HEADER, Report, load_decomposition,
@@ -219,6 +220,69 @@ def test_cli_spectrum_and_seed_note(tmp_path):
     assert "note: shat-closure: applied (1 -> 8 generators)" in out
 
 
+def _laurent_problem(tmp_path, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    lat = TruncationLattice(16, 32, 2)
+    path = str(tmp_path / f"p{seed}.txt")
+    write_problem(path, lat, laurent_seeds(rng, lat, 2))
+    return path
+
+
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_spectrum_matches_analyze(tmp_path, seed):
+    """spectrum reads ranks off singular values alone; analyze builds the
+    frames. Both report the same ranks and spectrum."""
+    path = _laurent_problem(tmp_path, seed)
+    spec, code_s = cmd_spectrum(build_parser().parse_args(["spectrum", path]))
+    full, code_a = cmd_analyze(build_parser().parse_args(["analyze", path]))
+    assert code_s == 0 and code_a == 0
+    assert spec.ranks_jm == full.ranks_jm
+    assert spec.spectrum == full.spectrum
+    assert 0 < len(spec.spectrum) and min(spec.ranks_jm) < max(spec.ranks_jm)
+
+
+GUARD_BAND_PROBLEM = """\
+schema: fibershift-problem/1
+n_lambda: 2
+n_z: 4
+k: 2
+generator: top
+term: 0 3 1 1.0 0.0
+generator: near
+term: 0 3 1 1.0 0.0
+term: 0 3 2 2.4e-9 0.0
+"""
+
+
+def test_spectrum_guard_band_exits_2(tmp_path):
+    """Two top-degree generators whose stack has singular values near
+    sqrt(2) and 1.2 x the cutoff: spectrum refuses like analyze."""
+    path = _write(tmp_path, GUARD_BAND_PROBLEM)
+    for command in ("spectrum", "analyze"):
+        code, out = run_cli([command, path])
+        assert code == 2
+        assert out == ""
+
+
+def test_spectrum_values_only_failure(tmp_path, monkeypatch):
+    path = _laurent_problem(tmp_path, 53)
+    _, expect = run_cli(["spectrum", path])
+    real_svd = np.linalg.svd
+    calls = []
+
+    def fail_values_only(x, **kw):
+        calls.append(kw.get("compute_uv", True))
+        if not kw.get("compute_uv", True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(x, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_values_only)
+    code, out = run_cli(["spectrum", path])
+    assert code == 0
+    assert out == expect
+    assert calls.count(False) == 16 and calls.count(True) == 16
+
+
 def test_cli_decompose_verify_roundtrip(tmp_path):
     path = _write(tmp_path, CONSTANT_PROBLEM)
     outdir = str(tmp_path / "result")
@@ -233,6 +297,31 @@ def test_cli_decompose_verify_roundtrip(tmp_path):
     # the .fshd file directly is also accepted
     code, _ = run_cli(["verify", outdir + "/decomposition.fshd"])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_cli_checks_invariance_once(tmp_path, monkeypatch, command):
+    """The report's leak and the wandering step share one invariance check."""
+    import fibershift.cli
+    import fibershift.factorization
+    import fibershift.shifts
+    import fibershift.wandering
+    real = fibershift.shifts.is_S_invariant
+    calls = []
+
+    def counting(range_fn):
+        calls.append(range_fn)
+        return real(range_fn)
+
+    for mod in (fibershift.shifts, fibershift.cli, fibershift.wandering,
+                fibershift.factorization):
+        if getattr(mod, "is_S_invariant", None) is real:
+            monkeypatch.setattr(mod, "is_S_invariant", counting)
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    code, out = run_cli([command, path])
+    assert code == 0
+    assert "s-invariant: yes (leak 0.0)" in out
+    assert len(calls) == 1
 
 
 def _diagnostic(report: str, key: str) -> float:

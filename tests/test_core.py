@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibershift.subspaces as sub
 from fibershift import (FiberedField, LaurentPolyField, ToleranceAmbiguity,
@@ -9,9 +11,10 @@ from fibershift import (FiberedField, LaurentPolyField, ToleranceAmbiguity,
                         subspace_distance)
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
 from fibershift.fields import field_from_function, z_degree
-from fibershift.subspaces import (band_projector_distance, canonical_columns,
-                                  complement_frame, op_norm, project_onto,
-                                  residual_norms, robust_svd)
+from fibershift.subspaces import (_phase_normalize, band_projector_distance,
+                                  canonical_columns, complement_frame, op_norm,
+                                  project_onto, rank_decision, residual_norms,
+                                  robust_svd)
 
 from helpers import haar_frame
 
@@ -145,6 +148,86 @@ def test_canonical_columns_tie_order():
     assert np.array_equal(out, canonical_columns(np.eye(3, dtype=complex)))
 
 
+def _canonical_reference(q, s=None):
+    """canonical_columns as one full lexsort over every coefficient row."""
+    if q.shape[1] == 0:
+        return np.array(q, dtype=complex)
+    q = _phase_normalize(q)
+    sv = np.zeros(q.shape[1]) if s is None else np.asarray(s, dtype=float)
+    interleaved = np.empty((2 * q.shape[0], q.shape[1]))
+    interleaved[0::2] = q.real
+    interleaved[1::2] = q.imag
+    order = np.lexsort(np.vstack([interleaved[::-1], -sv[None, :]]))
+    return q[:, order]
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def _shared_prefix(rows: int, cols: int, prefix: int) -> np.ndarray:
+    """Columns equal on their first ``prefix`` rows, distinct below."""
+    rng = np.random.default_rng(rows * 100 + cols * 10 + prefix)
+    q = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q[:prefix] = q[:prefix, :1]
+    return q
+
+
+@pytest.mark.parametrize("q, s", [
+    (np.zeros((4, 0), dtype=complex), None),
+    (np.zeros((4, 0), dtype=complex), np.zeros(0)),
+    (haar_frame(np.random.default_rng(20), 5, 1), None),
+    (haar_frame(np.random.default_rng(21), 5, 1), np.array([0.5])),
+    (haar_frame(np.random.default_rng(22), 6, 4), np.array([4.0, 3.0, 2.0, 1.0])),
+    (haar_frame(np.random.default_rng(23), 6, 4), np.array([1.0, 4.0, 2.0, 3.0])),
+    (haar_frame(np.random.default_rng(24), 6, 4), None),
+    (haar_frame(np.random.default_rng(25), 6, 4), np.array([2.0, 1.0, 2.0, 1.0])),
+    (np.eye(5, dtype=complex)[:, ::-1], None),
+    (np.eye(5, dtype=complex)[:, ::-1], np.ones(5)),
+    (_shared_prefix(9, 5, 7), None),
+    (_shared_prefix(9, 5, 8), np.ones(5)),
+    (_shared_prefix(64, 6, 40), None),
+    (_shared_prefix(6, 4, 6), None),        # identical columns: index order
+    (np.array([[np.nan, np.nan, 1.0], [2.0, 1.0, 1.0]], dtype=complex), None),
+])
+def test_canonical_columns_matches_full_lexsort(q, s):
+    _assert_same_bytes(canonical_columns(q, s), _canonical_reference(q, s))
+
+
+@st.composite
+def _frames_with_ties(draw):
+    """Small matrices over a few values, so that columns share long
+    prefixes and singular values repeat exactly."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(0, 7))
+    pool = draw(st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                            allow_infinity=False),
+                         min_size=1, max_size=4))
+    flat = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
+                         max_size=rows * cols))
+    q = np.array(flat, dtype=complex).reshape(rows, cols)
+    s = draw(st.none() | st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                  min_size=cols, max_size=cols))
+    return q, None if s is None else np.array(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frames_with_ties())
+def test_canonical_columns_matches_full_lexsort_random(case):
+    q, s = case
+    _assert_same_bytes(canonical_columns(q, s), _canonical_reference(q, s))
+
+
+def test_rank_decision():
+    assert rank_decision(np.zeros(0), 1e-9) == 0
+    assert rank_decision(np.zeros(3), 1e-9) == 0
+    assert rank_decision(np.array([2.0, 1.0, 1e-5, 1e-14]), 1e-9) == 3
+    with pytest.raises(ToleranceAmbiguity) as exc:
+        rank_decision(np.array([1.0, 1.2e-9]), 1e-9, fiber=4)
+    assert exc.value.fiber == 4
+
+
 def test_robust_svd_matches_lapack():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
@@ -178,6 +261,32 @@ def test_robust_svd_fallback_chain(monkeypatch):
     u, s, vh = robust_svd(a)
     assert np.allclose((u * s) @ vh, a, atol=1e-8)
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 6), (6, 9)])
+def test_robust_svd_gram_route_resolves_exact_zeros(shape, monkeypatch):
+    """On the eigh route an exact null space keeps singular values at the
+    rounding level, far below the rank cutoff, and the right vectors span
+    it in full."""
+    rng = np.random.default_rng(8)
+    m, n = shape
+    a = haar_frame(rng, m, 3) @ np.diag([3.0, 1.0, 1e-3]) @ haar_frame(rng, n, 3).conj().T
+    exact = np.linalg.svd(a, compute_uv=False)
+
+    def fail_always(x, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail_always)
+    u, s, vh = robust_svd(a)
+    assert rank_decision(s, 1e-9) == 3
+    assert np.allclose(s[:3], exact[:3], rtol=1e-9)
+    assert s[3:].max() < 1e-12
+    assert np.allclose((u * s) @ vh, a, atol=1e-12)
+    # the eigenvectors form the small side's factor, null space included
+    v = vh.conj().T if m >= n else u
+    assert np.allclose(v.conj().T @ v, np.eye(min(m, n)), atol=1e-12)
+    b = a if m >= n else a.conj().T
+    assert np.abs(b @ v[:, 3:]).max() < 1e-12
 
 
 def test_op_norm_values_only_fallback(monkeypatch):
