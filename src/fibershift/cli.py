@@ -26,8 +26,9 @@ from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
                      render_csv, render_text, save_decomposition)
-from .ranges import generator_ranks, range_from_generators, spectrum
-from .shifts import _invariance, shat_closure
+from .ranges import (generator_ranks, range_from_generators, spectrum,
+                     spectrum_from_ranks)
+from .shifts import is_S_invariant, shat_closure
 from .subspaces import subspace_distance
 from .wandering import dimension_partition, wandering_range
 
@@ -101,7 +102,7 @@ def _partition_counts(partition) -> tuple[tuple[int, int], ...]:
 def cmd_analyze(args) -> tuple[Report, int]:
     pf, lat, inner_tol, gens, notes = _load(args)
     jm = range_from_generators(gens, lat, threads=args.threads)
-    ok, leak = _invariance(jm)
+    ok, leak = is_S_invariant(jm)
     base = dict(command="analyze", version=__version__, digest=pf.digest,
                 lattice=lat, inner_tol=inner_tol, notes=notes,
                 s_invariant=ok, s_leak=leak,
@@ -120,7 +121,7 @@ def cmd_spectrum(args) -> tuple[Report, int]:
     ranks = tuple(int(r) for r in generator_ranks(gens, lat, threads=args.threads))
     report = Report(command="spectrum", version=__version__, digest=pf.digest,
                     lattice=lat, inner_tol=inner_tol, notes=notes,
-                    spectrum=tuple(m for m, r in enumerate(ranks) if r > 0),
+                    spectrum=tuple(spectrum_from_ranks(ranks)),
                     ranks_jm=ranks)
     return report, 0
 
@@ -133,7 +134,7 @@ def cmd_decompose(args) -> tuple[Report, int]:
         os.makedirs(args.out, exist_ok=True)
         save_decomposition(res, jm, os.path.join(args.out, "decomposition.fshd"))
         notes += ("persisted: decomposition.fshd",)
-    ok, leak = _invariance(jm)
+    ok, leak = is_S_invariant(jm)
     report = Report(command="decompose", version=__version__, digest=pf.digest,
                     lattice=lat, inner_tol=inner_tol, notes=notes,
                     s_invariant=ok, s_leak=leak,

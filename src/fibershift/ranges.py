@@ -213,9 +213,14 @@ def direct_sum_ranges(parts: list[RangeFunctionH]) -> RangeFunctionH:
     return RangeFunctionH(lat, tuple(frames))
 
 
+def spectrum_from_ranks(ranks) -> list[int]:
+    """Sorted grid indices whose rank is nonzero."""
+    return [m for m, r in enumerate(ranks) if r > 0]
+
+
 def spectrum(range_fn) -> list[int]:
     """Sorted grid indices where the fiber subspace is nonzero."""
-    return [m for m in range(range_fn.lattice.n_lambda) if range_fn.rank(m) > 0]
+    return spectrum_from_ranks(range_fn.ranks())
 
 
 def apply_opfield(field_op: OperatorField, f: FiberedField) -> FiberedField:

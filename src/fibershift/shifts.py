@@ -108,7 +108,13 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     The leak at fiber m is the operator norm of (I - P) S applied to the
     frame columns whose shifted degree stays at most n_z - 2, so truncation
     cannot masquerade as a leak. Returns (max leak <= orth_tol, max leak).
+    Range functions are immutable, so the verdict is kept on the object and
+    a command that reports the leak and then takes the wandering part pays
+    for one check.
     """
+    cached = range_fn.__dict__.get("_s_invariance")
+    if cached is not None:
+        return cached
     lat = range_fn.lattice
     worst = 0.0
     for m in range(lat.n_lambda):
@@ -121,20 +127,8 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
         shifted = shift_columns(band, lat.n_z, lat.k)
         leak = op_norm(shifted - project_onto(q, shifted))
         worst = max(worst, leak)
-    return worst <= lat.orth_tol, worst
-
-
-def _invariance(range_fn: RangeFunctionH) -> tuple[bool, float]:
-    """``is_S_invariant``, computed once per range function.
-
-    Range functions are immutable, so the verdict is kept on the object;
-    a command that reports the leak and then takes the wandering part pays
-    for one check.
-    """
-    cached = range_fn.__dict__.get("_s_invariance")
-    if cached is None:
-        cached = is_S_invariant(range_fn)
-        object.__setattr__(range_fn, "_s_invariance", cached)
+    cached = (worst <= lat.orth_tol, worst)
+    object.__setattr__(range_fn, "_s_invariance", cached)
     return cached
 
 

@@ -21,6 +21,11 @@ DEGREE_TOL = 1e-12
 # First entry used for column phase normalization must exceed this.
 PHASE_TOL = 1e-12
 
+# Relative singular values the Gram-matrix fallback of robust_svd resolves
+# (above RESOLVED) or reads as rounded exact zeros (below ZERO_FLOOR).
+RESOLVED = 1e-7
+ZERO_FLOOR = 1e-12
+
 
 def _phase_normalize(q: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry above PHASE_TOL is real positive."""
@@ -44,12 +49,14 @@ def robust_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gesdd sporadically refuses to converge on valid near-rank-deficient
     input. The transposed problem usually succeeds; failing that, the
     Gram-matrix eigenproblem always converges. Its eigenvectors are the
-    right singular vectors of the tall orientation, null space included.
-    The singular values are read back as the norms ||b v_i||: square roots
-    of the eigenvalues would lift every exact zero to about 1e-8 * s_max,
-    above the rank cutoff. Singular values below about 1e-8 * s_max are
-    not separated from each other there, and left vectors for negligible
-    ones are left as zero columns (no caller selects them).
+    right singular vectors of the tall orientation, null space included;
+    the singular values are the norms ||b v_i|| (square roots of the
+    eigenvalues would lift exact zeros to about 1e-8 * s_max). Eigenvalue
+    errors near eps * s_max**2 leave values below RESOLVED * s_max
+    unseparated, so a value read between ZERO_FLOOR and RESOLVED times
+    s_max raises LinAlgError. Left vectors of the resolved values come from
+    a QR of the columns b v_i, rephased to b v_i / s_i; those of the zeros
+    are zero columns (no caller selects them).
     """
     a = np.asarray(a, dtype=complex)
     try:
@@ -68,12 +75,16 @@ def robust_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.linalg.norm(bv, axis=0)
     order = np.argsort(s)[::-1]
     s, v, bv = s[order], v[:, order], bv[:, order]
-    # the columns b v_i are orthogonal to rounding with norms s_i, so the
-    # kept left vectors come from plain normalization (QR would rephase them)
+    smax = float(s[0]) if s.size else 0.0
+    if np.any((s > ZERO_FLOOR * smax) & (s <= RESOLVED * smax)):
+        raise np.linalg.LinAlgError(
+            "SVD fallback cannot resolve singular values below "
+            f"{RESOLVED:.0e} * s_max")
+    keep = s > RESOLVED * smax
+    q, r = np.linalg.qr(bv[:, keep])
+    d = np.diagonal(r)
     u = np.zeros((b.shape[0], v.shape[1]), dtype=complex)
-    keep = s > (s[0] * 1e-14 if s.size else 0.0)
-    if np.any(keep):
-        u[:, keep] = bv[:, keep] / s[keep]
+    u[:, keep] = q * (d / np.abs(d))[None, :]
     if tall:
         return u, s, v.conj().T
     return v, s, u.conj().T
@@ -100,33 +111,21 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     Columns are phase normalized, then ordered by decreasing singular value
     with exact ties broken lexicographically on the (real, imag) coefficient
     sequence. With ``s`` omitted all columns count as tied.
-
-    The order is that of one ``np.lexsort`` over all 2 * rows + 1 keys, but
-    only as many leading coefficient rows are sorted on as it takes for no
-    two adjacent sorted columns to tie: the trailing keys of a full lexsort
-    never change the order of columns that already differ.
     """
     if q.shape[1] == 0:
         return np.array(q, dtype=complex)
     q = _phase_normalize(q)
-    neg = -(np.zeros(q.shape[1]) if s is None else np.asarray(s, dtype=float))
-    rows = 0
-    while True:
-        # keys most significant first: -s, then re, im of rows 0..rows-1
-        keys = np.empty((2 * rows + 1, q.shape[1]))
-        keys[0] = neg
-        keys[1::2] = q[:rows].real
-        keys[2::2] = q[:rows].imag
-        order = np.lexsort(keys[::-1])
-        if rows == q.shape[0]:
-            return q[:, order]
-        ranked = keys[:, order]
-        a, b = ranked[:, :-1], ranked[:, 1:]
-        # lexsort counts NaNs as equal to each other
-        tied = ((a == b) | (np.isnan(a) & np.isnan(b))).all(axis=0)
-        if not tied.any():
-            return q[:, order]
-        rows = min(max(2 * rows, 1), q.shape[0])
+    if s is None:
+        sv = np.zeros(q.shape[1])
+    else:
+        sv = np.asarray(s, dtype=float)
+    # lexsort keys run least to most significant: the interleaved
+    # (real, imag) rows break exact ties, -sv decides first
+    interleaved = np.empty((2 * q.shape[0], q.shape[1]))
+    interleaved[0::2] = q.real
+    interleaved[1::2] = q.imag
+    order = np.lexsort(np.vstack([interleaved[::-1], -sv[None, :]]))
+    return q[:, order]
 
 
 def rank_decision(s: np.ndarray, rank_tol: float, fiber: int | None = None) -> int:
@@ -191,10 +190,17 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def op_norm(a: np.ndarray) -> float:
-    """Largest singular value (0 for the empty matrix)."""
+    """Largest singular value (0 for the empty matrix).
+
+    ``robust_svd`` refuses spectra whose small values it cannot resolve;
+    the largest one is then read off the Gram matrix.
+    """
     if a.size == 0:
         return 0.0
-    s = singular_values(a)
+    try:
+        s = singular_values(a)
+    except np.linalg.LinAlgError:
+        return float(np.sqrt(max(np.linalg.eigvalsh(a.conj().T @ a)[-1], 0.0)))
     return float(s[0]) if s.size else 0.0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
 from .fields import FiberedField, z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import _invariance, shift_columns
+from .shifts import is_S_invariant, shift_columns
 from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
 
 
@@ -80,9 +80,12 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     also returns in full.
 
     A numerical J is invariant only up to the part L = S Q - Q C of S J
-    outside J. While ||L|| stays below half the cutoff it cannot move a
-    singular value across the guard band, so the rank of C is the rank of
-    S Q; beyond that the decision is refused (ToleranceAmbiguity).
+    outside J. ||L|| is of the order of the frame's distance from an
+    invariant subspace, and so of the error in C: beyond half the cutoff a
+    small singular value of C cannot be told from a zero one, and the
+    decision is refused (ToleranceAmbiguity). A weaker test that only
+    certifies rank(S Q) = rank(C) accepts such frames and then misses the
+    wandering ranks of the generators themselves at n_z = 16.
     """
     if frame.shape[1] == 0:
         return frame
@@ -105,7 +108,7 @@ def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     orth_tol on the reliable band.
     """
     lat = range_fn.lattice
-    ok, leak = _invariance(range_fn)
+    ok, leak = is_S_invariant(range_fn)
     if not ok:
         raise NotInvariant(f"input is not shift invariant (leak {leak:.3e})")
     frames = tuple(
