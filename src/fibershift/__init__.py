@@ -34,8 +34,7 @@ from .ranges import (OperatorField, RangeFunctionH, RangeFunctionK,
                      image_and_kernel_ranges, member, range_from_generators,
                      spectrum)
 from .shifts import (apply_S_hat, apply_U, apply_U_star, commutes_with_S,
-                     is_S_invariant, shat_closure, shift_fiber, shift_matrix,
-                     shift_star_fiber)
+                     is_S_invariant, shat_closure, shift_matrix)
 from .subspaces import (band_projector_distance, orthonormal_frame,
                         subspace_distance)
 from .wandering import (DimensionPartition, FrameFields, dimension_partition,
@@ -51,8 +50,8 @@ __all__ = [
     "range_from_generators", "member", "complement_range",
     "direct_sum_ranges", "spectrum", "apply_opfield",
     "image_and_kernel_ranges",
-    "apply_U", "apply_U_star", "apply_S_hat", "shift_fiber",
-    "shift_star_fiber", "shift_matrix", "shat_closure", "is_S_invariant",
+    "apply_U", "apply_U_star", "apply_S_hat", "shift_matrix", "shat_closure",
+    "is_S_invariant",
     "commutes_with_S",
     "DimensionPartition", "FrameFields", "wandering_range",
     "dimension_partition", "frame_fields", "reconstruct_from_wandering",

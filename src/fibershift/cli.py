@@ -40,8 +40,6 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
                     help="override the orthogonality tolerance")
     sp.add_argument("--inner-tol", type=float, default=None,
                     help="override the inner-modulus tolerance")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for per-fiber stages (default 1)")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed recorded in the report for fixture scripts")
     sp.add_argument("--format", choices=("text", "csv"), default="text",
@@ -50,8 +48,17 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
                     help="directory for the report and any persisted results")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input and exit 3; argparse's own exit 2 would read
+    as a failed invariant. Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fibershift",
         description="shift-invariant subspace analysis on a truncation lattice")
     sub = p.add_subparsers(dest="command", required=True)
@@ -101,7 +108,7 @@ def _partition_counts(partition) -> tuple[tuple[int, int], ...]:
 
 def cmd_analyze(args) -> tuple[Report, int]:
     pf, lat, inner_tol, gens, notes = _load(args)
-    jm = range_from_generators(gens, lat, threads=args.threads)
+    jm = range_from_generators(gens, lat)
     ok, leak = is_S_invariant(jm)
     base = dict(command="analyze", version=__version__, digest=pf.digest,
                 lattice=lat, inner_tol=inner_tol, notes=notes,
@@ -118,7 +125,7 @@ def cmd_analyze(args) -> tuple[Report, int]:
 
 def cmd_spectrum(args) -> tuple[Report, int]:
     pf, lat, inner_tol, gens, notes = _load(args)
-    ranks = tuple(int(r) for r in generator_ranks(gens, lat, threads=args.threads))
+    ranks = tuple(int(r) for r in generator_ranks(gens, lat))
     report = Report(command="spectrum", version=__version__, digest=pf.digest,
                     lattice=lat, inner_tol=inner_tol, notes=notes,
                     spectrum=tuple(spectrum_from_ranks(ranks)),
@@ -128,8 +135,8 @@ def cmd_spectrum(args) -> tuple[Report, int]:
 
 def cmd_decompose(args) -> tuple[Report, int]:
     pf, lat, inner_tol, gens, notes = _load(args)
-    jm = range_from_generators(gens, lat, threads=args.threads)
-    res = decompose_range(jm, threads=args.threads)
+    jm = range_from_generators(gens, lat)
+    res = decompose_range(jm)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_decomposition(res, jm, os.path.join(args.out, "decomposition.fshd"))
@@ -150,8 +157,8 @@ def cmd_beurling(args) -> tuple[Report, int]:
     pf, lat, inner_tol, gens, notes = _load(args)
     if lat.k != 1:
         raise ValueError("beurling requires a k = 1 problem")
-    jm = range_from_generators(gens, lat, threads=args.threads)
-    res = decompose_range(jm, threads=args.threads)
+    jm = range_from_generators(gens, lat)
+    res = decompose_range(jm)
     phi = phi_representation(res, inner_tol)
     rphi = range_of_phi(phi)
     dist = max(subspace_distance(rphi.frames[m], jm.frames[m])
@@ -180,7 +187,7 @@ def cmd_verify(args) -> tuple[Report, int]:
         digest = hashlib.sha256(fh.read()).hexdigest()
     res, jm = load_decomposition(path)
     lat = res.base.lattice
-    diagnostics = verify_decomposition(res, jm, threads=args.threads)
+    diagnostics = verify_decomposition(res, jm)
     report = Report(command="verify", version=__version__, digest=digest,
                     lattice=lat,
                     inner_tol=args.inner_tol if args.inner_tol is not None else INNER_TOL_DEFAULT,

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import ImagesDiffer, NotPartialIsometry
 from .fields import FiberedField, z_degree
-from .full_hardy import is_full_hardy
+from .full_hardy import _embedded_base_columns, is_full_hardy
 from .lattice import TruncationLattice
-from .parallel import fiber_map
 from .ranges import OperatorField, RangeFunctionH, RangeFunctionK, range_from_generators
 from .shifts import commutation_defect, commutes_with_S, shift_columns
 from .subspaces import (DEGREE_TOL, band_projector_distance, canonical_columns,
@@ -63,16 +62,6 @@ def _fiber_band(res: DecompositionResult, m: int) -> int:
     return res.base.lattice.n_z - 1 - max(d, 0)
 
 
-def _embedded_base_columns(base_frame: np.ndarray, n_z: int, k: int,
-                           top_degree: int) -> np.ndarray:
-    """Base vectors embedded at degrees 0..top_degree, degree-major order."""
-    r = base_frame.shape[1]
-    cols = np.zeros((n_z * k, (top_degree + 1) * r), dtype=complex)
-    for j in range(top_degree + 1):
-        cols[j * k:(j + 1) * k, j * r:(j + 1) * r] = base_frame
-    return cols
-
-
 def _hardy_projector(base_frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
     """Projector onto the full Hardy space over one base fiber."""
     if base_frame.shape[1] == 0:
@@ -93,8 +82,7 @@ def _stable_frame(cols: np.ndarray) -> np.ndarray:
     return u[:, s > 0.5]
 
 
-def decompose(gens: list[FiberedField], lattice: TruncationLattice,
-              threads: int = 1) -> DecompositionResult:
+def decompose(gens: list[FiberedField], lattice: TruncationLattice) -> DecompositionResult:
     """Factor the pointwise span of ``gens`` through a full Hardy space.
 
     The span must already be invariant under the fiber shift (NotInvariant
@@ -104,11 +92,10 @@ def decompose(gens: list[FiberedField], lattice: TruncationLattice,
     base on each class, assemble F column by column from shifted frame
     vectors, and verify.
     """
-    jm = range_from_generators(gens, lattice, threads=threads)
-    return decompose_range(jm, threads=threads)
+    return decompose_range(range_from_generators(gens, lattice))
 
 
-def decompose_range(jm: RangeFunctionH, threads: int = 1) -> DecompositionResult:
+def decompose_range(jm: RangeFunctionH) -> DecompositionResult:
     """``decompose`` for an already-built range function."""
     lat = jm.lattice
     jr = wandering_range(jm)
@@ -126,12 +113,11 @@ def decompose_range(jm: RangeFunctionH, threads: int = 1) -> DecompositionResult
         ops[:, lo:, lo:lo + lat.k] = phi[:, : lat.ambient - lo]
     field = OperatorField(lat, ops)
     res = DecompositionResult(base, field, partition, frames, {})
-    diagnostics = verify_decomposition(res, jm, threads=threads)
+    diagnostics = verify_decomposition(res, jm)
     return DecompositionResult(base, field, partition, frames, diagnostics)
 
 
-def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH,
-                         threads: int = 1) -> dict[str, float]:
+def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, float]:
     """Recompute the four factorization defects against a target range.
 
     Work happens in initial-space coordinates: with G the embedded base
@@ -159,12 +145,11 @@ def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH,
     lat = res.base.lattice
     if jm.lattice != lat:
         raise ValueError("lattice mismatch")
-    per = verify_per_fiber(res, jm, threads=threads)
+    per = verify_per_fiber(res, jm)
     return {key: float(np.max(per[key])) for key in DIAGNOSTIC_KEYS}
 
 
-def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH,
-                     threads: int = 1) -> dict[str, np.ndarray]:
+def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, np.ndarray]:
     """Per-fiber defect arrays behind ``verify_decomposition``."""
     lat = res.base.lattice
     dims = res.partition.dimensions()
@@ -208,10 +193,9 @@ def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH,
             leak = 0.0
         return iso, image, comm, leak
 
-    rows = fiber_map(one, lat.n_lambda, threads)
-    out = {key: np.array([r[idx] for r in rows])
-           for idx, key in enumerate(DIAGNOSTIC_KEYS)}
-    return out
+    rows = [one(m) for m in range(lat.n_lambda)]
+    return {key: np.array([r[idx] for r in rows])
+            for idx, key in enumerate(DIAGNOSTIC_KEYS)}
 
 
 CONNECTING_KEYS = ("isometry_defect", "image_defect", "factorization_defect",

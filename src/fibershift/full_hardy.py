@@ -38,6 +38,16 @@ def project_pointwise(f: FiberedField, base: RangeFunctionK) -> FiberedField:
     return FiberedField(lat, data)
 
 
+def _embedded_base_columns(base_frame: np.ndarray, n_z: int, k: int,
+                           top_degree: int) -> np.ndarray:
+    """Base vectors embedded at degrees 0..top_degree, degree-major order."""
+    r = base_frame.shape[1]
+    cols = np.zeros((n_z * k, (top_degree + 1) * r), dtype=complex)
+    for j in range(top_degree + 1):
+        cols[j * k:(j + 1) * k, j * r:(j + 1) * r] = base_frame
+    return cols
+
+
 def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
     """Embed a coordinate-space range function degreewise.
 
@@ -46,15 +56,9 @@ def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
     base rank and the construction is exact.
     """
     lat = base.lattice
-    frames = []
-    for m in range(lat.n_lambda):
-        b = base.frames[m]
-        r = b.shape[1]
-        q = np.zeros((lat.ambient, lat.n_z * r), dtype=complex)
-        for j in range(lat.n_z):
-            q[j * lat.k:(j + 1) * lat.k, j * r:(j + 1) * r] = b
-        frames.append(q)
-    return RangeFunctionH(lat, tuple(frames))
+    frames = tuple(_embedded_base_columns(b, lat.n_z, lat.k, lat.n_z - 1)
+                   for b in base.frames)
+    return RangeFunctionH(lat, frames)
 
 
 def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None]:
@@ -96,15 +100,5 @@ def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None
 def full_hardy_complement(base: RangeFunctionK) -> RangeFunctionK:
     """Base of the complementary full Hardy subspace: the pointwise
     orthogonal complement inside the coordinate space."""
-    lat = base.lattice
-    frames = []
-    for m in range(lat.n_lambda):
-        b = base.frames[m]
-        r = b.shape[1]
-        if r == 0:
-            frames.append(canonical_columns(np.eye(lat.k, dtype=complex)))
-        elif r == lat.k:
-            frames.append(np.zeros((lat.k, 0), dtype=complex))
-        else:
-            frames.append(canonical_columns(complement_frame(b)))
-    return RangeFunctionK(lat, tuple(frames))
+    frames = tuple(canonical_columns(complement_frame(b)) for b in base.frames)
+    return RangeFunctionK(base.lattice, frames)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import NotOrthogonal
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .parallel import fiber_map
 from .subspaces import (
     canonical_columns,
     complement_frame,
@@ -115,8 +114,8 @@ def _generator_stacks(gens: list[FiberedField], lattice: TruncationLattice) -> n
     return np.stack([g.flat() for g in gens], axis=2)
 
 
-def range_from_generators(gens: list[FiberedField], lattice: TruncationLattice,
-                          threads: int = 1) -> RangeFunctionH:
+def range_from_generators(gens: list[FiberedField],
+                          lattice: TruncationLattice) -> RangeFunctionH:
     """Pointwise span of the generators' fibers.
 
     Per fiber, the generator vectors are stacked as columns and reduced to a
@@ -124,27 +123,20 @@ def range_from_generators(gens: list[FiberedField], lattice: TruncationLattice,
     decision falls inside the guard band.
     """
     stacks = _generator_stacks(gens, lattice)
-
-    def one(m: int) -> np.ndarray:
-        return orthonormal_frame(stacks[m], lattice.rank_tol, fiber=m)
-
-    frames = fiber_map(one, lattice.n_lambda, threads)
-    return RangeFunctionH(lattice, tuple(frames))
+    return RangeFunctionH(lattice, tuple(
+        orthonormal_frame(stacks[m], lattice.rank_tol, fiber=m)
+        for m in range(lattice.n_lambda)))
 
 
-def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice,
-                    threads: int = 1) -> np.ndarray:
+def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
     """Per-fiber ranks of ``range_from_generators`` without building frames.
 
     Each fiber costs one SVD without singular vectors; the rank decision,
     guard band included, is the one ``range_from_generators`` makes.
     """
     stacks = _generator_stacks(gens, lattice)
-
-    def one(m: int) -> int:
-        return rank_decision(singular_values(stacks[m]), lattice.rank_tol, fiber=m)
-
-    return np.array(fiber_map(one, lattice.n_lambda, threads), dtype=int)
+    return np.array([rank_decision(singular_values(stacks[m]), lattice.rank_tol, fiber=m)
+                     for m in range(lattice.n_lambda)], dtype=int)
 
 
 def member(f: FiberedField, range_fn: RangeFunctionH) -> tuple[bool, float]:
@@ -166,20 +158,8 @@ def member(f: FiberedField, range_fn: RangeFunctionH) -> tuple[bool, float]:
 
 def complement_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     """Pointwise orthogonal complement within the truncated fiber space."""
-    lat = range_fn.lattice
-    ambient = lat.ambient
-    frames = []
-    for m in range(lat.n_lambda):
-        q = range_fn.frames[m]
-        r = q.shape[1]
-        if r == 0:
-            frames.append(canonical_columns(np.eye(ambient, dtype=complex)))
-            continue
-        if r == ambient:
-            frames.append(np.zeros((ambient, 0), dtype=complex))
-            continue
-        frames.append(canonical_columns(complement_frame(q)))
-    return RangeFunctionH(lat, tuple(frames))
+    frames = tuple(canonical_columns(complement_frame(q)) for q in range_fn.frames)
+    return RangeFunctionH(range_fn.lattice, frames)
 
 
 def direct_sum_ranges(parts: list[RangeFunctionH]) -> RangeFunctionH:
@@ -233,7 +213,7 @@ def apply_opfield(field_op: OperatorField, f: FiberedField) -> FiberedField:
 
 
 def image_and_kernel_ranges(field_op: OperatorField, range_fn: RangeFunctionH,
-                            threads: int = 1) -> tuple[RangeFunctionH, RangeFunctionH]:
+                            ) -> tuple[RangeFunctionH, RangeFunctionH]:
     """Pointwise image of the restriction to ``range_fn`` and pointwise kernel.
 
     The image frame spans F(lambda_m) applied to the fiber subspace; the
@@ -243,16 +223,11 @@ def image_and_kernel_ranges(field_op: OperatorField, range_fn: RangeFunctionH,
     lat = field_op.lattice
     if range_fn.lattice != lat:
         raise ValueError("lattice mismatch")
-
-    def one(m: int) -> tuple[np.ndarray, np.ndarray]:
+    images, kernels = [], []
+    for m in range(lat.n_lambda):
         op = field_op.ops[m]
-        img = orthonormal_frame(op @ range_fn.frames[m], lat.rank_tol, fiber=m)
+        images.append(orthonormal_frame(op @ range_fn.frames[m], lat.rank_tol, fiber=m))
         _, s, vh = robust_svd(op)
         rank = rank_decision(s, lat.rank_tol, fiber=m)
-        ker = canonical_columns(vh[rank:].conj().T)
-        return img, ker
-
-    pairs = fiber_map(one, lat.n_lambda, threads)
-    images = tuple(p[0] for p in pairs)
-    kernels = tuple(p[1] for p in pairs)
-    return RangeFunctionH(lat, images), RangeFunctionH(lat, kernels)
+        kernels.append(canonical_columns(vh[rank:].conj().T))
+    return RangeFunctionH(lat, tuple(images)), RangeFunctionH(lat, tuple(kernels))

@@ -33,20 +33,6 @@ def apply_U_star(f: FiberedField) -> FiberedField:
     return FiberedField(f.lattice, f.data * lam[:, None, None])
 
 
-def shift_fiber(v: np.ndarray) -> np.ndarray:
-    """Fiber shift: coefficient of z^j moves to z^{j+1}, top degree dropped."""
-    out = np.zeros_like(np.asarray(v, dtype=complex))
-    out[1:] = v[:-1]
-    return out
-
-
-def shift_star_fiber(v: np.ndarray) -> np.ndarray:
-    """Adjoint fiber shift: coefficient of z^{j+1} moves to z^j. Exact."""
-    out = np.zeros_like(np.asarray(v, dtype=complex))
-    out[:-1] = v[1:]
-    return out
-
-
 def apply_S_hat(f: FiberedField) -> FiberedField:
     """Fiberwise shift applied at every grid point."""
     data = np.zeros_like(f.data)

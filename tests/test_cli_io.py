@@ -412,6 +412,18 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["decompose", "problem.txt", "--threads", "8"], 3),
+    ([], 3),
+    (["--help"], 0),
+], ids=["unknown-flag", "no-command", "help"])
+def test_cli_usage_exit_codes(argv, code):
+    # argparse exits 2 on usage errors; 2 is reserved for failed invariants
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == code
+
+
 def test_console_script(tmp_path):
     exe = shutil.which("fibershift")
     if exe is None:

@@ -8,8 +8,7 @@ from fibershift import (FiberedField, OperatorField, RangeFunctionH,
                         commutes_with_S, is_S_invariant, range_from_generators,
                         shat_closure, shift_matrix)
 from fibershift.fields import z_degree
-from fibershift.shifts import (_band_columns, commutation_defect, shift_columns,
-                               shift_fiber, shift_star_fiber)
+from fibershift.shifts import _band_columns, commutation_defect, shift_columns
 from fibershift.subspaces import DEGREE_TOL
 
 from helpers import grid_seeds
@@ -56,15 +55,6 @@ def test_shift_matrix_consistency():
     low = np.eye(lat.ambient)[:, : (lat.n_z - 1) * lat.k]
     assert np.allclose((s @ low).conj().T @ (s @ low),
                        np.eye((lat.n_z - 1) * lat.k))
-
-
-def test_fiber_shift_adjoint():
-    rng = np.random.default_rng(12)
-    v = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-    w = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-    lhs = np.vdot(w, shift_fiber(v))
-    rhs = np.vdot(shift_star_fiber(w), v)
-    assert lhs == pytest.approx(rhs)
 
 
 def test_shift_columns_matches_matrix():
