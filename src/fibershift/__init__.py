@@ -19,8 +19,8 @@ from .errors import (BandExceeded, BaseNotConstant, BoundsError,
                      RangesDiffer, RankTooLarge, ToleranceAmbiguity,
                      WanderingRankNotOne)
 from .factorization import (CONNECTING_KEYS, DIAGNOSTIC_KEYS,
-                            DecompositionResult, connecting_isometry,
-                            decompose, decompose_range,
+                            DecompositionResult, SymbolField,
+                            connecting_isometry, decompose, decompose_range,
                             initial_space_is_full_hardy, verify_decomposition)
 from .fields import FiberedField, LaurentPolyField, eval_field, z_degree
 from .fileio import (ProblemFile, Report, load_decomposition, load_problem,
@@ -57,7 +57,7 @@ __all__ = [
     "dimension_partition", "frame_fields", "reconstruct_from_wandering",
     "project_pointwise", "full_hardy_from_base", "is_full_hardy",
     "full_hardy_complement",
-    "DecompositionResult", "decompose", "decompose_range",
+    "DecompositionResult", "SymbolField", "decompose", "decompose_range",
     "verify_decomposition", "connecting_isometry",
     "initial_space_is_full_hardy", "DIAGNOSTIC_KEYS", "CONNECTING_KEYS",
     "ScalarH2", "InnerField", "inner_from_invariant", "phi_representation",

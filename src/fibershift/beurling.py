@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH, spectrum
-from .shifts import shift_columns
+from .ranges import RangeFunctionH, spectrum_from_ranks
+from .shifts import shifted_copies
 from .subspaces import _phase_normalize, orthonormal_frame, subspace_distance
 from .wandering import _fiber_wandering
 
@@ -61,17 +61,6 @@ class ScalarH2:
         return float(np.max(np.abs(np.abs(self.boundary_values()) - 1.0)))
 
 
-def _shift_stack(coeffs: np.ndarray) -> np.ndarray:
-    """Columns z^j h for all retained degrees j (top coefficients drop)."""
-    n_z = coeffs.size
-    cols = np.zeros((n_z, n_z), dtype=complex)
-    col = coeffs.astype(complex)
-    for j in range(n_z):
-        cols[:, j] = col
-        col = shift_columns(col[:, None], n_z, 1)[:, 0]
-    return cols
-
-
 def inner_from_invariant(gens: list[ScalarH2],
                          rank_tol: float = 1e-9) -> tuple[ScalarH2, float]:
     """Extract the inner generator of the invariant span of ``gens``.
@@ -90,7 +79,7 @@ def inner_from_invariant(gens: list[ScalarH2],
     n_z = gens[0].n_z
     if any(g.n_z != n_z for g in gens):
         raise ValueError("generators disagree on n_z")
-    stack = np.hstack([_shift_stack(g.coeffs) for g in gens])
+    stack = np.hstack([shifted_copies(g.coeffs[:, None], n_z, 1, n_z) for g in gens])
     frame = orthonormal_frame(stack, rank_tol)
     wander = _fiber_wandering(frame, n_z, 1, rank_tol, None)
     if wander.shape[1] != 1:
@@ -151,15 +140,15 @@ def phi_representation(res, inner_tol: float = INNER_TOL_DEFAULT) -> InnerField:
     """The describing inner field of a k = 1 decomposition.
 
     phi(lambda_m) is the image of the constant function 1 under the fiber
-    operator, which is the degree-zero column of F. Supported exactly on
-    the spectrum of the base; the InnerField constructor enforces the inner
-    invariant on every supported fiber.
+    operator, which is the symbol Phi(lambda_m) itself. Supported exactly on
+    the fibers of wandering rank 1; the InnerField constructor enforces the
+    inner invariant on every supported fiber.
     """
-    lat = res.base.lattice
+    lat = res.lattice
     if lat.k != 1:
         raise ValueError("phi representation requires a k = 1 decomposition")
-    supp = frozenset(spectrum(res.base))
-    fibers = tuple(ScalarH2(res.field.ops[m][:, 0]) for m in range(lat.n_lambda))
+    supp = frozenset(spectrum_from_ranks(res.ranks))
+    fibers = tuple(ScalarH2(phi[:, 0]) for phi in res.field.phi)
     return InnerField(lat, fibers, supp, inner_tol)
 
 
@@ -171,7 +160,7 @@ def range_of_phi(phi: InnerField) -> RangeFunctionH:
     frames = []
     for m in range(lat.n_lambda):
         if m in phi.support:
-            stack = _shift_stack(phi.fibers[m].coeffs)
+            stack = shifted_copies(phi.fibers[m].coeffs[:, None], lat.n_z, 1, lat.n_z)
             frames.append(orthonormal_frame(stack, lat.rank_tol, fiber=m))
         else:
             frames.append(np.zeros((lat.n_z, 0), dtype=complex))

@@ -186,7 +186,7 @@ def cmd_verify(args) -> tuple[Report, int]:
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     res, jm = load_decomposition(path)
-    lat = res.base.lattice
+    lat = res.lattice
     diagnostics = verify_decomposition(res, jm)
     report = Report(command="verify", version=__version__, digest=digest,
                     lattice=lat,

@@ -20,11 +20,18 @@ Degrees j run over 0..n_z-1 and coordinates i over 1..k (BoundsError
 otherwise); the lambda exponent m may be any integer since powers wrap on
 the grid.
 
-Persisted decompositions are little-endian binary: magic ``FSHD``, version,
-lattice sizes and tolerances, per-fiber wandering and range ranks, the four
-diagnostics, the operator field F as complex doubles in C order, then the
-target range frames. Frame fields are not stored; they are the degree-zero
-columns of F.
+Persisted decompositions (``.fshd``, version 2) are little-endian binary:
+
+    magic ``FSHD``, version 2, n_lambda, n_z, k    (4 bytes, 4 x uint32)
+    rank_tol, orth_tol                             (2 x float64)
+    wandering rank per fiber                       (n_lambda x uint32)
+    range rank per fiber                           (n_lambda x uint32)
+    the three diagnostics, DIAGNOSTIC_KEYS order   (3 x float64)
+    the symbol Phi, shape (n_lambda, n_z*k, k)     (complex128, C order)
+    one target range frame per fiber, (n_z*k, r_m) (complex128, C order)
+
+F, the base, the partition and the frame fields are derived from Phi and
+the wandering ranks. Version 1 files (the dense F) are refused.
 """
 
 from __future__ import annotations
@@ -36,15 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, ParseError
-from .factorization import DIAGNOSTIC_KEYS, DecompositionResult
+from .factorization import DIAGNOSTIC_KEYS, DecompositionResult, SymbolField
 from .fields import FiberedField, LaurentPolyField, eval_field
 from .lattice import TruncationLattice
-from .ranges import OperatorField, RangeFunctionH, RangeFunctionK
-from .wandering import DimensionPartition, FrameFields
+from .ranges import RangeFunctionH
 
 SCHEMA = "fibershift-problem/1"
 MAGIC = b"FSHD"
-BINARY_VERSION = 1
+BINARY_VERSION = 2
 
 _HEADER = struct.Struct("<4sIIIIdd")
 
@@ -243,8 +249,8 @@ def render_csv(report: Report) -> str:
 def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
                        path: str) -> None:
     """Write a decomposition and its target range to the binary layout."""
-    lat = res.base.lattice
-    ranks_jr = np.array([res.base.rank(m) for m in range(lat.n_lambda)], dtype="<u4")
+    lat = res.lattice
+    ranks_jr = np.array(res.ranks, dtype="<u4")
     ranks_jm = np.array(jm.ranks(), dtype="<u4")
     diag = np.array([res.diagnostics.get(key, 0.0) for key in DIAGNOSTIC_KEYS],
                     dtype="<f8")
@@ -252,7 +258,7 @@ def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
         _HEADER.pack(MAGIC, BINARY_VERSION, lat.n_lambda, lat.n_z, lat.k,
                      lat.rank_tol, lat.orth_tol),
         ranks_jr.tobytes(), ranks_jm.tobytes(), diag.tobytes(),
-        np.ascontiguousarray(res.field.ops, dtype="<c16").tobytes(),
+        np.ascontiguousarray(res.field.phi, dtype="<c16").tobytes(),
     ]
     for m in range(lat.n_lambda):
         blobs.append(np.ascontiguousarray(jm.frames[m], dtype="<c16").tobytes())
@@ -292,29 +298,13 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
         raise ParseError(f"{path}: wandering rank exceeds k")
     if np.any(ranks_jm > amb):
         raise ParseError(f"{path}: range rank exceeds the fiber dimension")
-    size = off + 8 * len(DIAGNOSTIC_KEYS) + 16 * amb * (n_lambda * amb + int(ranks_jm.sum()))
+    size = off + 8 * len(DIAGNOSTIC_KEYS) + 16 * amb * (n_lambda * k + int(ranks_jm.sum()))
     if len(raw) != size:
         raise ParseError(f"{path}: truncated file" if len(raw) < size else
                          f"{path}: {len(raw) - size} trailing bytes")
     diag_vals = take("<f8", len(DIAGNOSTIC_KEYS))
-    ops = take("<c16", n_lambda * amb * amb, (n_lambda, amb, amb))
+    phi = take("<c16", n_lambda * amb * k, (n_lambda, amb, k))
     jm_frames = tuple(take("<c16", amb * r, (amb, r)) for r in ranks_jm)
-
-    eye = np.eye(k, dtype=complex)
-    base = RangeFunctionK(lat, tuple(eye[:, :r] for r in ranks_jr))
-    field = OperatorField(lat, ops)
-    classes = {}
-    for m, r in enumerate(ranks_jr):
-        classes.setdefault(int(r), []).append(m)
-    partition = DimensionPartition({d: tuple(ms) for d, ms in classes.items()})
-
-    # frame fields are the degree-zero columns of F, zero past each fiber's rank
-    active = np.arange(k)[None, :] < ranks_jr[:, None]
-    cols = np.where(active[:, None, :], ops[:, :, :k], 0.0)
-    phis = tuple(FiberedField(lat, cols[:, :, i].reshape(n_lambda, n_z, k))
-                 for i in range(k))
-    frames = FrameFields(phis, partition)
-
     diagnostics = {key: float(v) for key, v in zip(DIAGNOSTIC_KEYS, diag_vals)}
-    res = DecompositionResult(base, field, partition, frames, diagnostics)
+    res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics)
     return res, RangeFunctionH(lat, jm_frames)

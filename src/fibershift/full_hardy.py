@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BaseNotConstant
 from .fields import FiberedField
 from .ranges import RangeFunctionH, RangeFunctionK, complement_range
-from .shifts import is_S_invariant
+from .shifts import is_S_invariant, shifted_copies
 from .subspaces import canonical_columns, complement_frame, orthonormal_frame
 from .wandering import _fiber_wandering
 
@@ -38,16 +38,6 @@ def project_pointwise(f: FiberedField, base: RangeFunctionK) -> FiberedField:
     return FiberedField(lat, data)
 
 
-def _embedded_base_columns(base_frame: np.ndarray, n_z: int, k: int,
-                           top_degree: int) -> np.ndarray:
-    """Base vectors embedded at degrees 0..top_degree, degree-major order."""
-    r = base_frame.shape[1]
-    cols = np.zeros((n_z * k, (top_degree + 1) * r), dtype=complex)
-    for j in range(top_degree + 1):
-        cols[j * k:(j + 1) * k, j * r:(j + 1) * r] = base_frame
-    return cols
-
-
 def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
     """Embed a coordinate-space range function degreewise.
 
@@ -56,7 +46,8 @@ def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
     base rank and the construction is exact.
     """
     lat = base.lattice
-    frames = tuple(_embedded_base_columns(b, lat.n_z, lat.k, lat.n_z - 1)
+    pad = ((0, lat.ambient - lat.k), (0, 0))
+    frames = tuple(shifted_copies(np.pad(b, pad), lat.n_z, lat.k, lat.n_z)
                    for b in base.frames)
     return RangeFunctionH(lat, frames)
 

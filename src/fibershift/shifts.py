@@ -78,6 +78,19 @@ def shift_columns(cols: np.ndarray, n_z: int, k: int) -> np.ndarray:
     return out
 
 
+def shifted_copies(cols: np.ndarray, n_z: int, k: int, count: int) -> np.ndarray:
+    """``[cols, S cols, ..., S^(count-1) cols]`` side by side, degree-major:
+    column j*r + i is the i-th of the r columns shifted j times. Every stack
+    of shifted columns is built here; F(lambda_m) is the stack of all n_z
+    shifts of its symbol's k columns."""
+    cols = np.asarray(cols, dtype=complex)
+    r = cols.shape[1]
+    out = np.zeros((cols.shape[0], count * r), dtype=complex)
+    for j in range(min(count, n_z)):
+        out[j * k:, j * r:(j + 1) * r] = cols[: (n_z - j) * k]
+    return out
+
+
 def _band_columns(frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
     """Columns whose effective degree keeps the shifted image below the top.
 
@@ -118,13 +131,17 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     return cached
 
 
-def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:
-    """``||F S - S F||`` on inputs and outputs of degree <= n_z - 2, read off
+def commutation_defect(f: np.ndarray, n_z: int, k: int, dim: int | None = None) -> float:
+    """``||F S - S F||`` restricted to the first ``dim`` rows and columns
+    (default (n_z - 1)*k: inputs and outputs of degree <= n_z - 2), read off
     slices of F. The SVD runs only when the difference is not exactly zero,
     which it is when the columns of F are shifted copies of its first block.
     """
-    dim = (n_z - 1) * k
-    d = f[:dim, k:].copy()
+    if dim is None:
+        dim = (n_z - 1) * k
+    d = np.zeros((dim, dim), dtype=complex)
+    # F S drops the first k columns of F; its last k columns are zero
+    d[:, : n_z * k - k] = f[:dim, k:k + dim]
     d[k:] -= f[: dim - k, :dim]
     return op_norm(d) if np.any(d) else 0.0
 
@@ -132,10 +149,11 @@ def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:
 def commutes_with_S(field_op: OperatorField) -> tuple[bool, float]:
     """Whether the operator field commutes with the fiber shift on the band.
 
-    The defect at fiber m is ``commutation_defect`` of F(lambda_m): the band
+    The defect at fiber m is ``commutation_defect`` of ``op(m)``: the band
     is where the truncated shift is exact. Commutation with the grid rotation
-    is structural for operator fields and needs no check.
+    is structural for fields acting fiberwise and needs no check.
     """
     lat = field_op.lattice
-    worst = max(commutation_defect(f, lat.n_z, lat.k) for f in field_op.ops)
+    worst = max(commutation_defect(field_op.op(m), lat.n_z, lat.k)
+                for m in range(lat.n_lambda))
     return worst <= lat.orth_tol, worst

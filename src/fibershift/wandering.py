@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
 from .fields import FiberedField, z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import is_S_invariant, shift_columns
+from .shifts import is_S_invariant, shift_columns, shifted_copies
 from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
 
 
@@ -32,29 +32,32 @@ class DimensionPartition:
     classes: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
-        seen: list[int] = []
-        fixed = {}
-        for n in sorted(self.classes):
-            idx = tuple(sorted(int(m) for m in self.classes[n]))
-            if idx:
-                fixed[n] = idx
-                seen.extend(idx)
+        fixed = {n: tuple(sorted(int(m) for m in self.classes[n]))
+                 for n in sorted(self.classes) if len(self.classes[n])}
         object.__setattr__(self, "classes", fixed)
-        if sorted(seen) != list(range(len(seen))) or len(set(seen)) != len(seen):
+        seen = [m for idx in fixed.values() for m in idx]
+        if sorted(seen) != list(range(len(seen))):
             raise ValueError("classes must partition the fiber indices")
+        dims = np.zeros(len(seen), dtype=int)
+        for n, idx in fixed.items():
+            dims[list(idx)] = n
+        object.__setattr__(self, "_dims", dims)
+
+    @classmethod
+    def from_ranks(cls, ranks) -> "DimensionPartition":
+        """Fiber m goes to the class ranks[m]."""
+        classes: dict[int, list[int]] = {}
+        for m, r in enumerate(ranks):
+            classes.setdefault(int(r), []).append(m)
+        return cls({n: tuple(v) for n, v in classes.items()})
 
     def dimension_at(self, m: int) -> int:
-        for n, idx in self.classes.items():
-            if m in idx:
-                return n
-        raise KeyError(m)
+        if not 0 <= m < len(self._dims):
+            raise KeyError(m)
+        return int(self._dims[m])
 
     def dimensions(self) -> np.ndarray:
-        total = sum(len(idx) for idx in self.classes.values())
-        out = np.zeros(total, dtype=int)
-        for n, idx in self.classes.items():
-            out[list(idx)] = n
-        return out
+        return self._dims.copy()
 
 
 @dataclass(frozen=True)
@@ -125,13 +128,12 @@ def dimension_partition(range_fn: RangeFunctionH) -> DimensionPartition:
     k, so a larger rank signals a non-wandering input (RankTooLarge).
     """
     k = range_fn.lattice.k
-    classes: dict[int, list[int]] = {}
-    for m in range(range_fn.lattice.n_lambda):
-        r = range_fn.rank(m)
-        if r > k:
-            raise RankTooLarge(f"rank {r} exceeds k = {k}", fiber=m)
-        classes.setdefault(r, []).append(m)
-    return DimensionPartition({n: tuple(v) for n, v in classes.items()})
+    ranks = range_fn.ranks()
+    over = np.flatnonzero(ranks > k)
+    if over.size:
+        m = int(over[0])
+        raise RankTooLarge(f"rank {ranks[m]} exceeds k = {k}", fiber=m)
+    return DimensionPartition.from_ranks(ranks)
 
 
 def frame_fields(range_fn: RangeFunctionH) -> FrameFields:
@@ -142,12 +144,10 @@ def frame_fields(range_fn: RangeFunctionH) -> FrameFields:
     """
     lat = range_fn.lattice
     partition = dimension_partition(range_fn)
-    data = np.zeros((lat.k, lat.n_lambda, lat.n_z, lat.k), dtype=complex)
-    for m in range(lat.n_lambda):
-        q = range_fn.frames[m]
-        for i in range(q.shape[1]):
-            data[i, m] = q[:, i].reshape(lat.n_z, lat.k)
-    phis = tuple(FiberedField(lat, data[i]) for i in range(lat.k))
+    data = np.zeros((lat.k, lat.n_lambda, lat.ambient), dtype=complex)
+    for m, q in enumerate(range_fn.frames):
+        data[: q.shape[1], m] = q.T
+    phis = tuple(FiberedField(lat, d.reshape(lat.n_lambda, lat.n_z, lat.k)) for d in data)
     return FrameFields(phis, partition)
 
 
@@ -162,21 +162,13 @@ def reconstruct_from_wandering(wandering: RangeFunctionH, depth: int) -> RangeFu
     lat = wandering.lattice
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    max_deg = -1
-    for m in range(lat.n_lambda):
-        q = wandering.frames[m]
-        for c in range(q.shape[1]):
-            max_deg = max(max_deg, z_degree(q[:, c].reshape(lat.n_z, lat.k), DEGREE_TOL))
+    max_deg = max((z_degree(q.reshape(lat.n_z, -1), DEGREE_TOL)
+                   for q in wandering.frames if q.shape[1]), default=-1)
     if depth > lat.n_z - 1 - max_deg:
         raise BandExceeded(
             f"depth {depth} exceeds band limit {lat.n_z - 1 - max_deg}")
-    layers = [wandering]
-    current = wandering
-    for _ in range(depth):
-        frames = tuple(
-            shift_columns(current.frames[m], lat.n_z, lat.k)
-            for m in range(lat.n_lambda)
-        )
-        current = RangeFunctionH(lat, frames)
-        layers.append(current)
+    stacks = [shifted_copies(q, lat.n_z, lat.k, depth + 1) for q in wandering.frames]
+    ranks = wandering.ranks()
+    layers = [RangeFunctionH(lat, tuple(s[:, d * r:(d + 1) * r] for s, r in zip(stacks, ranks)))
+              for d in range(depth + 1)]
     return direct_sum_ranges(layers)

@@ -1,5 +1,6 @@
 """Problem files, persistence, report rendering, command drivers."""
 
+import os
 import shutil
 import subprocess
 
@@ -111,9 +112,14 @@ def test_save_load_roundtrip(tmp_path):
     res = decompose_range(jm)
     path = str(tmp_path / "out.fshd")
     save_decomposition(res, jm, path)
+    # version 2: header, two rank arrays, three diagnostics, Phi, frames
+    ranks_jm = jm.ranks()
+    assert os.path.getsize(path) == (_HEADER.size + 8 * 4 + 8 * 3
+                                     + 16 * lat.ambient * (4 * lat.k + ranks_jm.sum()))
     res2, jm2 = load_decomposition(path)
     assert res2.diagnostics == res.diagnostics
-    assert np.array_equal(res2.field.ops, res.field.ops)
+    assert np.array_equal(res2.field.phi, res.field.phi)
+    assert np.array_equal(res2.ranks, res.ranks)
     assert res2.partition.classes == res.partition.classes
     for m in range(4):
         assert np.array_equal(jm2.frames[m], jm.frames[m])
@@ -343,24 +349,77 @@ def _diagnostic(report: str, key: str) -> float:
                       if line.strip().startswith(key + " ")))
 
 
-def test_cli_verify_catches_perturbed_field(tmp_path):
-    """One active entry of F moved by 1e-3 on disk breaks commutation."""
+def _phi_offset(lat: TruncationLattice, m: int, row: int, col: int) -> int:
+    """Byte offset of Phi[m][row, col] in a version 2 file."""
+    return (_HEADER.size + 8 * lat.n_lambda + 8 * 3
+            + 16 * ((m * lat.ambient + row) * lat.k + col))
+
+
+def _nudge(path, offset: int, delta: complex) -> None:
+    raw = bytearray(path.read_bytes())
+    value = np.frombuffer(bytes(raw[offset:offset + 16]), dtype="<c16")[0]
+    raw[offset:offset + 16] = np.array([value + delta], dtype="<c16").tobytes()
+    path.write_bytes(bytes(raw))
+
+
+def test_cli_verify_catches_perturbed_symbol(tmp_path):
+    """Moving the z^3 coefficient of phi_1 at fiber 0 by 1e-3 on disk makes
+    the shifted copies of phi_1 overlap: the isometry defect reads it."""
     path = _write(tmp_path, CONSTANT_PROBLEM)
     outdir = tmp_path / "result"
     code, out = run_cli(["decompose", path, "--out", str(outdir)])
     assert code == 0
-    assert _diagnostic(out, "commutation_defect") == 0.0
-    fshd = outdir / "decomposition.fshd"
-    raw = bytearray(fshd.read_bytes())
-    # fiber 0, entry (3, 2) of F: the z^3 coefficient of S^2 phi_1
-    n_lambda, amb = 4, 8
-    entry = _HEADER.size + 8 * n_lambda + 8 * 4 + 16 * (3 * amb + 2)
-    value = np.frombuffer(bytes(raw[entry:entry + 16]), dtype="<c16")[0]
-    raw[entry:entry + 16] = np.array([value + 1e-3], dtype="<c16").tobytes()
-    fshd.write_bytes(bytes(raw))
+    assert _diagnostic(out, "isometry_defect") == 0.0
+    lat = TruncationLattice(4, 8, 1)
+    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 0, 3, 0), 1e-3)
     code, vout = run_cli(["verify", str(outdir)])
     assert code == 2
-    assert _diagnostic(vout, "commutation_defect") > 1e-8  # orth_tol
+    assert _diagnostic(vout, "isometry_defect") > 1e-8  # orth_tol
+
+
+TWO_COORDINATE_PROBLEM = CONSTANT_PROBLEM.replace("k: 1", "k: 2")
+
+
+def test_cli_verify_catches_mass_past_the_rank(tmp_path):
+    """The wandering rank is 1 with k = 2, so Phi's second column must vanish.
+    A nonzero entry there is mass of F off the full Hardy space over the
+    base: its n_z shifted copies give an off-space mass of 1e-3 sqrt(n_z)."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
+    outdir = tmp_path / "result"
+    code, out = run_cli(["decompose", path, "--out", str(outdir)])
+    assert code == 0
+    assert "partition: dimension 1 on 4 fibers" in out
+    lat = TruncationLattice(4, 8, 2)
+    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 0, 0, 1), 1e-3)
+    code, vout = run_cli(["verify", str(outdir)])
+    assert code == 2
+    for key in ("isometry_defect", "image_defect"):
+        assert _diagnostic(vout, key) == pytest.approx(1e-3 * np.sqrt(8), rel=1e-12)
+    assert _diagnostic(vout, "invariance_leak") == 0.0
+
+
+def test_version_1_file_refused(tmp_path, capsys):
+    """A file in the version 1 layout (four diagnostics, then the dense F)
+    is refused as bad input."""
+    lat = TruncationLattice(4, 8, 1)
+    jm = range_from_generators(shat_closure(
+        problem_fields(load_problem(_write(tmp_path, CONSTANT_PROBLEM)))), lat)
+    res = decompose_range(jm)
+    dense = np.stack([res.field.op(m) for m in range(lat.n_lambda)])
+    blob = b"".join([
+        _HEADER.pack(b"FSHD", 1, lat.n_lambda, lat.n_z, lat.k,
+                     lat.rank_tol, lat.orth_tol),
+        np.array(res.ranks, dtype="<u4").tobytes(),
+        np.array(jm.ranks(), dtype="<u4").tobytes(),
+        np.zeros(4, dtype="<f8").tobytes(),
+        dense.astype("<c16").tobytes(),
+        *(q.astype("<c16").tobytes() for q in jm.frames)])
+    path = tmp_path / "old.fshd"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match="unsupported version 1"):
+        load_decomposition(str(path))
+    assert run_cli(["verify", str(path)]) == (3, "")
+    assert "unsupported version 1" in capsys.readouterr().err
 
 
 def test_cli_lapack_failure_exits_2(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         shat_closure, verify_decomposition)
 from fibershift.factorization import DecompositionResult
 from fibershift.fields import field_from_fibers
-from fibershift.ranges import RangeFunctionK
 from fibershift.shifts import shift_columns
 
 from helpers import frame_projector, grid_seeds, haar_frame, haar_unitary
@@ -28,7 +27,7 @@ def test_monomial_decomposition_exact():
     assert all(v == 0.0 for v in res.diagnostics.values())
     assert list(res.partition.dimensions()) == [1, 1, 1, 1]
     # first column of F is the frame vector itself: the monomial z^2
-    f0 = res.field.ops[0][:, 0]
+    f0 = res.field.op(0)[:, 0]
     expected = np.zeros(lat.ambient, dtype=complex)
     expected[2] = 1.0
     assert np.abs(f0 - expected).max() == 0.0
@@ -51,8 +50,6 @@ def test_decompose_random_closure():
     res = decompose(gens, lat)
     assert set(res.diagnostics) == set(DIAGNOSTIC_KEYS)
     assert max(res.diagnostics.values()) < 1e-8
-    # F commutes with the shift by construction, so the defect is exact
-    assert res.diagnostics["commutation_defect"] == 0.0
     assert max(res.partition.dimensions()) <= lat.k
     # base spans are nested coordinate spans
     for m in range(lat.n_lambda):
@@ -64,21 +61,21 @@ def test_decompose_random_closure():
         for j in range(lat.n_z):
             expected[:, j * lat.k: j * lat.k + r] = col
             col = shift_columns(col, lat.n_z, lat.k)
-        assert np.array_equal(res.field.ops[m], expected)
+        assert np.array_equal(res.field.op(m), expected)
 
 
-def test_verify_rejects_non_coordinate_base():
-    rng = np.random.default_rng(53)
+def test_result_stores_only_the_symbol():
     lat = TruncationLattice(4, 8, 2)
-    gens = shat_closure(grid_seeds(rng, lat, 1))
-    jm = range_from_generators(gens, lat)
-    res = decompose(gens, lat)
-    frames = tuple(haar_frame(rng, lat.k, res.base.rank(m))
-                   for m in range(lat.n_lambda))
-    rotated = DecompositionResult(RangeFunctionK(lat, frames), res.field,
-                                  res.partition, res.frames, {})
-    with pytest.raises(ValueError, match="coordinate base"):
-        verify_decomposition(rotated, jm)
+    res = decompose(_monomial_gens(lat, 1), lat)
+    arrays = [key for key, v in vars(res.field).items() if isinstance(v, np.ndarray)]
+    assert arrays == ["phi"]
+    assert res.field.phi.shape == (lat.n_lambda, lat.ambient, lat.k)
+    assert list(res.ranks) == [1] * 4
+    assert not np.any(res.field.phi[:, :, 1])  # zero past the wandering rank
+    assert res.partition.classes == {1: (0, 1, 2, 3)}
+    assert np.array_equal(res.frames.phis[0].flat(), res.field.phi[:, :, 0])
+    with pytest.raises(ValueError, match="wandering rank"):
+        DecompositionResult(res.field, [3] * 4, {})
 
 
 def test_verify_against_wrong_target():
@@ -152,7 +149,7 @@ def test_initial_space_rejects_clipped_frames():
 def test_initial_space_rejects_contraction():
     lat = TruncationLattice(4, 8, 1)
     res = decompose(_monomial_gens(lat, 1), lat)
-    half = OperatorField(lat, 0.5 * res.field.ops)
+    half = OperatorField(lat, [0.5 * res.field.op(m) for m in range(lat.n_lambda)])
     with pytest.raises(NotPartialIsometry):
         initial_space_is_full_hardy(half)
 

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibershift import (FiberedField, OperatorField, RangeFunctionH,
-                        TruncationLattice, apply_S_hat, apply_U, apply_U_star,
-                        commutes_with_S, is_S_invariant, range_from_generators,
-                        shat_closure, shift_matrix)
+                        SymbolField, TruncationLattice, apply_S_hat, apply_U,
+                        apply_U_star, commutes_with_S, is_S_invariant,
+                        range_from_generators, shat_closure, shift_matrix)
 from fibershift.fields import z_degree
-from fibershift.shifts import _band_columns, commutation_defect, shift_columns
+from fibershift.shifts import (_band_columns, commutation_defect, shift_columns,
+                               shifted_copies)
 from fibershift.subspaces import DEGREE_TOL
 
 from helpers import grid_seeds
@@ -65,6 +68,39 @@ def test_shift_columns_matches_matrix():
                        shift_matrix(lat) @ cols)
 
 
+def _rand_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_z=st.integers(1, 6), k=st.integers(1, 3), r=st.integers(0, 3),
+       count=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_shifted_copies_are_shift_powers(n_z, k, r, count, seed):
+    """Column j*r + i is S^j applied to column i, with S the shift matrix;
+    shifts past the top degree vanish."""
+    lat = TruncationLattice(1, n_z, k)
+    cols = _rand_complex(np.random.default_rng(seed), (lat.ambient, r))
+    s = shift_matrix(lat)
+    expected = np.zeros((lat.ambient, count * r), dtype=complex)
+    for j in range(count):
+        expected[:, j * r:(j + 1) * r] = np.linalg.matrix_power(s, j) @ cols
+    assert np.array_equal(shifted_copies(cols, n_z, k, count), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_z=st.integers(1, 6), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_symbol_field_commutes_exactly(n_z, k, seed):
+    """F built from a random symbol commutes with the shift with no rounding,
+    on the default band and on every other band."""
+    lat = TruncationLattice(2, n_z, k)
+    field = SymbolField(lat, _rand_complex(np.random.default_rng(seed),
+                                           (2, lat.ambient, k)))
+    assert commutes_with_S(field) == (True, 0.0)
+    for m in range(lat.n_lambda):
+        for dim in range(k, lat.ambient + 1, k):
+            assert commutation_defect(field.op(m), n_z, k, dim) == 0.0
+
+
 def test_shifts_commute():
     rng = np.random.default_rng(14)
     lat = TruncationLattice(8, 4, 2)
@@ -119,9 +155,11 @@ def test_commutes_with_S():
     bad = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
     ok, defect = commutes_with_S(OperatorField(lat, bad))
     assert not ok and defect > 0.1
-    # the sliced commutator equals the dense one on the band
-    dim = 3 * lat.k
+    # the sliced commutator equals the dense one on the default band
+    # (degrees <= n_z - 2) and on any other
     for f in bad:
-        dense = (f @ s - s @ f)[:dim, :dim]
-        assert commutation_defect(f, lat.n_z, lat.k) == \
-            np.linalg.svd(dense, compute_uv=False)[0]
+        for dim in (None, lat.k, 2 * lat.k, lat.ambient):
+            cut = 3 * lat.k if dim is None else dim
+            dense = (f @ s - s @ f)[:cut, :cut]
+            assert commutation_defect(f, lat.n_z, lat.k, dim) == \
+                np.linalg.svd(dense, compute_uv=False)[0]

@@ -136,6 +136,9 @@ def test_partition_classes():
     assert part.classes == {0: (0,), 1: (1, 2), 2: (3,)}
     assert part.dimension_at(2) == 1
     assert list(part.dimensions()) == [0, 1, 1, 2]
+    dims = part.dimensions()
+    dims[0] = 2  # a copy: the partition is unchanged
+    assert part.dimension_at(0) == 0
     with pytest.raises(RankTooLarge):
         dimension_partition(RangeFunctionH(lat, (e[:, :3],) * 4))
 
@@ -145,6 +148,8 @@ def test_partition_validation():
         DimensionPartition({0: (0, 2)})  # gap at index 1
     with pytest.raises(KeyError):
         DimensionPartition({1: (0,)}).dimension_at(5)
+    with pytest.raises(KeyError):
+        DimensionPartition({1: (0,)}).dimension_at(-1)
 
 
 def test_frame_fields_support():
