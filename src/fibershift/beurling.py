@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
+from .factorization import constant_unitary
 from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH, spectrum_from_ranks
 from .shifts import shifted_copies
@@ -172,34 +173,31 @@ def inner_quotient(phi1: InnerField, phi2: InnerField,
     """The unimodular constant field relating two describing fields of the
     same subspace: psi with phi1(lambda_m) = psi(lambda_m) phi2(lambda_m).
 
-    Supports and ranges must agree (RangesDiffer otherwise). Per supported
-    fiber the constant is the inner product of phi1 against phi2; it must be
-    unimodular within inner_tol and reproduce phi1 coefficientwise within
-    orth_tol (NotUnimodular otherwise).
+    This is the k = 1 connecting field: per supported fiber the constant is
+    ``constant_unitary(phi2, phi1)``. It must be unimodular within inner_tol
+    and reproduce phi1 within orth_tol (NotUnimodular otherwise, or
+    RangesDiffer when the supports or the range functions differ).
     """
     lat = phi1.lattice
     if phi2.lattice != lat:
         raise ValueError("lattice mismatch")
     if phi1.support != phi2.support:
         raise RangesDiffer("supports differ")
-    r1 = range_of_phi(phi1)
-    r2 = range_of_phi(phi2)
-    for m in range(lat.n_lambda):
-        if subspace_distance(r1.frames[m], r2.frames[m]) > 10.0 * lat.orth_tol:
-            raise RangesDiffer("range functions differ", fiber=m)
     fibers = []
     for m in range(lat.n_lambda):
         coeffs = np.zeros(lat.n_z, dtype=complex)
         if m in phi1.support:
-            c1 = phi1.fibers[m].coeffs
-            c2 = phi2.fibers[m].coeffs
-            c = np.vdot(c2, c1)
-            if abs(abs(c) - 1.0) > inner_tol:
+            u, _, resid = constant_unitary(phi2.fibers[m].coeffs[:, None],
+                                           phi1.fibers[m].coeffs[:, None])
+            c = coeffs[0] = u[0, 0]
+            off_circle = abs(abs(c) - 1.0) > inner_tol
+            if off_circle or resid > lat.orth_tol:
+                r1, r2 = range_of_phi(phi1), range_of_phi(phi2)
+                for j in range(lat.n_lambda):
+                    if subspace_distance(r1.frames[j], r2.frames[j]) > 10.0 * lat.orth_tol:
+                        raise RangesDiffer("range functions differ", fiber=j)
                 raise NotUnimodular(
-                    f"quotient modulus {abs(c):.6f}", fiber=m)
-            if np.max(np.abs(c1 - c * c2)) > lat.orth_tol:
-                raise NotUnimodular(
-                    "fibers are not unimodular multiples", fiber=m)
-            coeffs[0] = c
+                    f"quotient modulus {abs(c):.6f}" if off_circle
+                    else "fibers are not unimodular multiples", fiber=m)
         fibers.append(ScalarH2(coeffs))
     return InnerField(lat, tuple(fibers), phi1.support, inner_tol)

@@ -11,11 +11,13 @@ initial space the full Hardy space over the coordinate base span(e_1..e_n),
 commutes with both shifts by construction, and carries the embedded base
 onto the wandering part of J_M. F is built one fiber at a time, on demand.
 
-Every verification below is band restricted: the truncated fiber shift is
+``verify_decomposition`` is band restricted: the truncated fiber shift is
 only isometric below the top retained degree, so defects are measured on
 columns whose degrees stay inside the reliable band and subspace equalities
 are compared after compressing both projectors to that band. Comparisons
 never introduce new rank decisions; they reuse frames that already exist.
+``connecting_isometry`` compares two symbols on every degree. Dense operator
+fields only serve fields built outside ``decompose``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .fields import FiberedField, z_degree
 from .full_hardy import is_full_hardy
 from .lattice import TruncationLattice, frozen_array
 from .ranges import OperatorField, RangeFunctionH, RangeFunctionK, range_from_generators
-from .shifts import commutation_defect, commutes_with_S, shifted_copies
+from .shifts import commutes_with_S, shifted_copies
 from .subspaces import (DEGREE_TOL, band_projector_distance, canonical_columns,
                         herm_norm, op_norm, project_onto, robust_svd)
 from .wandering import DimensionPartition, FrameFields, frame_fields, wandering_range
@@ -210,30 +212,33 @@ def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, 
             for idx, key in enumerate(DIAGNOSTIC_KEYS)}
 
 
-CONNECTING_KEYS = ("isometry_defect", "image_defect", "factorization_defect",
-                   "commutation_defect")
+CONNECTING_KEYS = ("isometry_defect", "factorization_defect")
+
+
+def constant_unitary(phi1: np.ndarray, phi2: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """U = phi1* phi2 with its defects ||U* U - I|| and ||phi2 - phi1 U||.
+
+    For the first n columns of two inner symbols of one subspace, which
+    differ by a constant unitary on the right (Beurling-Lax-Halmos
+    uniqueness), U is that unitary and both defects vanish.
+    """
+    u = phi1.conj().T @ phi2
+    gram = u.conj().T @ u
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return u, herm_norm(gram), op_norm(phi2 - phi1 @ u)
 
 
 def connecting_isometry(res1: DecompositionResult, res2: DecompositionResult,
-                        ) -> tuple[OperatorField, dict[str, float]]:
-    """The operator field carrying the second factorization onto the first.
+                        ) -> tuple[SymbolField, dict[str, float]]:
+    """The constant unitary field carrying the second factorization onto
+    the first: per fiber of wandering dimension n, Phi2 = Phi1 U.
 
-    Both inputs must decompose the same subspace; wandering dimensions must
-    agree and the banded image spans must coincide (ImagesDiffer otherwise).
-    Per fiber the result is F1* F2, a partial isometry with initial space
-    the full Hardy space of res2's base and image that of res1's. It
-    commutes with both shifts and satisfies F2 = F1 composed with it, all of
-    which is verified on the band before returning.
-
-    Returns the field together with the four verification defects (maxima
-    over fibers):
-
-    isometry_defect : psi* psi against the projector onto res2's full
-        Hardy space, banded
-    image_defect : psi carrying res2's full Hardy projector onto res1's,
-        banded
-    factorization_defect : (F2 - F1 psi) on the embedded base columns
-    commutation_defect : banded commutator of psi with the fiber shift
+    Wandering dimensions must agree and U must pass both defects of
+    ``constant_unitary`` within 10*orth_tol (ImagesDiffer otherwise; for a
+    square U, ||U U* - I|| = ||U* U - I||, so the images agree too). The
+    field's symbol is U at degree 0, padded to k x k: its fiber operator
+    I (x) U commutes with the fiber shift by construction. Returns it with
+    the defects, maxima over fibers, under ``CONNECTING_KEYS``.
     """
     lat = res1.lattice
     if res2.lattice != lat:
@@ -241,42 +246,19 @@ def connecting_isometry(res1: DecompositionResult, res2: DecompositionResult,
     if not np.array_equal(res1.ranks, res2.ranks):
         raise ImagesDiffer("wandering dimension partitions differ")
     tol = 10.0 * lat.orth_tol
-    n_z, k, amb = lat.n_z, lat.k, lat.ambient
 
-    ops = np.zeros((lat.n_lambda, amb, amb), dtype=complex)
+    symbol = np.zeros((lat.n_lambda, lat.ambient, lat.k), dtype=complex)
     worst = dict.fromkeys(CONNECTING_KEYS, 0.0)
     for m in range(lat.n_lambda):
         n = int(res1.ranks[m])
-        cols1 = res1.field.phi[m][:, :n]
-        cols2 = res2.field.phi[m][:, :n]
-        b = min(_fiber_band(cols1, n_z), _fiber_band(cols2, n_z))
-        dim_b = (b + 1) * k
-        v1 = _stable_frame(shifted_copies(cols1, n_z, k, b + 1))
-        v2 = _stable_frame(shifted_copies(cols2, n_z, k, b + 1))
-        if band_projector_distance(v1, v2, dim_b) > tol:
-            raise ImagesDiffer("banded images differ", fiber=m)
-
-        f1 = res1.field.op(m)
-        f2 = res2.field.op(m)
-        psi = f1.conj().T @ f2
-        ops[m] = psi
-
-        # the initial space and the image of psi are both the full Hardy
-        # space over span(e_1 .. e_n); p_w projects onto it
-        p_w = np.diag(np.tile(np.arange(k) < n, n_z)).astype(complex)
-        iso = op_norm((psi.conj().T @ psi - p_w)[:dim_b, :dim_b])
-        img = op_norm((psi @ p_w @ psi.conj().T - p_w)[:dim_b, :dim_b])
-        # the embedded base columns of F2 - F1 psi, degree-major
-        fact = op_norm((f2 - f1 @ psi).reshape(amb, n_z, k)[:, : b + 1, :n]
-                       .reshape(amb, -1))
-        comm = commutation_defect(psi, n_z, k, dim_b)
-        fiber_worst = max(iso, img, fact, comm)
-        if fiber_worst > tol:
+        u, iso, fact = constant_unitary(res1.field.phi[m][:, :n], res2.field.phi[m][:, :n])
+        if max(iso, fact) > tol:
             raise ImagesDiffer(
-                f"connecting field fails verification ({fiber_worst:.3e})", fiber=m)
-        for key, val in zip(CONNECTING_KEYS, (iso, img, fact, comm)):
+                f"images differ: connecting field defect {max(iso, fact):.3e}", fiber=m)
+        symbol[m, :n, :n] = u
+        for key, val in zip(CONNECTING_KEYS, (iso, fact)):
             worst[key] = max(worst[key], val)
-    return OperatorField(lat, ops), worst
+    return SymbolField(lat, symbol), worst
 
 
 def initial_space_is_full_hardy(field_op: OperatorField | SymbolField,

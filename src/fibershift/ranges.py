@@ -84,7 +84,10 @@ class RangeFunctionK(_RangeFunction):
 
 @dataclass(frozen=True)
 class OperatorField:
-    """One (n_z*k) x (n_z*k) matrix per grid point, acting fiberwise."""
+    """One (n_z*k) x (n_z*k) matrix per grid point, acting fiberwise. Only
+    fields built outside ``decompose`` take this form, as inputs to
+    ``commutes_with_S``, ``initial_space_is_full_hardy`` and
+    ``image_and_kernel_ranges``."""
 
     lattice: TruncationLattice
     ops: np.ndarray

@@ -131,17 +131,14 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     return cached
 
 
-def commutation_defect(f: np.ndarray, n_z: int, k: int, dim: int | None = None) -> float:
-    """``||F S - S F||`` restricted to the first ``dim`` rows and columns
-    (default (n_z - 1)*k: inputs and outputs of degree <= n_z - 2), read off
+def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:
+    """``||F S - S F||`` on inputs and outputs of degree <= n_z - 2, read off
     slices of F. The SVD runs only when the difference is not exactly zero,
     which it is when the columns of F are shifted copies of its first block.
     """
-    if dim is None:
-        dim = (n_z - 1) * k
-    d = np.zeros((dim, dim), dtype=complex)
-    # F S drops the first k columns of F; its last k columns are zero
-    d[:, : n_z * k - k] = f[:dim, k:k + dim]
+    dim = (n_z - 1) * k
+    # F S is F without its first k columns; S F is F one degree down
+    d = np.array(f[:dim, k:], dtype=complex)
     d[k:] -= f[: dim - k, :dim]
     return op_norm(d) if np.any(d) else 0.0
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fibershift.beurling as beurling
 from fibershift import (InnerField, NotInner, NotUnimodular, RangesDiffer,
                         ScalarH2, TruncationLattice, WanderingRankNotOne,
                         decompose, inner_from_invariant, inner_quotient,
@@ -129,6 +130,28 @@ def test_inner_quotient_recovers_phase():
     for m in range(3):
         assert abs(psi.fibers[m].coeffs[0] - phases[m]) < 1e-12
         assert np.abs(psi.fibers[m].coeffs[1:]).max() == 0.0
+
+
+def test_inner_quotient_builds_ranges_only_on_failure(monkeypatch):
+    """A successful quotient builds no range function; a failing one builds
+    both to tell RangesDiffer from NotUnimodular."""
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return range_of_phi(phi)
+
+    monkeypatch.setattr(beurling, "range_of_phi", counted)
+    lat = TruncationLattice(3, 8, 1)
+    z1 = np.zeros(8, dtype=complex)
+    z1[1] = 1.0
+    phi1 = _const_field(lat, (1j * z1,) * 3, {0, 1, 2})
+    phi2 = _const_field(lat, (z1,) * 3, {0, 1, 2})
+    inner_quotient(phi1, phi2)
+    assert calls == []
+    with pytest.raises(RangesDiffer, match="range"):
+        inner_quotient(phi1, _const_field(lat, (np.roll(z1, 1),) * 3, {0, 1, 2}))
+    assert len(calls) == 2
 
 
 def test_inner_quotient_rejects_mismatch():

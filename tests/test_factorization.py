@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         NotInvariant, NotPartialIsometry, OperatorField,
-                        TruncationLattice, connecting_isometry, decompose,
+                        SymbolField, TruncationLattice, commutes_with_S,
+                        connecting_isometry, decompose,
                         initial_space_is_full_hardy, range_from_generators,
                         shat_closure, verify_decomposition)
 from fibershift.factorization import DecompositionResult
@@ -98,7 +101,56 @@ def test_connecting_isometry_remixed_generators():
     psi, worst = connecting_isometry(res1, res2)
     assert set(worst) == set(CONNECTING_KEYS)
     assert max(worst.values()) < 1e-8
-    assert psi.ops.shape == (6, lat.ambient, lat.ambient)
+    assert psi.phi.shape == (6, lat.ambient, lat.k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_lambda=st.integers(1, 3), n_z=st.integers(1, 6), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_connecting_field_is_the_constant_unitary(n_lambda, n_z, k, seed):
+    """Phi2 = Phi1 V with V unitary per fiber: the connecting field's symbol
+    is V at degree 0, its fiber operator is I (x) V, and it commutes with the
+    shift exactly."""
+    rng = np.random.default_rng(seed)
+    lat = TruncationLattice(n_lambda, n_z, k)
+    ranks = rng.integers(0, k + 1, n_lambda)
+    phi1 = np.zeros((n_lambda, lat.ambient, k), dtype=complex)
+    phi2 = np.zeros_like(phi1)
+    vs = []
+    for m, n in enumerate(ranks):
+        v = np.zeros((k, k), dtype=complex)
+        v[:n, :n] = haar_unitary(rng, n)
+        phi1[m, :, :n] = haar_frame(rng, lat.ambient, n)
+        phi2[m] = phi1[m] @ v
+        vs.append(v)
+    res1 = DecompositionResult(SymbolField(lat, phi1), ranks, {})
+    res2 = DecompositionResult(SymbolField(lat, phi2), ranks, {})
+    psi, worst = connecting_isometry(res1, res2)
+    assert max(worst.values()) < 1e-13
+    for m, v in enumerate(vs):
+        assert np.abs(psi.phi[m][:k] - v).max() < 1e-13
+        assert not np.any(psi.phi[m][k:])
+        assert np.abs(psi.op(m) - np.kron(np.eye(n_z), v)).max() < 1e-13
+    assert commutes_with_S(psi) == (True, 0.0)
+
+
+def test_connecting_isometry_rejects_factorization_off_the_images():
+    """A 1e-6 move of Phi2 orthogonal to Phi1 leaves U = Phi1* Phi2 unitary;
+    only the factorization defect ||Phi2 - Phi1 U|| sees it."""
+    rng = np.random.default_rng(53)
+    lat = TruncationLattice(6, 32, 2)
+    res1 = decompose(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    m = int(np.flatnonzero(res1.ranks == 1)[-1])
+    phi2 = res1.field.phi * np.exp(0.7j)
+    # at degree 3, the coordinate direction orthogonal to phi_1's
+    block = phi2[m, 3 * lat.k: 4 * lat.k, 0]
+    phi2[m, 3 * lat.k: 4 * lat.k, 0] += 1e-6 * np.array([-block[1], block[0]]).conj() \
+        / np.linalg.norm(block)
+    assert np.abs(res1.field.phi[m][:, 0].conj() @ phi2[m, :, 0]) == pytest.approx(1.0, abs=1e-14)
+    res2 = DecompositionResult(SymbolField(lat, phi2), res1.ranks, {})
+    with pytest.raises(ImagesDiffer, match="images") as err:
+        connecting_isometry(res1, res2)
+    assert err.value.fiber == m
 
 
 def test_connecting_isometry_rejects_partition_mismatch():
