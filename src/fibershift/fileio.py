@@ -269,8 +269,9 @@ def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
 def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
     """Reconstruct a persisted decomposition and its target range.
 
-    The header and the rank arrays fix the file size; ranks out of range, a
-    short file and trailing bytes raise ParseError before any field is read.
+    The header and the rank arrays fix the file size; invalid sizes or
+    tolerances, ranks out of range, a short file and trailing bytes raise
+    ParseError before any field is read.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -279,8 +280,11 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
     magic, version, n_lambda, n_z, k, rank_tol, orth_tol = _HEADER.unpack_from(raw)
     if version != BINARY_VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
-    lat = TruncationLattice(n_lambda=n_lambda, n_z=n_z, k=k,
-                            rank_tol=rank_tol, orth_tol=orth_tol)
+    try:
+        lat = TruncationLattice(n_lambda=n_lambda, n_z=n_z, k=k,
+                                rank_tol=rank_tol, orth_tol=orth_tol)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     amb = lat.ambient
     off = _HEADER.size
     if len(raw) < off + 8 * n_lambda:

@@ -15,7 +15,7 @@ from .fields import FiberedField
 from .ranges import RangeFunctionH, RangeFunctionK, complement_range
 from .shifts import is_S_invariant, shifted_copies
 from .subspaces import canonical_columns, complement_frame, orthonormal_frame
-from .wandering import _fiber_wandering
+from .wandering import wandering_range
 
 
 def project_pointwise(f: FiberedField, base: RangeFunctionK) -> FiberedField:
@@ -56,14 +56,15 @@ def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None
     """Decide whether a range function is full Hardy and recover its base.
 
     Tests that the subspace and its pointwise complement are both invariant
-    under the fiber shift (within orth_tol on the reliable band). When both
-    hold, the wandering part is computed per fiber and must consist of
-    degree-zero vectors; its degree-zero block is returned as the base.
+    under the fiber shift (whole-frame leak within orth_tol). When both
+    hold, the wandering part must consist of degree-zero vectors; its
+    degree-zero block is returned as the base.
 
     Raises BaseNotConstant when the invariance tests pass but a wandering
-    vector carries mass above orth_tol outside degree zero: the subspace is
-    invariant for the fiber shift and reducing for the grid rotation without
-    being reducing for the fiber shift.
+    vector carries mass above orth_tol outside degree zero. A subspace whose
+    complement is invariant too reduces the fiber shift, so it is full Hardy
+    and its wandering part sits in degree zero up to about the leaks; the
+    guard catches a disagreement between the two checks.
     """
     lat = range_fn.lattice
     ok, _ = is_S_invariant(range_fn)
@@ -73,8 +74,7 @@ def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None
     if not ok:
         return False, None
     base_frames = []
-    for m in range(lat.n_lambda):
-        w = _fiber_wandering(range_fn.frames[m], lat.n_z, lat.k, lat.rank_tol, fiber=m)
+    for m, w in enumerate(wandering_range(range_fn).frames):
         if w.shape[1] == 0:
             base_frames.append(np.zeros((lat.k, 0), dtype=complex))
             continue

@@ -3,10 +3,12 @@
 Two shifts act on fields: rotation of the grid variable (multiplication by
 lambda, exactly unitary on the discrete grid) and the fiberwise degree shift
 (multiplication by z inside each fiber, which drops the top retained
-coefficient and is therefore a nilpotent contraction of order n_z). The top
-degree slice is where truncation lies; checks that quantify shift behavior
-are restricted to columns whose shifted image stays at degree <= n_z - 2,
-where the fiber shift acts exactly isometrically.
+coefficient and is therefore a nilpotent contraction of order n_z).
+Invariance is measured on whole frames: with P_n the truncation,
+P_n S P_n = P_n S, so the truncation of an S-invariant subspace is exactly
+invariant under the truncated shift and dropping the top degree cannot
+masquerade as a leak. The leak of one fiber is computed in ``shift_leak``
+alone; the invariance verdict and the wandering step both read it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import functools
 import numpy as np
 
 from .fields import FiberedField
-from .lattice import TruncationLattice
+from .lattice import TruncationLattice, frozen_array
 from .ranges import OperatorField, RangeFunctionH
-from .subspaces import DEGREE_TOL, op_norm, project_onto
+from .subspaces import op_norm
 
 
 def apply_U(f: FiberedField) -> FiberedField:
@@ -91,44 +93,36 @@ def shifted_copies(cols: np.ndarray, n_z: int, k: int, count: int) -> np.ndarray
     return out
 
 
-def _band_columns(frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
-    """Columns whose effective degree keeps the shifted image below the top.
+def shift_leak(frame: np.ndarray, n_z: int, k: int) -> float:
+    """``||S Q - Q C||_F`` with C = Q* S Q: the part of the shifted frame
+    outside span(Q). It vanishes exactly when span(Q) is S-invariant."""
+    if frame.shape[1] == 0:
+        return 0.0
+    c_star = frame[: (n_z - 1) * k].conj().T @ frame[k:]
+    return float(np.linalg.norm(shift_columns(frame, n_z, k) - frame @ c_star.conj().T))
 
-    Those are the columns with no coefficient above DEGREE_TOL at the top two
-    degrees; a frame column is never zero, so this is degree <= n_z - 3.
-    """
-    top = np.abs(frame[max(n_z - 2, 0) * k:]) > DEGREE_TOL
-    return frame[:, ~top.any(axis=0)]
+
+def shift_leaks(range_fn: RangeFunctionH) -> np.ndarray:
+    """Per-fiber ``shift_leak`` of a range function. Range functions are
+    immutable, so the array is kept on the object: a command that reports
+    the leak and then takes the wandering part computes it once."""
+    leaks = range_fn.__dict__.get("_shift_leaks")
+    if leaks is None:
+        lat = range_fn.lattice
+        leaks = frozen_array([shift_leak(q, lat.n_z, lat.k) for q in range_fn.frames],
+                             dtype=float)
+        object.__setattr__(range_fn, "_shift_leaks", leaks)
+    return leaks
 
 
 def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     """Whether every fiber subspace is invariant under the fiber shift.
 
-    The leak at fiber m is the operator norm of (I - P) S applied to the
-    frame columns whose shifted degree stays at most n_z - 2, so truncation
-    cannot masquerade as a leak. Returns (max leak <= orth_tol, max leak).
-    Range functions are immutable, so the verdict is kept on the object and
-    a command that reports the leak and then takes the wandering part pays
-    for one check.
+    Returns (max leak <= orth_tol, max leak), the leak being the Frobenius
+    norm ``shift_leak`` of each whole fiber frame.
     """
-    cached = range_fn.__dict__.get("_s_invariance")
-    if cached is not None:
-        return cached
-    lat = range_fn.lattice
-    worst = 0.0
-    for m in range(lat.n_lambda):
-        q = range_fn.frames[m]
-        if q.shape[1] == 0:
-            continue
-        band = _band_columns(q, lat.n_z, lat.k)
-        if band.shape[1] == 0:
-            continue
-        shifted = shift_columns(band, lat.n_z, lat.k)
-        leak = op_norm(shifted - project_onto(q, shifted))
-        worst = max(worst, leak)
-    cached = (worst <= lat.orth_tol, worst)
-    object.__setattr__(range_fn, "_s_invariance", cached)
-    return cached
+    worst = float(shift_leaks(range_fn).max())
+    return worst <= range_fn.lattice.orth_tol, worst
 
 
 def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
 from .fields import FiberedField, z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import is_S_invariant, shift_columns, shifted_copies
+from .shifts import is_S_invariant, shift_leaks, shifted_copies
 from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
 
 
@@ -73,7 +73,7 @@ class FrameFields:
 
 
 def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
-                     fiber: int | None = None) -> np.ndarray:
+                     leak: float, fiber: int | None = None) -> np.ndarray:
     """Frame of J minus (fiber shift applied to J) for one fiber.
 
     With Q the frame of an invariant J, S Q = Q C for the r x r matrix
@@ -82,13 +82,13 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     off the right singular vectors of C*, which the ``robust_svd`` fallback
     also returns in full.
 
-    A numerical J is invariant only up to the part L = S Q - Q C of S J
-    outside J. ||L|| is of the order of the frame's distance from an
-    invariant subspace, and so of the error in C: beyond half the cutoff a
-    small singular value of C cannot be told from a zero one, and the
-    decision is refused (ToleranceAmbiguity). A weaker test that only
-    certifies rank(S Q) = rank(C) accepts such frames and then misses the
-    wandering ranks of the generators themselves at n_z = 16.
+    A numerical J is invariant only up to ``leak``, the ``shift_leak`` of Q:
+    the part S Q - Q C of S J outside J. It is of the order of the frame's
+    distance from an invariant subspace, and so of the error in C: beyond
+    half the cutoff a small singular value of C cannot be told from a zero
+    one, and the decision is refused (ToleranceAmbiguity). A weaker test
+    that only certifies rank(S Q) = rank(C) accepts such frames and then
+    misses the wandering ranks of the generators themselves at n_z = 16.
     """
     if frame.shape[1] == 0:
         return frame
@@ -96,7 +96,6 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     _, s, vh = robust_svd(c_star)
     rank = rank_decision(s, rank_tol, fiber)
     cutoff = rank_tol * float(s[0])
-    leak = np.linalg.norm(shift_columns(frame, n_z, k) - frame @ c_star.conj().T)
     if leak > 0.5 * cutoff:
         raise ToleranceAmbiguity(
             f"shift leaves the subspace by {leak:.3e}, beyond half the cutoff "
@@ -107,15 +106,15 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
 def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     """Pointwise wandering subspace of a shift-invariant range function.
 
-    Raises NotInvariant when the input leaks under the fiber shift beyond
-    orth_tol on the reliable band.
+    Raises NotInvariant when some fiber's ``shift_leak`` exceeds orth_tol.
     """
     lat = range_fn.lattice
     ok, leak = is_S_invariant(range_fn)
     if not ok:
         raise NotInvariant(f"input is not shift invariant (leak {leak:.3e})")
+    leaks = shift_leaks(range_fn)
     frames = tuple(
-        _fiber_wandering(range_fn.frames[m], lat.n_z, lat.k, lat.rank_tol, fiber=m)
+        _fiber_wandering(range_fn.frames[m], lat.n_z, lat.k, lat.rank_tol, leaks[m], fiber=m)
         for m in range(lat.n_lambda)
     )
     return RangeFunctionH(lat, frames)

@@ -170,6 +170,24 @@ def test_load_decomposition_checks_layout(tmp_path, edit, needle):
         load_decomposition(str(path))
 
 
+@pytest.mark.parametrize("field, value", [(2, 0), (5, 0.0), (5, float("nan"))])
+def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
+    """n_lambda = 0, rank_tol = 0 or NaN in the header is bad input, as in a
+    problem file: ParseError, and `verify` exits 3."""
+    rng = np.random.default_rng(64)
+    lat = TruncationLattice(2, 8, 1)
+    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    path = tmp_path / "d.fshd"
+    save_decomposition(decompose_range(jm), jm, str(path))
+    raw = path.read_bytes()
+    header = list(_HEADER.unpack_from(raw))
+    header[field] = value
+    path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
+    with pytest.raises(ParseError, match="sizes must be positive|tolerances must lie"):
+        load_decomposition(str(path))
+    assert run_cli(["verify", str(path)])[0] == 3
+
+
 def test_render_text_layout():
     lat = TruncationLattice(2, 4, 1)
     report = Report(command="analyze", version="0.1.0", digest="ab" * 32,
@@ -325,23 +343,23 @@ def test_cli_decompose_verify_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "decompose"])
 def test_cli_checks_invariance_once(tmp_path, monkeypatch, command):
-    """The report's leak and the wandering step share one invariance check:
-    the per-fiber band reduction runs once per fiber (twice at the time the
-    verdict was not kept on the range function)."""
+    """The report's leak and the wandering step read one per-fiber leak:
+    ``shift_leak`` runs once per fiber and command (twice at the time the
+    wandering step measured its own)."""
     import fibershift.shifts
-    real = fibershift.shifts._band_columns
+    real = fibershift.shifts.shift_leak
     calls = []
 
     def counting(frame, n_z, k):
         calls.append(frame.shape)
         return real(frame, n_z, k)
 
-    monkeypatch.setattr(fibershift.shifts, "_band_columns", counting)
+    monkeypatch.setattr(fibershift.shifts, "shift_leak", counting)
     path = _write(tmp_path, CONSTANT_PROBLEM)
     code, out = run_cli([command, path])
     assert code == 0
-    assert "s-invariant: yes (leak 0.0)" in out
-    assert len(calls) == 4    # n_lambda fibers, each of rank n_z
+    assert "s-invariant: yes (leak " in out
+    assert calls == [(8, 8)] * 4    # n_lambda fibers, each of rank n_z
 
 
 def _diagnostic(report: str, key: str) -> float:

@@ -1,9 +1,8 @@
 """Doubly invariant subspaces built from constant bases."""
 
 import numpy as np
-import pytest
 
-from fibershift import (BaseNotConstant, RangeFunctionK, TruncationLattice,
+from fibershift import (RangeFunctionK, TruncationLattice,
                         full_hardy_complement, full_hardy_from_base,
                         is_full_hardy, project_pointwise,
                         range_from_generators, shat_closure)
@@ -40,15 +39,14 @@ def test_rejects_shifted_line():
     assert not ok
 
 
-def test_base_not_constant_on_tiny_lattice():
-    # with n_z = 2 the complement of span{z} is also invariant, so the
-    # failure surfaces as a non-constant wandering frame instead
+def test_not_full_hardy_on_tiny_lattice():
+    # with n_z = 2 span{z} is invariant and its complement span{1} is not:
+    # the shift carries 1 to z, a leak of 1 on the whole frame
     lat = TruncationLattice(2, 2, 1)
     col = np.array([[0.0], [1.0]], dtype=complex)
     gens = [field_from_fibers(lat, [col] * 2)]
     jm = range_from_generators(gens, lat)
-    with pytest.raises(BaseNotConstant):
-        is_full_hardy(jm)
+    assert is_full_hardy(jm) == (False, None)
 
 
 def test_complement_pointwise():

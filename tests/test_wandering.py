@@ -5,12 +5,13 @@ import pytest
 
 from fibershift import (DimensionPartition, NotInvariant, RangeFunctionH,
                         RangeFunctionK, RankTooLarge, ToleranceAmbiguity,
-                        TruncationLattice, dimension_partition, frame_fields,
-                        full_hardy_from_base, range_from_generators,
-                        reconstruct_from_wandering, shat_closure,
-                        wandering_range)
+                        TruncationLattice, decompose_range, dimension_partition,
+                        frame_fields, full_hardy_from_base, is_S_invariant,
+                        range_from_generators, reconstruct_from_wandering,
+                        shat_closure, wandering_range)
 from fibershift.errors import BandExceeded
 from fibershift.shifts import shift_columns, shift_matrix
+from fibershift.subspaces import complement_frame
 
 from helpers import brute_projector, frame_projector, grid_seeds, haar_frame
 
@@ -126,6 +127,28 @@ def test_wandering_rejects_leaky_input():
     seeds = grid_seeds(rng, lat, 1)
     with pytest.raises(NotInvariant):
         wandering_range(range_from_generators(seeds, lat))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rotation_out_of_j_is_not_invariant(k):
+    """Turning one frame column of fiber 0 by 1e-6 towards the complement
+    of J leaks about 1e-6 under the shift, whatever the degrees of the
+    frame columns (SVD frames of closures spread every column over all
+    degrees)."""
+    rng = np.random.default_rng(41)
+    lat = TruncationLattice(8, 8, k)
+    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, k, vanish=False)), lat)
+    assert is_S_invariant(jm)[0]
+    q = np.array(jm.frames[0])
+    t = 1e-6
+    q[:, 0] = np.cos(t) * q[:, 0] + np.sin(t) * complement_frame(q)[:, 0]
+    bad = RangeFunctionH(lat, (q,) + jm.frames[1:])
+    ok, leak = is_S_invariant(bad)
+    assert not ok and 5e-7 < leak < 2e-6
+    with pytest.raises(NotInvariant):
+        wandering_range(bad)
+    with pytest.raises(NotInvariant):
+        decompose_range(bad)
 
 
 def test_partition_classes():
