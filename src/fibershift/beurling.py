@@ -107,6 +107,8 @@ class InnerField:
     def __post_init__(self):
         if self.lattice.k != 1:
             raise ValueError("inner fields require k = 1")
+        if not 0.0 < self.inner_tol < 1.0:
+            raise ValueError("inner_tol must lie in (0, 1)")
         if len(self.fibers) != self.lattice.n_lambda:
             raise ValueError("one fiber per grid point required")
         if any(f.n_z != self.lattice.n_z for f in self.fibers):

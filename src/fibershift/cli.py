@@ -33,12 +33,18 @@ from .subspaces import subspace_distance
 from .wandering import dimension_partition, wandering_range
 
 
+def _unit_interval(text: str) -> float:
+    if not 0.0 < float(text) < 1.0:
+        raise argparse.ArgumentTypeError(f"{text} does not lie in (0, 1)")
+    return float(text)
+
+
 def _common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rank-tol", type=float, default=None,
                     help="override the rank cutoff from the problem file")
     sp.add_argument("--orth-tol", type=float, default=None,
                     help="override the orthogonality tolerance")
-    sp.add_argument("--inner-tol", type=float, default=None,
+    sp.add_argument("--inner-tol", type=_unit_interval, default=None,
                     help="override the inner-modulus tolerance")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed recorded in the report for fixture scripts")

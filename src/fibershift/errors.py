@@ -53,8 +53,8 @@ class BandExceeded(FibershiftError):
 class BaseNotConstant(FibershiftError):
     """Recovered wandering vectors carry nonzero higher-degree components.
 
-    Signals a subspace that is invariant for the fiber shift and reducing for
-    the grid rotation without being reducing for the fiber shift.
+    No longer raised: ``is_full_hardy``'s S* leak bounds the degree-positive
+    mass of a wandering vector. Kept because callers catch it.
     """
 
 

@@ -150,6 +150,9 @@ def load_problem(path: str) -> ProblemFile:
             orth_tol=header.get("orth_tol", 1e-8))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    inner_tol = header.get("inner_tol", 1e-6)
+    if not 0.0 < inner_tol < 1.0:
+        raise ParseError("inner_tol must lie in (0, 1)")
 
     for label, terms in zip(labels, gens):
         for m, j, i, _ in terms:
@@ -163,8 +166,7 @@ def load_problem(path: str) -> ProblemFile:
                     f"coordinate outside 1..{lattice.k}")
 
     polys = tuple(LaurentPolyField(tuple(terms)) for terms in gens)
-    return ProblemFile(header["schema"], lattice, float(header.get("inner_tol", 1e-6)),
-                       polys, tuple(labels), digest)
+    return ProblemFile(header["schema"], lattice, inner_tol, polys, tuple(labels), digest)
 
 
 def problem_fields(pf: ProblemFile) -> list[FiberedField]:

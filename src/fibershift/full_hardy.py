@@ -2,20 +2,18 @@
 spaces over a base subspace of the coordinate space.
 
 These are exactly the subspaces reducing for the grid rotation and the
-fiberwise shift simultaneously: both the subspace and its complement are
-shift invariant, and the wandering part sits in degree zero.
+fiberwise shift simultaneously: invariant under S and S*. With R the
+reversal of degree blocks, R S R = S*, so both leaks are read off J's frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BaseNotConstant
 from .fields import FiberedField
-from .ranges import RangeFunctionH, RangeFunctionK, complement_range
-from .shifts import is_S_invariant, shifted_copies
-from .subspaces import canonical_columns, complement_frame, orthonormal_frame
-from .wandering import wandering_range
+from .ranges import RangeFunctionH, RangeFunctionK
+from .shifts import is_S_invariant, shift_leak, shifted_copies
+from .subspaces import canonical_columns, complement_frame, robust_svd
 
 
 def project_pointwise(f: FiberedField, base: RangeFunctionK) -> FiberedField:
@@ -27,15 +25,10 @@ def project_pointwise(f: FiberedField, base: RangeFunctionK) -> FiberedField:
     lat = base.lattice
     if f.lattice != lat:
         raise ValueError("lattice mismatch")
-    data = np.empty_like(f.data)
-    for m in range(lat.n_lambda):
-        b = base.frames[m]
-        if b.shape[1] == 0:
-            data[m] = 0.0
-        else:
-            p = b @ b.conj().T
-            data[m] = np.einsum("ab,jb->ja", p, f.data[m])
-    return FiberedField(lat, data)
+    # row j of a fiber times the transposed projector conj(B) B^T; an empty
+    # base frame gives zero
+    return FiberedField(lat, np.stack([d @ b.conj() @ b.T
+                                       for d, b in zip(f.data, base.frames)]))
 
 
 def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
@@ -55,36 +48,24 @@ def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
 def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None]:
     """Decide whether a range function is full Hardy and recover its base.
 
-    Tests that the subspace and its pointwise complement are both invariant
-    under the fiber shift (whole-frame leak within orth_tol). When both
-    hold, the wandering part must consist of degree-zero vectors; its
-    degree-zero block is returned as the base.
-
-    Raises BaseNotConstant when the invariance tests pass but a wandering
-    vector carries mass above orth_tol outside degree zero. A subspace whose
-    complement is invariant too reduces the fiber shift, so it is full Hardy
-    and its wandering part sits in degree zero up to about the leaks; the
-    guard catches a disagreement between the two checks.
+    Every fiber must leak within orth_tol under S (``is_S_invariant``) and
+    under S* (``shift_leak`` of the frame with its degree blocks reversed),
+    and have rank n * n_z. Its base is spanned by the top n left singular
+    vectors of the degree-zero block Q[:k], whose Gram is P_J compressed to
+    degree zero, the base projector: the singular values are 1 and 0, so no
+    rank decision is needed.
     """
     lat = range_fn.lattice
-    ok, _ = is_S_invariant(range_fn)
-    if not ok:
-        return False, None
-    ok, _ = is_S_invariant(complement_range(range_fn))
-    if not ok:
+    n_z, k = lat.n_z, lat.k
+    ranks = range_fn.ranks()
+    if not is_S_invariant(range_fn)[0] or np.any(ranks % n_z):
         return False, None
     base_frames = []
-    for m, w in enumerate(wandering_range(range_fn).frames):
-        if w.shape[1] == 0:
-            base_frames.append(np.zeros((lat.k, 0), dtype=complex))
-            continue
-        high = np.linalg.norm(w[lat.k:, :], axis=0)
-        if np.any(high > lat.orth_tol):
-            raise BaseNotConstant(
-                f"wandering vector has degree-positive mass {float(high.max()):.3e}",
-                fiber=m)
-        block0 = w[: lat.k, :]
-        base_frames.append(canonical_columns(orthonormal_frame(block0, lat.rank_tol, fiber=m)))
+    for q, r in zip(range_fn.frames, ranks):
+        if shift_leak(q.reshape(n_z, k, r)[::-1].reshape(n_z * k, r), n_z, k) > lat.orth_tol:
+            return False, None
+        u = robust_svd(q[:k])[0]
+        base_frames.append(canonical_columns(u[:, : r // n_z]))
     return True, RangeFunctionK(lat, tuple(base_frames))
 
 

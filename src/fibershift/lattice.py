@@ -60,7 +60,11 @@ class TruncationLattice:
 
 
 def frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
-    """Own a contiguous read-only copy of ``a``."""
+    """A read-only C-contiguous array of ``dtype`` holding ``a``. Only an
+    array that owns its memory is frozen in place (the caller's array turns
+    read-only); a view is copied, so writes to its base cannot reach it."""
     out = np.ascontiguousarray(a, dtype=dtype)
+    if not out.flags.owndata:
+        out = out.copy()
     out.setflags(write=False)
     return out

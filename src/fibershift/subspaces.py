@@ -110,8 +110,8 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
 
     Columns are phase normalized, then ordered by decreasing singular value
     with exact ties broken lexicographically on the (real, imag) coefficient
-    sequence. With ``s`` omitted all columns count as tied.
-    """
+    sequence. With ``s`` omitted all columns count as tied. The result is
+    C-contiguous, so range functions store it without a copy."""
     if q.shape[1] == 0:
         return np.array(q, dtype=complex)
     q = _phase_normalize(q)
@@ -125,7 +125,7 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     interleaved[0::2] = q.real
     interleaved[1::2] = q.imag
     order = np.lexsort(np.vstack([interleaved[::-1], -sv[None, :]]))
-    return q[:, order]
+    return np.take(q, order, axis=1)
 
 
 def rank_decision(s: np.ndarray, rank_tol: float, fiber: int | None = None) -> int:

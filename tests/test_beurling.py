@@ -93,6 +93,11 @@ def test_inner_field_validation():
         _const_field(lat, (z1, z1), {0})
     with pytest.raises(ValueError):
         _const_field(TruncationLattice(2, 8, 2), (z1, np.zeros(8)), {0})
+    # |phi| = 2 on the circle is a defect of 1.0, which no tolerance in
+    # (0, 1) passes
+    for tol in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="inner_tol"):
+            _const_field(lat, (2 * z1, np.zeros(8)), {0}, inner_tol=tol)
 
 
 def test_phi_representation_of_monomial():

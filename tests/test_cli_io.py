@@ -71,7 +71,10 @@ BAD_PROBLEMS = (
     ("schema: fibershift-problem/1\nn_lambda: 4\nn_z: 8\nk: 1\n", "no generator"),
     ("schema: fibershift-problem/1\nn_lambda: 0\nn_z: 8\nk: 1\n"
      "generator: g\nterm: 0 0 1 1 0\n", "positive"),
-)
+) + tuple(
+    ("schema: fibershift-problem/1\nn_lambda: 4\nn_z: 8\nk: 1\n"
+     f"inner_tol: {value}\ngenerator: g\nterm: 0 0 1 1 0\n", "inner_tol must lie")
+    for value in ("0", "1", "-1", "nan"))
 
 
 @pytest.mark.parametrize("text,needle", BAD_PROBLEMS)
@@ -493,7 +496,11 @@ def test_cli_exit_codes(tmp_path):
     (["decompose", "problem.txt", "--threads", "8"], 3),
     ([], 3),
     (["--help"], 0),
-], ids=["unknown-flag", "no-command", "help"])
+    (["analyze", "problem.txt", "--inner-tol", "-1"], 3),
+    (["beurling", "problem.txt", "--inner-tol", "nan"], 3),
+    (["verify", "out", "--inner-tol", "1"], 3),
+], ids=["unknown-flag", "no-command", "help", "inner-tol-negative",
+        "inner-tol-nan", "inner-tol-one"])
 def test_cli_usage_exit_codes(argv, code):
     # argparse exits 2 on usage errors; 2 is reserved for failed invariants
     with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibershift.subspaces as sub
-from fibershift import (FiberedField, LaurentPolyField, ToleranceAmbiguity,
-                        TruncationLattice, eval_field, orthonormal_frame,
-                        subspace_distance)
+from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
+                        ToleranceAmbiguity, TruncationLattice, eval_field,
+                        orthonormal_frame, subspace_distance)
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
 from fibershift.fields import field_from_function, z_degree
 from fibershift.subspaces import (_phase_normalize, band_projector_distance,
@@ -53,6 +53,26 @@ def test_field_container():
     assert f.norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         f.data[0, 0, 0] = 5.0
+
+
+def test_field_copies_a_view():
+    # a contiguous slice of a writable array is a view: freezing it in place
+    # would leave the field aliased to memory the caller still writes
+    lat = TruncationLattice(2, 3, 1)
+    block = np.zeros((2, 2, 3, 1), dtype=complex)
+    f = FiberedField(lat, block[0])
+    block[0] = 1.0
+    assert not np.any(f.data)
+    assert block.flags.writeable
+
+
+def test_canonical_frames_are_stored_without_copy():
+    rng = np.random.default_rng(3)
+    q = canonical_columns(np.asfortranarray(haar_frame(rng, 6, 3)))
+    assert q.flags.c_contiguous
+    rf = RangeFunctionH(TruncationLattice(1, 3, 2), (q,))
+    assert rf.frames[0] is q
+    assert not q.flags.writeable
 
 
 def test_field_arithmetic():
