@@ -35,8 +35,7 @@ from .ranges import (OperatorField, RangeFunctionH, RangeFunctionK,
                      spectrum)
 from .shifts import (apply_S_hat, apply_U, apply_U_star, commutes_with_S,
                      is_S_invariant, shat_closure, shift_matrix)
-from .subspaces import (band_projector_distance, orthonormal_frame,
-                        subspace_distance)
+from .subspaces import orthonormal_frame, subspace_distance
 from .wandering import (DimensionPartition, FrameFields, dimension_partition,
                         frame_fields, reconstruct_from_wandering,
                         wandering_range)
@@ -64,7 +63,7 @@ __all__ = [
     "range_of_phi", "inner_quotient",
     "ProblemFile", "Report", "load_problem", "problem_fields",
     "load_decomposition", "save_decomposition", "render_text", "render_csv",
-    "orthonormal_frame", "subspace_distance", "band_projector_distance",
+    "orthonormal_frame", "subspace_distance",
     "FibershiftError", "DegreeOverflow", "CoordinateOverflow",
     "ToleranceAmbiguity", "NotOrthogonal", "NotInvariant", "RankTooLarge",
     "BandExceeded", "BaseNotConstant", "WanderingRankNotOne", "NotInner",

@@ -13,9 +13,10 @@ onto the wandering part of J_M. F is built one fiber at a time, on demand.
 
 ``verify_decomposition`` is band restricted: the truncated fiber shift is
 only isometric below the top retained degree, so defects are measured on
-columns whose degrees stay inside the reliable band and subspace equalities
-are compared after compressing both projectors to that band. Comparisons
-never introduce new rank decisions; they reuse frames that already exist.
+columns whose degrees stay inside the reliable band, and the target is
+compared with the banded image on the band rows, where shifts of the image
+past the band vanish. Comparisons never introduce new rank decisions; they
+reuse frames that already exist.
 ``connecting_isometry`` compares two symbols on every degree. Dense operator
 fields only serve fields built outside ``decompose``.
 """
@@ -33,8 +34,8 @@ from .full_hardy import is_full_hardy
 from .lattice import TruncationLattice, frozen_array
 from .ranges import OperatorField, RangeFunctionH, RangeFunctionK, range_from_generators
 from .shifts import commutes_with_S, shifted_copies
-from .subspaces import (DEGREE_TOL, band_projector_distance, canonical_columns,
-                        herm_norm, op_norm, project_onto, robust_svd)
+from .subspaces import (DEGREE_TOL, canonical_columns, herm_norm, op_norm,
+                        project_onto, robust_svd)
 from .wandering import DimensionPartition, FrameFields, frame_fields, wandering_range
 
 DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect", "invariance_leak")
@@ -44,9 +45,9 @@ DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect", "invariance_leak")
 class SymbolField:
     """An operator field stored as its symbol.
 
-    ``phi`` has shape (n_lambda, n_z*k, k). ``op(m)`` builds F(lambda_m),
-    whose column j*k + i is phi[m][:, i] shifted j times, so the field
-    commutes with the fiber shift by construction.
+    ``phi`` has shape (n_lambda, n_z*k, k) and finite entries. ``op(m)``
+    builds F(lambda_m), whose column j*k + i is phi[m][:, i] shifted j
+    times, so the field commutes with the fiber shift by construction.
     """
 
     lattice: TruncationLattice
@@ -57,6 +58,8 @@ class SymbolField:
         shape = (lat.n_lambda, lat.ambient, lat.k)
         if np.shape(self.phi) != shape:
             raise ValueError(f"phi must have shape {shape}")
+        if not np.all(np.isfinite(self.phi)):
+            raise ValueError("phi must be finite")
         object.__setattr__(self, "phi", frozen_array(self.phi))
 
     def op(self, m: int) -> np.ndarray:
@@ -116,19 +119,6 @@ def _fiber_band(cols: np.ndarray, n_z: int) -> int:
     return n_z - 1 - max(d, 0)
 
 
-def _stable_frame(cols: np.ndarray) -> np.ndarray:
-    """Orthonormalize columns that are near-orthonormal by construction.
-
-    Directions with singular value below 1/2 are genuinely absent (for a
-    valid partial isometry every kept column has unit norm), so the fixed
-    absolute cutoff cannot sit near a legitimate singular value.
-    """
-    if cols.shape[1] == 0:
-        return cols.astype(complex)
-    u, s, _ = robust_svd(cols)
-    return u[:, s > 0.5]
-
-
 def decompose(gens: list[FiberedField], lattice: TruncationLattice) -> DecompositionResult:
     """Factor the pointwise span of ``gens`` through a full Hardy space.
 
@@ -161,16 +151,17 @@ def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH) -> dict[s
     the isometry and image defects.
 
     isometry_defect : || (W* W - I) on band degrees || plus off-space mass
-    image_defect : containment of W in the target frame, the band-compressed
-        projector distance between the banded image span and the target,
-        and the off-space mass
+    image_defect : containment of W in the target frame Q, the cover
+        || band rows of (Q - W_b W_b* Q) || of the target by the banded
+        image W_b, and the off-space mass. The cover is linear in a tilt of
+        Q into the band, where a projector distance would be quadratic.
     invariance_leak : banded image columns, shifted once, measured against
         the image projector W W*
 
-    Values are maxima over fibers. All three vanish (to rounding) for a
-    valid decomposition whose frame vectors are band limited. Commutation
-    with the shifts needs no check: it holds by construction for a field
-    stored as its symbol.
+    Values are maxima over fibers; a NaN defect stays NaN. All three vanish
+    (to rounding) for a valid decomposition whose frame vectors are band
+    limited. Commutation with the shifts needs no check: it holds by
+    construction for a field stored as its symbol.
     """
     if jm.lattice != res.lattice:
         raise ValueError("lattice mismatch")
@@ -183,7 +174,7 @@ def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, 
     lat = res.lattice
     n_z, k = lat.n_z, lat.k
 
-    def one(m: int) -> tuple[float, float, float]:
+    def one(m: int) -> tuple[float, ...]:
         n = int(res.ranks[m])
         phi = res.field.phi[m]
         b = _fiber_band(phi[:, :n], n_z)
@@ -195,21 +186,25 @@ def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, 
         w_band = w[:, : n * (b + 1)]
         gram = w_band.conj().T @ w_band
         gram[np.diag_indices_from(gram)] -= 1.0
-        iso = max(herm_norm(gram), off_mass)
 
-        contain = op_norm(w - project_onto(q, w))
-        v = _stable_frame(w_band)
-        cover = band_projector_distance(v, q, (b + 1) * k)
-        image = max(contain, cover, off_mass)
+        qw = q.conj().T @ w
+        contain = op_norm(w - q @ qw)
+        # band rows of J's frame outside span(W_b): shifts of W past the band
+        # vanish on those rows, so this is zero exactly when W_b covers them
+        rows = (b + 1) * k
+        cover = op_norm(q[:rows] - w_band[:rows] @ qw[:, : n * (b + 1)].conj().T)
 
         # the shift of the first b layers of W is its next b layers
         shifted = w[:, n: n * (b + 1)]
         leak = op_norm(shifted - project_onto(w, shifted))
-        return iso, image, leak
+        return herm_norm(gram), off_mass, contain, cover, leak
 
-    rows = [one(m) for m in range(lat.n_lambda)]
-    return {key: np.array([r[idx] for r in rows])
-            for idx, key in enumerate(DIAGNOSTIC_KEYS)}
+    gram, off_mass, contain, cover, leak = np.array(
+        [one(m) for m in range(lat.n_lambda)]).T
+    # elementwise maxima propagate NaN, where max(0.0, nan) reads 0.0
+    return dict(zip(DIAGNOSTIC_KEYS, (np.maximum(gram, off_mass),
+                                      np.maximum.reduce([contain, cover, off_mass]),
+                                      leak)))
 
 
 CONNECTING_KEYS = ("isometry_defect", "factorization_defect")

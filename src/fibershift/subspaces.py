@@ -192,26 +192,39 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 def op_norm(a: np.ndarray) -> float:
     """Largest singular value (0 for the empty matrix).
 
-    ``robust_svd`` refuses spectra whose small values it cannot resolve;
-    the largest one is then read off the Gram matrix.
+    Read as the square root of the top eigenvalue of the smaller Gram
+    matrix of a / max|a|: the top eigenvalue carries relative rounding only
+    (small singular values are the ones a Gram matrix loses), and the
+    scaling keeps entries near 1e+-200 clear of underflow and overflow. A
+    failed eigensolver falls back to ``singular_values``. Non-finite input
+    raises LinAlgError.
     """
     if a.size == 0:
         return 0.0
+    scale = float(np.max(np.abs(a)))
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("op_norm of a non-finite matrix")
+    if scale == 0.0:
+        return 0.0
+    b = a / scale
+    gram = b.conj().T @ b if b.shape[0] >= b.shape[1] else b @ b.conj().T
     try:
-        s = singular_values(a)
+        top = np.linalg.eigvalsh(gram)[-1]
     except np.linalg.LinAlgError:
-        return float(np.sqrt(max(np.linalg.eigvalsh(a.conj().T @ a)[-1], 0.0)))
-    return float(s[0]) if s.size else 0.0
+        return float(singular_values(a)[0])
+    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def herm_norm(a: np.ndarray) -> float:
-    """2-norm of a Hermitian matrix via its extreme eigenvalues."""
+    """2-norm of a Hermitian matrix via its extreme eigenvalues. A failed
+    eigensolver falls back to ``singular_values``, not to ``op_norm``,
+    whose Gram route would run the failed solver again."""
     if a.size == 0:
         return 0.0
     try:
         return float(np.max(np.abs(np.linalg.eigvalsh(a))))
     except np.linalg.LinAlgError:
-        return op_norm(a)
+        return float(singular_values(a)[0])
 
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
@@ -228,19 +241,3 @@ def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     d1 = op_norm(q2 - project_onto(q1, q2))
     d2 = op_norm(q1 - project_onto(q2, q1))
     return max(d1, d2)
-
-
-def band_projector_distance(q1: np.ndarray, q2: np.ndarray, dim_keep: int) -> float:
-    """``|| P_B (Q1 Q1* - Q2 Q2*) P_B ||_2`` with B the first dim_keep coordinates.
-
-    Band-compressed comparison of the two spanned subspaces. No rank
-    decisions are made, so the distance is meaningful even when one frame
-    has directions that are numerically unreachable from the other.
-    """
-    a = q1[:dim_keep, :]
-    b = q2[:dim_keep, :]
-    if a.shape[1] == 0 and b.shape[1] == 0:
-        return 0.0
-    p1 = a @ a.conj().T if a.shape[1] else np.zeros((dim_keep, dim_keep), dtype=complex)
-    p2 = b @ b.conj().T if b.shape[1] else np.zeros((dim_keep, dim_keep), dtype=complex)
-    return herm_norm(p1 - p2)

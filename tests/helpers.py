@@ -16,7 +16,8 @@ import io
 
 import numpy as np
 
-from fibershift import FiberedField, LaurentPolyField, TruncationLattice, eval_field
+from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
+                        TruncationLattice, eval_field)
 from fibershift.cli import main as cli_main
 
 
@@ -99,6 +100,44 @@ def brute_projector(cols: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
 
 def frame_projector(frame: np.ndarray) -> np.ndarray:
     return frame @ frame.conj().T
+
+
+def band_projector_distance(q1: np.ndarray, q2: np.ndarray, dim_keep: int) -> float:
+    """``|| P_B (Q1 Q1* - Q2 Q2*) P_B ||_2`` with B the first dim_keep
+    coordinates: the two spans compared on a band, by dense projectors."""
+    a, b = q1[:dim_keep], q2[:dim_keep]
+    return float(np.linalg.norm(frame_projector(a) - frame_projector(b), 2))
+
+
+def unit_vector(lat: TruncationLattice, degree: int, coord: int) -> np.ndarray:
+    """The flattened fiber vector z^degree e_(coord + 1)."""
+    v = np.zeros(lat.ambient, dtype=complex)
+    v[degree * lat.k + coord] = 1.0
+    return v
+
+
+def z_e1_range(lat: TruncationLattice) -> RangeFunctionH:
+    """J = z H^2 e_1 on every fiber, framed by z e_1 .. z^(n_z - 1) e_1. Its
+    wandering vector z e_1 has degree 1, so the reliable band of a
+    decomposition is degrees 0 .. n_z - 2, and e_2 z^0 is a band direction
+    outside J (k >= 2)."""
+    frame = np.column_stack([unit_vector(lat, d, 0) for d in range(1, lat.n_z)])
+    return RangeFunctionH(lat, (frame,) * lat.n_lambda)
+
+
+def with_frame(jm: RangeFunctionH, m: int, frame: np.ndarray) -> RangeFunctionH:
+    """``jm`` with the frame at fiber m replaced."""
+    frames = list(jm.frames)
+    frames[m] = frame
+    return RangeFunctionH(jm.lattice, tuple(frames))
+
+
+def with_tilted_extra_direction(jm: RangeFunctionH, delta: float) -> RangeFunctionH:
+    """``z_e1_range`` plus, at fiber 0, the direction e_2 z^(n_z - 1) past
+    the band tilted by delta into the band towards e_2 z^0."""
+    lat = jm.lattice
+    x = unit_vector(lat, lat.n_z - 1, 1) + delta * unit_vector(lat, 0, 1)
+    return with_frame(jm, 0, np.column_stack([jm.frames[0], x / np.linalg.norm(x)]))
 
 
 def blaschke_coeffs(a: complex, n_z: int) -> np.ndarray:

@@ -30,11 +30,11 @@ from fibershift import (DIAGNOSTIC_KEYS, FiberedField, RangeFunctionK,
 from fibershift.errors import BaseNotConstant, ToleranceAmbiguity
 from fibershift.fields import z_degree
 from fibershift.shifts import shift_matrix
-from fibershift.subspaces import DEGREE_TOL, band_projector_distance, subspace_distance
+from fibershift.subspaces import DEGREE_TOL, subspace_distance
 
-from helpers import (blaschke_coeffs, brute_projector, frame_projector,
-                     grid_seeds, haar_frame, haar_unitary, laurent_seeds,
-                     write_problem)
+from helpers import (band_projector_distance, blaschke_coeffs, brute_projector,
+                     frame_projector, grid_seeds, haar_frame, haar_unitary,
+                     laurent_seeds, write_problem)
 
 pytestmark = pytest.mark.acceptance
 

@@ -17,7 +17,8 @@ from fibershift.fileio import (_HEADER, Report, load_decomposition,
                                render_text, save_decomposition)
 from fibershift.fields import eval_field
 
-from helpers import grid_seeds, laurent_seeds, run_cli, write_problem
+from helpers import (grid_seeds, laurent_seeds, run_cli,
+                     with_tilted_extra_direction, write_problem, z_e1_range)
 
 GOLDEN = """\
 # comment lines and blanks are ignored
@@ -417,6 +418,36 @@ def test_cli_verify_catches_mass_past_the_rank(tmp_path):
     for key in ("isometry_defect", "image_defect"):
         assert _diagnostic(vout, key) == pytest.approx(1e-3 * np.sqrt(8), rel=1e-12)
     assert _diagnostic(vout, "invariance_leak") == 0.0
+
+
+@pytest.mark.parametrize("row, col, delta", [
+    (0, 1, np.nan),     # past the wandering rank: verify used to print zeros
+    (0, 0, np.nan),     # inside the rank: verify used to exit 2
+    (0, 0, np.inf),
+])
+def test_cli_verify_refuses_non_finite_symbol(tmp_path, capsys, row, col, delta):
+    """A non-finite entry of Phi on disk is bad input, wherever it sits."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    lat = TruncationLattice(4, 8, 2)
+    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 1, row, col), delta)
+    capsys.readouterr()
+    assert run_cli(["verify", str(outdir)]) == (3, "")
+    assert "phi must be finite" in capsys.readouterr().err
+
+
+def test_cli_verify_catches_a_direction_tilted_into_the_band(tmp_path):
+    """A target with one extra direction tilted 1e-5 into the band exits 2:
+    the cover reads 1e-5 (a band projector distance read 1e-10)."""
+    lat = TruncationLattice(4, 8, 2)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    path = str(tmp_path / "tilted.fshd")
+    save_decomposition(res, with_tilted_extra_direction(jm, 1e-5), path)
+    code, out = run_cli(["verify", path])
+    assert code == 2
+    assert _diagnostic(out, "image_defect") >= 1e-6
 
 
 def test_version_1_file_refused(tmp_path, capsys):

@@ -11,8 +11,8 @@ from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
                         orthonormal_frame, subspace_distance)
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
 from fibershift.fields import field_from_function, z_degree
-from fibershift.subspaces import (_phase_normalize, band_projector_distance,
-                                  canonical_columns, complement_frame, op_norm,
+from fibershift.subspaces import (_phase_normalize, canonical_columns,
+                                  complement_frame, herm_norm, op_norm,
                                   project_onto, rank_decision, residual_norms,
                                   robust_svd)
 
@@ -346,23 +346,61 @@ def test_robust_svd_gram_route_left_vectors_orthonormal(monkeypatch):
     assert np.allclose(q @ q.conj().T, p, atol=1e-8)
 
 
-def test_op_norm_values_only_fallback(monkeypatch):
-    """A failed values-only SVD falls back to the robust_svd chain."""
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(9, 4), (4, 9), (6, 6), (1, 5), (5, 1)]),
+       st.integers(-200, 200), st.integers(0, 2**32 - 1))
+def test_op_norm_gram_route_matches_svd(shape, exponent, seed):
+    """The top eigenvalue of the scaled Gram matrix gives the largest
+    singular value to relative rounding, on tall, wide and square shapes,
+    with entries from 1e-200 to 1e200."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** exponent
+    top = np.linalg.svd(a, compute_uv=False)[0]
+    assert op_norm(a) == pytest.approx(top, rel=1e-13)
+
+
+def test_op_norm_eigensolver_failure_falls_back(monkeypatch):
+    """A failed eigensolver falls back to the values-only SVD."""
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     top = np.linalg.svd(a, compute_uv=False)[0]
     real_svd = np.linalg.svd
     calls = []
 
-    def fail_values_only(x, **kw):
+    def counting_svd(x, **kw):
         calls.append(kw.get("compute_uv", True))
-        if not kw.get("compute_uv", True):
-            raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(x, **kw)
 
-    monkeypatch.setattr(np.linalg, "svd", fail_values_only)
-    assert op_norm(a) == pytest.approx(top, rel=1e-12)
-    assert calls == [False, True]
+    monkeypatch.setattr(np.linalg, "eigvalsh", _fail_always)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert op_norm(a) == top
+    assert calls == [False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_op_norm_rejects_non_finite(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        op_norm(a)
+
+
+def test_herm_norm_eigensolver_failure(monkeypatch):
+    """herm_norm falls back to the singular values once: no second
+    eigenproblem, so the fallback cannot loop back into the eigensolver."""
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h = b + b.conj().T
+    expected = np.abs(np.linalg.eigvalsh(h)).max()
+    calls = []
+
+    def failing(x, *args, **kw):
+        calls.append(x.shape)
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    assert herm_norm(h) == pytest.approx(expected, rel=1e-13)
+    assert calls == [(5, 5)]
 
 
 def test_op_norm_unresolved_spectrum_fallback(monkeypatch):
@@ -395,17 +433,6 @@ def test_subspace_distance_known_angle():
     assert subspace_distance(q1, q2) == pytest.approx(np.sin(theta), abs=1e-12)
     assert subspace_distance(q1, np.eye(3, dtype=complex)[:, :2]) == 1.0
     assert subspace_distance(q1, q1) < 1e-14
-
-
-def test_band_projector_distance():
-    q1 = np.eye(4, dtype=complex)[:, :1]
-    # differs from q1 only in the last coordinate
-    v = np.array([1.0, 0, 0, 0.2], dtype=complex)
-    q2 = (v / np.linalg.norm(v))[:, None]
-    assert band_projector_distance(q1, q2, 4) > 1e-2
-    assert band_projector_distance(q1, q2, 3) < 0.08
-    assert band_projector_distance(q1, q1, 4) == 0.0
-    assert band_projector_distance(np.zeros((4, 0)), np.zeros((4, 0)), 2) == 0.0
 
 
 def test_projection_helpers():

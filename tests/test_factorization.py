@@ -1,5 +1,7 @@
 """Decomposition through a full Hardy space and connecting fields."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,16 @@ from hypothesis import strategies as st
 from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         NotInvariant, NotPartialIsometry, OperatorField,
                         SymbolField, TruncationLattice, commutes_with_S,
-                        connecting_isometry, decompose,
+                        connecting_isometry, decompose, decompose_range,
                         initial_space_is_full_hardy, range_from_generators,
                         shat_closure, verify_decomposition)
-from fibershift.factorization import DecompositionResult
+from fibershift.factorization import DecompositionResult, verify_per_fiber
 from fibershift.fields import field_from_fibers
 from fibershift.shifts import shift_columns
 
-from helpers import frame_projector, grid_seeds, haar_frame, haar_unitary
+from helpers import (frame_projector, grid_seeds, haar_frame, haar_unitary,
+                     unit_vector, with_frame, with_tilted_extra_direction,
+                     z_e1_range)
 
 
 def _monomial_gens(lat, degree):
@@ -87,6 +91,94 @@ def test_verify_against_wrong_target():
     wrong = range_from_generators(_monomial_gens(lat, 2), lat)
     diags = verify_decomposition(res, wrong)
     assert diags["image_defect"] > 0.1
+
+
+def test_cover_reads_an_extra_direction_linearly():
+    """An extra direction of J tilted delta into the band lies outside the
+    image there. The cover reads delta; the band projector distance it
+    replaces read delta**2, 1e-10 at delta = 1e-5, under orth_tol."""
+    lat = TruncationLattice(4, 8, 2)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    assert res.diagnostics["image_defect"] == 0.0
+    for delta in (1e-3, 1e-5, 1e-7):
+        diags = verify_decomposition(res, with_tilted_extra_direction(jm, delta))
+        assert diags["image_defect"] == pytest.approx(delta, rel=1e-6)
+    assert verify_decomposition(res, with_tilted_extra_direction(jm, 1e-5))[
+        "image_defect"] >= 1e-6
+
+
+def test_cover_stays_linear_for_a_tilted_tail_direction():
+    """J's frame column z^(n_z - 1) e_1 lies past the band. Tilting it by
+    delta towards the band direction e_2 z^0 moves J off the image by
+    delta."""
+    lat = TruncationLattice(4, 8, 2)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    q = jm.frames[0]
+    for delta in (1e-3, 1e-5, 1e-7):
+        tilted = np.array(q)
+        tilted[:, -1] = np.cos(delta) * q[:, -1] + np.sin(delta) * unit_vector(lat, 0, 1)
+        diags = verify_decomposition(res, with_frame(jm, 0, tilted))
+        assert diags["image_defect"] == pytest.approx(delta, rel=1e-6)
+
+
+def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
+    """Cost guard: per fiber of wandering dimension n, verification works
+    at the size n * n_z of the image and makes no SVD. At k = 2 with n = 1
+    the ambient dimension is twice that; the band projector comparison it
+    replaces ran an eigenproblem of size 26 here and one SVD per fiber."""
+    rng = np.random.default_rng(14)
+    lat = TruncationLattice(1, 16, 2)
+    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    res = decompose_range(jm)
+    n = int(res.ranks[0])
+    assert n == 1
+    svd_calls, eig_sizes = [], []
+    real_svd, real_eigvalsh, real_eigh = np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh
+
+    def counting_svd(a, *args, **kwargs):
+        svd_calls.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    def sized(real):
+        def eig(a, *args, **kwargs):
+            eig_sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+        return eig
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", sized(real_eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", sized(real_eigh))
+    per = verify_per_fiber(res, jm)
+    assert svd_calls == []
+    assert eig_sizes and max(eig_sizes) <= n * lat.n_z
+    assert max(float(v.max()) for v in per.values()) < lat.orth_tol
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_symbol_field_rejects_non_finite(bad):
+    lat = TruncationLattice(4, 4, 2)
+    phi = np.zeros((4, lat.ambient, 2), dtype=complex)
+    phi[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SymbolField(lat, phi)
+
+
+def test_verify_propagates_nan_past_the_rank():
+    """A NaN in Phi past the wandering rank (which SymbolField refuses; set
+    here behind its back) makes the off-space mass NaN at that fiber, and
+    the defects built from it stay NaN instead of reading 0.0."""
+    lat = TruncationLattice(4, 8, 2)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    phi = np.array(res.field.phi)
+    phi[1, 0, 1] = np.nan
+    object.__setattr__(res.field, "phi", phi)
+    per = verify_per_fiber(res, jm)
+    for key in ("isometry_defect", "image_defect"):
+        assert np.isnan(per[key][1]) and not np.isnan(per[key][[0, 2, 3]]).any()
+    assert np.isnan(verify_decomposition(res, jm)["image_defect"])
 
 
 def test_connecting_isometry_remixed_generators():
@@ -212,3 +304,13 @@ def test_initial_space_rejects_noncommuting():
     ops = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
     with pytest.raises(ValueError, match="commute"):
         initial_space_is_full_hardy(OperatorField(lat, ops))
+
+
+def test_readme_library_block_runs(capsys):
+    """The README's "Library use" example runs as printed."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == str(dict.fromkeys(DIAGNOSTIC_KEYS, 0.0))
+    assert float(out[2]) < 1e-12
