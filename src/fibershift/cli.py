@@ -155,7 +155,7 @@ def cmd_decompose(args) -> tuple[Report, int]:
                     ranks_jr=_ranks(res.base),
                     partition=_partition_counts(res.partition),
                     diagnostics=tuple(sorted(res.diagnostics.items())))
-    bad = any(v > lat.orth_tol for _, v in report.diagnostics)
+    bad = any(not v <= lat.orth_tol for _, v in report.diagnostics)
     return report, 2 if bad else 0
 
 
@@ -178,10 +178,10 @@ def cmd_beurling(args) -> tuple[Report, int]:
                     partition=_partition_counts(res.partition),
                     diagnostics=diagnostics,
                     inner_defects=tuple(float(d) for d in phi.inner_defects()))
-    bad = (dist > 10.0 * lat.orth_tol
-           or any(v > lat.orth_tol for key, v in diagnostics
+    bad = (not dist <= 10.0 * lat.orth_tol
+           or any(not v <= lat.orth_tol for key, v in diagnostics
                   if key != "phi_range_distance")
-           or max(report.inner_defects, default=0.0) > inner_tol)
+           or any(not d <= inner_tol for d in report.inner_defects))
     return report, 2 if bad else 0
 
 
@@ -201,7 +201,7 @@ def cmd_verify(args) -> tuple[Report, int]:
                     spectrum=tuple(spectrum(jm)),
                     partition=_partition_counts(res.partition),
                     diagnostics=tuple(sorted(diagnostics.items())))
-    bad = any(v > lat.orth_tol for _, v in report.diagnostics)
+    bad = any(not v <= lat.orth_tol for _, v in report.diagnostics)
     return report, 2 if bad else 0
 
 

@@ -1,10 +1,10 @@
 """Range functions: measurable families of per-fiber subspaces, and
 operator fields acting on them.
 
-A range function assigns to every grid point an orthonormal frame. Two
-ambient sizes occur: frames inside the truncated fiber Hardy space
-(dimension n_z*k, ``RangeFunctionH``) and frames inside the coordinate
-space C^k alone (``RangeFunctionK``).
+A range function assigns to every grid point an orthonormal frame (each
+entry of Q* Q - I within 1e-10). Two ambient sizes occur: frames inside the
+truncated fiber Hardy space (dimension n_z*k, ``RangeFunctionH``) and
+frames inside the coordinate space C^k alone (``RangeFunctionK``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class _RangeFunction:
                 raise ValueError(f"frame {m} must have {ambient} rows")
             if q.shape[1]:
                 gram = q.conj().T @ q
-                if not np.allclose(gram, np.eye(q.shape[1]), atol=1e-10):
+                gram[np.diag_indices_from(gram)] -= 1.0
+                if not np.abs(gram).max() <= 1e-10:
                     raise ValueError(f"frame {m} is not orthonormal")
             fixed.append(frozen_array(q))
         object.__setattr__(self, "frames", tuple(fixed))

@@ -115,10 +115,12 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     if q.shape[1] == 0:
         return np.array(q, dtype=complex)
     q = _phase_normalize(q)
-    if s is None:
-        sv = np.zeros(q.shape[1])
-    else:
-        sv = np.asarray(s, dtype=float)
+    sv = np.zeros(q.shape[1]) if s is None else np.asarray(s, dtype=float)
+    order = np.argsort(-sv, kind="stable")
+    if np.all(np.diff(sv[order])):
+        # no ties: the value order alone is the lexsort order below (and
+        # np.unique would import numpy.ma, about 1 MB resident)
+        return np.take(q, order, axis=1)
     # lexsort keys run least to most significant: the interleaved
     # (real, imag) rows break exact ties, -sv decides first
     interleaved = np.empty((2 * q.shape[0], q.shape[1]))
@@ -213,18 +215,6 @@ def op_norm(a: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         return float(singular_values(a)[0])
     return scale * float(np.sqrt(max(top, 0.0)))
-
-
-def herm_norm(a: np.ndarray) -> float:
-    """2-norm of a Hermitian matrix via its extreme eigenvalues. A failed
-    eigensolver falls back to ``singular_values``, not to ``op_norm``,
-    whose Gram route would run the failed solver again."""
-    if a.size == 0:
-        return 0.0
-    try:
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    except np.linalg.LinAlgError:
-        return float(singular_values(a)[0])
 
 
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:

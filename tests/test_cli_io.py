@@ -3,6 +3,7 @@
 import os
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,39 @@ def test_cli_verify_refuses_non_finite_symbol(tmp_path, capsys, row, col, delta)
     capsys.readouterr()
     assert run_cli(["verify", str(outdir)]) == (3, "")
     assert "phi must be finite" in capsys.readouterr().err
+
+
+def test_cli_verify_fails_an_overflowing_symbol(tmp_path):
+    """A finite entry near 1e200 inside the wandering rank overflows the
+    products of verification. The report shows the non-finite defects, the
+    gates read them as failures, and numpy warns about nothing."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    lat = TruncationLattice(4, 8, 2)
+    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 1, 0, 0), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["verify", str(outdir)])
+    assert code == 2
+    for key in ("isometry_defect", "image_defect"):
+        assert not np.isfinite(_diagnostic(out, key))
+
+
+def test_cli_verify_refuses_a_non_orthonormal_target(tmp_path, capsys):
+    """A target frame with one column scaled by 1 + 5e-6 is bad input."""
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    fshd = str(outdir / "decomposition.fshd")
+    res, jm = load_decomposition(fshd)
+    frames = [np.array(q) for q in jm.frames]
+    frames[1][:, 0] *= 1 + 5e-6
+    object.__setattr__(jm, "frames", tuple(frames))  # behind the check's back
+    save_decomposition(res, jm, fshd)
+    capsys.readouterr()
+    assert run_cli(["verify", fshd]) == (3, "")
+    assert "frame 1 is not orthonormal" in capsys.readouterr().err
 
 
 def test_cli_verify_catches_a_direction_tilted_into_the_band(tmp_path):

@@ -12,7 +12,7 @@ from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
 from fibershift.fields import field_from_function, z_degree
 from fibershift.subspaces import (_phase_normalize, canonical_columns,
-                                  complement_frame, herm_norm, op_norm,
+                                  complement_frame, op_norm,
                                   project_onto, rank_decision, residual_norms,
                                   robust_svd)
 
@@ -215,6 +215,29 @@ def test_canonical_columns_convention(q, s):
     _assert_convention(q, s)
 
 
+@pytest.mark.parametrize("s, ties", [
+    (np.array([3.0, 1.0, 4.0, 2.0, 0.5]), False),
+    (np.array([5.0, 4.0, 3.0, 2.0, 1.0]), False),
+    (np.array([2.0, 1.0, 2.0, 1.0, 0.5]), True),
+    (np.array([0.0, -0.0, 1.0, 2.0, 3.0]), True),
+    (None, True),
+])
+def test_canonical_columns_sorts_coefficients_only_on_ties(monkeypatch, s, ties):
+    """Distinct singular values fix the order alone, byte for byte the
+    order of the full sort; the coefficient sort runs only on ties."""
+    q = haar_frame(np.random.default_rng(26), 7, 5)
+    calls = []
+    real_lexsort = np.lexsort
+
+    def counting_lexsort(keys):
+        calls.append(len(keys))
+        return real_lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    _assert_convention(q, s)
+    assert bool(calls) == ties
+
+
 @st.composite
 def _frames_with_ties(draw):
     """Small matrices over a few values, so that columns share long
@@ -383,24 +406,6 @@ def test_op_norm_rejects_non_finite(bad):
     a[1, 2] = bad
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         op_norm(a)
-
-
-def test_herm_norm_eigensolver_failure(monkeypatch):
-    """herm_norm falls back to the singular values once: no second
-    eigenproblem, so the fallback cannot loop back into the eigensolver."""
-    rng = np.random.default_rng(8)
-    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = b + b.conj().T
-    expected = np.abs(np.linalg.eigvalsh(h)).max()
-    calls = []
-
-    def failing(x, *args, **kw):
-        calls.append(x.shape)
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    assert herm_norm(h) == pytest.approx(expected, rel=1e-13)
-    assert calls == [(5, 5)]
 
 
 def test_op_norm_unresolved_spectrum_fallback(monkeypatch):

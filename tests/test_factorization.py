@@ -11,7 +11,8 @@ from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         NotInvariant, NotPartialIsometry, OperatorField,
                         SymbolField, TruncationLattice, commutes_with_S,
                         connecting_isometry, decompose, decompose_range,
-                        initial_space_is_full_hardy, range_from_generators,
+                        RangeFunctionH, initial_space_is_full_hardy,
+                        range_from_generators,
                         shat_closure, verify_decomposition)
 from fibershift.factorization import DecompositionResult, verify_per_fiber
 from fibershift.fields import field_from_fibers
@@ -124,36 +125,87 @@ def test_cover_stays_linear_for_a_tilted_tail_direction():
 
 
 def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
-    """Cost guard: per fiber of wandering dimension n, verification works
-    at the size n * n_z of the image and makes no SVD. At k = 2 with n = 1
-    the ambient dimension is twice that; the band projector comparison it
-    replaces ran an eigenproblem of size 26 here and one SVD per fiber."""
+    """Cost guard: every defect is a Frobenius norm, so verification makes
+    no SVD and no eigenproblem of any size. At (1,16,2) with n = 1 the
+    2-norm route ran one 16 x 16 eigenproblem per defect."""
     rng = np.random.default_rng(14)
     lat = TruncationLattice(1, 16, 2)
     jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
     res = decompose_range(jm)
-    n = int(res.ranks[0])
-    assert n == 1
-    svd_calls, eig_sizes = [], []
-    real_svd, real_eigvalsh, real_eigh = np.linalg.svd, np.linalg.eigvalsh, np.linalg.eigh
+    assert int(res.ranks[0]) == 1
+    calls = []
 
-    def counting_svd(a, *args, **kwargs):
-        svd_calls.append(a.shape)
-        return real_svd(a, *args, **kwargs)
-
-    def sized(real):
-        def eig(a, *args, **kwargs):
-            eig_sizes.append(a.shape[0])
+    def counting(real):
+        def solver(a, *args, **kwargs):
+            calls.append((real.__name__, a.shape))
             return real(a, *args, **kwargs)
-        return eig
+        return solver
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "eigvalsh", sized(real_eigvalsh))
-    monkeypatch.setattr(np.linalg, "eigh", sized(real_eigh))
+    for name in ("svd", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     per = verify_per_fiber(res, jm)
-    assert svd_calls == []
-    assert eig_sizes and max(eig_sizes) <= n * lat.n_z
+    assert calls == []
     assert max(float(v.max()) for v in per.values()) < lat.orth_tol
+
+
+def _dense_range(lat: TruncationLattice, frame: np.ndarray) -> RangeFunctionH:
+    return RangeFunctionH(lat, (frame,) * lat.n_lambda)
+
+
+def _corrupted(defect: str):
+    """A symbol and a target that the named defect alone must catch, with
+    the value that defect reads."""
+    if defect == "isometry":
+        # phi_1 = z e_1 scaled by 1 + 1e-6: W* W - I = 2.000001e-6 I on the
+        # n_z - 1 band columns
+        lat = TruncationLattice(4, 8, 2)
+        jm = z_e1_range(lat)
+        res = decompose_range(jm)
+        phi = np.array(res.field.phi) * (1.0 + 1e-6)
+        expected = (2e-6 + 1e-12) * np.sqrt(lat.n_z - 1)
+        return DecompositionResult(SymbolField(lat, phi), res.ranks, {}), jm, \
+            "isometry_defect", expected
+    if defect == "contain":
+        # W = H^2 e_1 against J = z H^2 e_1: the column e_1 lies outside J
+        lat = TruncationLattice(4, 8, 2)
+        full = _dense_range(lat, np.column_stack(
+            [unit_vector(lat, d, 0) for d in range(lat.n_z)]))
+        return decompose_range(full), z_e1_range(lat), "image_defect", 1.0
+    if defect == "cover":
+        # J = z H^2 e_1 plus e_2 z^(n_z - 1) tilted 1e-5 towards e_2 z^0
+        lat = TruncationLattice(4, 8, 2)
+        jm = z_e1_range(lat)
+        return decompose_range(jm), with_tilted_extra_direction(jm, 1e-5), \
+            "image_defect", 1e-5
+    # leak: phi = (1 + z^40)/sqrt(2) has band 0 .. 23, where its shifts are
+    # orthonormal, but W W* is no projector past the band: each shift
+    # S^j phi (1 <= j <= 23) leaves (1/2) z^(j+40)/sqrt(2) outside it
+    lat = TruncationLattice(1, 64, 1)
+    phi = np.zeros((1, lat.ambient, 1), dtype=complex)
+    phi[0, [0, 40], 0] = 1.0 / np.sqrt(2.0)
+    res = DecompositionResult(SymbolField(lat, phi), [1], {})
+    jm = _dense_range(lat, np.eye(lat.ambient, dtype=complex))
+    return res, jm, "invariance_leak", np.sqrt(23) / (2.0 * np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("defect", ["isometry", "contain", "cover", "leak"])
+def test_each_defect_fails_on_its_own_corruption(defect):
+    """Every check can fail: each corruption drives its defect past
+    orth_tol, to the Frobenius norm worked out by hand."""
+    res, jm, key, expected = _corrupted(defect)
+    diags = verify_decomposition(res, jm)
+    assert diags[key] == pytest.approx(expected, rel=1e-6)
+    assert diags[key] > 10 * jm.lattice.orth_tol
+
+
+def test_leak_corruption_passes_the_band_isometry():
+    """The band isometry cannot see the overlap of phi = (1 + z^40)/sqrt(2)
+    with its shifts past the band: there the shifted copies are orthonormal
+    to rounding. The invariance leak reads it."""
+    res, jm, _, _ = _corrupted("leak")
+    per = verify_per_fiber(res, jm)
+    assert per["isometry_defect"][0] < 1e-14
+    assert per["invariance_leak"][0] > 0.3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

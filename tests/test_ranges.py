@@ -25,6 +25,22 @@ def test_frame_validation():
         RangeFunctionK(lat, (np.eye(2), np.eye(2)))  # wrong ambient
 
 
+@pytest.mark.parametrize("scale, ok", [(1 + 5e-6, False), (1 + 4e-11, True),
+                                        (np.nan, False)])
+def test_frame_validation_tolerance(scale, ok):
+    """Every entry of Q* Q - I must stay within 1e-10: a column scaled by
+    1 + 5e-6 moves the diagonal by 1e-5, which a relative tolerance of
+    1e-5 let through."""
+    lat = TruncationLattice(1, 4, 1)
+    q = np.eye(4, dtype=complex)
+    q[:, 2] *= scale
+    if ok:
+        RangeFunctionH(lat, (q,))
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            RangeFunctionH(lat, (q,))
+
+
 def test_range_ranks():
     lat = TruncationLattice(3, 2, 1)
     frames = (np.eye(2, dtype=complex)[:, :1], np.zeros((2, 0)),
