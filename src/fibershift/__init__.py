@@ -21,7 +21,7 @@ from .errors import (BandExceeded, BaseNotConstant, BoundsError,
 from .factorization import (CONNECTING_KEYS, DIAGNOSTIC_KEYS,
                             DecompositionResult, SymbolField,
                             connecting_isometry, decompose, decompose_range,
-                            initial_space_is_full_hardy, verify_decomposition)
+                            initial_space_base, verify_decomposition)
 from .fields import FiberedField, LaurentPolyField, eval_field, z_degree
 from .fileio import (ProblemFile, Report, load_decomposition, load_problem,
                      problem_fields, render_csv, render_text,
@@ -29,12 +29,11 @@ from .fileio import (ProblemFile, Report, load_decomposition, load_problem,
 from .full_hardy import (full_hardy_complement, full_hardy_from_base,
                          is_full_hardy, project_pointwise)
 from .lattice import TruncationLattice
-from .ranges import (OperatorField, RangeFunctionH, RangeFunctionK,
-                     apply_opfield, complement_range, direct_sum_ranges,
-                     image_and_kernel_ranges, member, range_from_generators,
+from .ranges import (RangeFunctionH, RangeFunctionK, complement_range,
+                     direct_sum_ranges, member, range_from_generators,
                      spectrum)
-from .shifts import (apply_S_hat, apply_U, apply_U_star, commutes_with_S,
-                     is_S_invariant, shat_closure, shift_matrix)
+from .shifts import (apply_S_hat, apply_U, apply_U_star, is_S_invariant,
+                     shat_closure, shift_matrix)
 from .subspaces import orthonormal_frame, subspace_distance
 from .wandering import (DimensionPartition, FrameFields, dimension_partition,
                         frame_fields, reconstruct_from_wandering,
@@ -45,20 +44,18 @@ __version__ = "0.1.0"
 __all__ = [
     "TruncationLattice", "FiberedField", "LaurentPolyField", "eval_field",
     "z_degree",
-    "RangeFunctionH", "RangeFunctionK", "OperatorField",
+    "RangeFunctionH", "RangeFunctionK",
     "range_from_generators", "member", "complement_range",
-    "direct_sum_ranges", "spectrum", "apply_opfield",
-    "image_and_kernel_ranges",
+    "direct_sum_ranges", "spectrum",
     "apply_U", "apply_U_star", "apply_S_hat", "shift_matrix", "shat_closure",
     "is_S_invariant",
-    "commutes_with_S",
     "DimensionPartition", "FrameFields", "wandering_range",
     "dimension_partition", "frame_fields", "reconstruct_from_wandering",
     "project_pointwise", "full_hardy_from_base", "is_full_hardy",
     "full_hardy_complement",
     "DecompositionResult", "SymbolField", "decompose", "decompose_range",
     "verify_decomposition", "connecting_isometry",
-    "initial_space_is_full_hardy", "DIAGNOSTIC_KEYS", "CONNECTING_KEYS",
+    "initial_space_base", "DIAGNOSTIC_KEYS", "CONNECTING_KEYS",
     "ScalarH2", "InnerField", "inner_from_invariant", "phi_representation",
     "range_of_phi", "inner_quotient",
     "ProblemFile", "Report", "load_problem", "problem_fields",

@@ -54,7 +54,8 @@ class BaseNotConstant(FibershiftError):
     """Recovered wandering vectors carry nonzero higher-degree components.
 
     No longer raised: ``is_full_hardy``'s S* leak bounds the degree-positive
-    mass of a wandering vector. Kept because callers catch it.
+    mass of a wandering vector. Kept because the benchmark workloads still
+    catch it.
     """
 
 
@@ -79,7 +80,7 @@ class ImagesDiffer(FibershiftError):
 
 
 class NotPartialIsometry(FibershiftError):
-    """Singular values of an operator field stray from {0, 1}."""
+    """A symbol's Phi* Phi is not a constant projection on the circle."""
 
 
 class ParseError(FibershiftError):

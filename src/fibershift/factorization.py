@@ -17,8 +17,8 @@ columns whose degrees stay inside the reliable band, and the target is
 compared with the banded image on the band rows, where shifts of the image
 past the band vanish. Comparisons never introduce new rank decisions; they
 reuse frames that already exist, and every defect is a Frobenius norm.
-``connecting_isometry`` compares two symbols on every degree. Dense operator
-fields only serve fields built outside ``decompose``.
+``connecting_isometry`` compares two symbols on every degree, and
+``initial_space_base`` reads the initial space of a field off its symbol.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import ImagesDiffer, NotPartialIsometry
 from .fields import FiberedField, z_degree
-from .full_hardy import is_full_hardy
 from .lattice import TruncationLattice, frozen_array
-from .ranges import OperatorField, RangeFunctionH, RangeFunctionK, range_from_generators
-from .shifts import commutes_with_S, shifted_copies
-from .subspaces import DEGREE_TOL, canonical_columns, project_onto, robust_svd
+from .ranges import RangeFunctionH, RangeFunctionK, range_from_generators
+from .shifts import shifted_copies
+from .subspaces import DEGREE_TOL, canonical_columns, project_onto
 from .wandering import DimensionPartition, FrameFields, frame_fields, wandering_range
 
 DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect", "invariance_leak")
@@ -261,35 +260,45 @@ def connecting_isometry(res1: DecompositionResult, res2: DecompositionResult,
     return SymbolField(lat, symbol), worst
 
 
-def initial_space_is_full_hardy(field_op: OperatorField | SymbolField,
-                                ) -> tuple[bool, RangeFunctionK | None]:
-    """Test whether a commuting partial isometry field starts on a full
-    Hardy space, and recover its base.
+def initial_space_base(field: SymbolField) -> RangeFunctionK:
+    """Base of the full Hardy space a partial isometry field starts on.
 
-    Singular values of each fiber operator must sit within orth_tol of 0 or
-    1 (NotPartialIsometry otherwise); the initial space is spanned by the
-    right singular vectors at the unit singular values. A field that fails
-    to commute with the fiber shift on the band is rejected outright.
+    A partial isometry that commutes with S starts on a full Hardy space:
+    its initial space and its kernel are both S-invariant, so the initial
+    space reduces S. The field of Phi is such a partial isometry exactly
+    when Phi is rigid, Phi(zeta)* Phi(zeta) = P on the circle for one
+    projection P, and P projects onto the base. Per fiber:
 
-    Truncation caveat: a field built by ``decompose`` is a partial isometry
-    in this global sense only when no frame column truncates partway. Frame
-    vectors of degree d lose mass once shifted past degree n_z - 1 - d, and
-    the clipped columns carry singular values strictly between 0 and 1, so
-    fields over degree-positive frames are rejected here even though they
-    verify cleanly on the reliable band.
+    - A_0 = Phi* Phi (k x k) must have every eigenvalue within orth_tol of
+      0 or 1; P projects onto its unit eigenvectors, which span the base.
+    - The rigidity defect R = sqrt(mean_t ||Phi(zeta_t)* Phi(zeta_t) - P||_F^2)
+      over the 2 n_z-th roots of unity must be at most orth_tol. Degrees of
+      Phi* Phi stay below n_z in modulus, so these points do not alias and
+      R^2 = ||A_0 - P||_F^2 + 2 sum_{d >= 1} ||A_d||_F^2 exactly, with
+      A_d = sum_j phi_j* phi_{j+d} for the degree blocks phi_j.
+
+    Either failure raises NotPartialIsometry naming the fiber; a NaN R
+    fails too. Columns of Phi are never truncated here, so a decomposition
+    over frames of positive degree passes where the truncated F would clip.
+    Each fiber costs one FFT of length 2 n_z and one k x k eigenproblem.
     """
-    lat = field_op.lattice
-    ok, defect = commutes_with_S(field_op)
-    if not ok:
-        raise ValueError(f"field does not commute with the fiber shift ({defect:.3e})")
+    lat = field.lattice
+    n_z, k, tol = lat.n_z, lat.k, lat.orth_tol
     frames = []
     for m in range(lat.n_lambda):
-        _, s, vh = robust_svd(field_op.op(m))
-        bad = (s > lat.orth_tol) & (np.abs(s - 1.0) > lat.orth_tol)
+        phi = field.phi[m]
+        w, v = np.linalg.eigh(phi.conj().T @ phi)
+        unit = np.abs(w - 1.0) <= tol
+        bad = ~(unit | (np.abs(w) <= tol))
         if np.any(bad):
             raise NotPartialIsometry(
-                f"singular value {float(s[bad][0]):.6f} away from 0 and 1", fiber=m)
-        keep = np.abs(s - 1.0) <= lat.orth_tol
-        frames.append(canonical_columns(vh[keep].conj().T))
-    initial = RangeFunctionH(lat, tuple(frames))
-    return is_full_hardy(initial)
+                f"eigenvalue {float(w[bad][0]):.6f} of Phi* Phi away from 0 and 1", fiber=m)
+        base = v[:, unit]
+        values = np.fft.fft(phi.reshape(n_z, k, k), n=2 * n_z, axis=0)
+        grams = values.conj().transpose(0, 2, 1) @ values
+        rigidity = float(np.linalg.norm(grams - base @ base.conj().T) / np.sqrt(2 * n_z))
+        if not rigidity <= tol:
+            raise NotPartialIsometry(
+                f"rigidity defect {rigidity:.3e}: Phi* Phi is not constant", fiber=m)
+        frames.append(canonical_columns(base))
+    return RangeFunctionK(lat, tuple(frames))

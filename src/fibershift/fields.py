@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,13 +73,6 @@ def field_from_fibers(lattice: TruncationLattice, fibers: Iterable[np.ndarray]) 
     """Stack per-fiber (n_z, k) arrays into a field."""
     data = np.stack([np.asarray(f, dtype=complex) for f in fibers])
     return FiberedField(lattice, data)
-
-
-def field_from_function(lattice: TruncationLattice,
-                        fn: Callable[[complex], np.ndarray]) -> FiberedField:
-    """Sample ``fn`` at every grid point; fn returns an (n_z, k) fiber."""
-    lams = lattice.lambdas()
-    return field_from_fibers(lattice, (fn(lam) for lam in lams))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Range functions: measurable families of per-fiber subspaces, and
-operator fields acting on them.
+"""Range functions: measurable families of per-fiber subspaces.
 
 A range function assigns to every grid point an orthonormal frame (each
 entry of Q* Q - I within 1e-10). Two ambient sizes occur: frames inside the
@@ -19,11 +18,9 @@ from .lattice import TruncationLattice, frozen_array
 from .subspaces import (
     canonical_columns,
     complement_frame,
-    op_norm,
     orthonormal_frame,
     rank_decision,
     residual_norms,
-    robust_svd,
     singular_values,
 )
 
@@ -81,31 +78,6 @@ class RangeFunctionK(_RangeFunction):
 
     def __post_init__(self):
         self._check(self.lattice.k)
-
-
-@dataclass(frozen=True)
-class OperatorField:
-    """One (n_z*k) x (n_z*k) matrix per grid point, acting fiberwise. Only
-    fields built outside ``decompose`` take this form, as inputs to
-    ``commutes_with_S``, ``initial_space_is_full_hardy`` and
-    ``image_and_kernel_ranges``."""
-
-    lattice: TruncationLattice
-    ops: np.ndarray
-
-    def __post_init__(self):
-        a = self.lattice.ambient
-        ops = np.asarray(self.ops, dtype=complex)
-        if ops.shape != (self.lattice.n_lambda, a, a):
-            raise ValueError(f"ops must have shape ({self.lattice.n_lambda}, {a}, {a})")
-        object.__setattr__(self, "ops", frozen_array(ops))
-
-    def op(self, m: int) -> np.ndarray:
-        return self.ops[m]
-
-    def sup_norm(self) -> float:
-        """max over fibers of the operator 2-norm."""
-        return max(op_norm(self.ops[m]) for m in range(self.lattice.n_lambda))
 
 
 def _generator_stacks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
@@ -205,33 +177,3 @@ def spectrum_from_ranks(ranks) -> list[int]:
 def spectrum(range_fn) -> list[int]:
     """Sorted grid indices where the fiber subspace is nonzero."""
     return spectrum_from_ranks(range_fn.ranks())
-
-
-def apply_opfield(field_op: OperatorField, f: FiberedField) -> FiberedField:
-    """Apply the operator field fiberwise to a field."""
-    lat = field_op.lattice
-    if f.lattice != lat:
-        raise ValueError("lattice mismatch")
-    flat = np.einsum("mab,mb->ma", field_op.ops, f.flat())
-    return FiberedField(lat, flat.reshape(lat.n_lambda, lat.n_z, lat.k))
-
-
-def image_and_kernel_ranges(field_op: OperatorField, range_fn: RangeFunctionH,
-                            ) -> tuple[RangeFunctionH, RangeFunctionH]:
-    """Pointwise image of the restriction to ``range_fn`` and pointwise kernel.
-
-    The image frame spans F(lambda_m) applied to the fiber subspace; the
-    kernel frame spans the full null space of F(lambda_m) (right singular
-    vectors at singular values below the cutoff).
-    """
-    lat = field_op.lattice
-    if range_fn.lattice != lat:
-        raise ValueError("lattice mismatch")
-    images, kernels = [], []
-    for m in range(lat.n_lambda):
-        op = field_op.ops[m]
-        images.append(orthonormal_frame(op @ range_fn.frames[m], lat.rank_tol, fiber=m))
-        _, s, vh = robust_svd(op)
-        rank = rank_decision(s, lat.rank_tol, fiber=m)
-        kernels.append(canonical_columns(vh[rank:].conj().T))
-    return RangeFunctionH(lat, tuple(images)), RangeFunctionH(lat, tuple(kernels))

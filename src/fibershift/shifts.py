@@ -8,7 +8,9 @@ Invariance is measured on whole frames: with P_n the truncation,
 P_n S P_n = P_n S, so the truncation of an S-invariant subspace is exactly
 invariant under the truncated shift and dropping the top degree cannot
 masquerade as a leak. The leak of one fiber is computed in ``shift_leak``
-alone; the invariance verdict and the wandering step both read it.
+alone; the invariance verdict and the wandering step both read it. Fields
+are stored as symbols, whose shifted copies make up the fiber operators, so
+they commute with both shifts by construction and need no commutation check.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .ranges import OperatorField, RangeFunctionH
-from .subspaces import op_norm
+from .ranges import RangeFunctionH
 
 
 def apply_U(f: FiberedField) -> FiberedField:
@@ -73,13 +74,6 @@ def shift_matrix(lattice: TruncationLattice) -> np.ndarray:
     return _shift_matrix(lattice.n_z, lattice.k)
 
 
-def shift_columns(cols: np.ndarray, n_z: int, k: int) -> np.ndarray:
-    """Fiber shift applied to each flattened column of a matrix."""
-    out = np.zeros_like(np.asarray(cols, dtype=complex))
-    out[k:, :] = cols[: (n_z - 1) * k, :]
-    return out
-
-
 def shifted_copies(cols: np.ndarray, n_z: int, k: int, count: int) -> np.ndarray:
     """``[cols, S cols, ..., S^(count-1) cols]`` side by side, degree-major:
     column j*r + i is the i-th of the r columns shifted j times. Every stack
@@ -99,7 +93,10 @@ def shift_leak(frame: np.ndarray, n_z: int, k: int) -> float:
     if frame.shape[1] == 0:
         return 0.0
     c_star = frame[: (n_z - 1) * k].conj().T @ frame[k:]
-    return float(np.linalg.norm(shift_columns(frame, n_z, k) - frame @ c_star.conj().T))
+    # Q C - S Q, with S Q the frame one degree block down
+    d = frame @ c_star.conj().T
+    d[k:] -= frame[: (n_z - 1) * k]
+    return float(np.linalg.norm(d))
 
 
 def shift_leaks(range_fn: RangeFunctionH) -> np.ndarray:
@@ -123,28 +120,3 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     """
     worst = float(shift_leaks(range_fn).max())
     return worst <= range_fn.lattice.orth_tol, worst
-
-
-def commutation_defect(f: np.ndarray, n_z: int, k: int) -> float:
-    """``||F S - S F||`` on inputs and outputs of degree <= n_z - 2, read off
-    slices of F. The SVD runs only when the difference is not exactly zero,
-    which it is when the columns of F are shifted copies of its first block.
-    """
-    dim = (n_z - 1) * k
-    # F S is F without its first k columns; S F is F one degree down
-    d = np.array(f[:dim, k:], dtype=complex)
-    d[k:] -= f[: dim - k, :dim]
-    return op_norm(d) if np.any(d) else 0.0
-
-
-def commutes_with_S(field_op: OperatorField) -> tuple[bool, float]:
-    """Whether the operator field commutes with the fiber shift on the band.
-
-    The defect at fiber m is ``commutation_defect`` of ``op(m)``: the band
-    is where the truncated shift is exact. Commutation with the grid rotation
-    is structural for fields acting fiberwise and needs no check.
-    """
-    lat = field_op.lattice
-    worst = max(commutation_defect(field_op.op(m), lat.n_z, lat.k)
-                for m in range(lat.n_lambda))
-    return worst <= lat.orth_tol, worst

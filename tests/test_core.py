@@ -5,18 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibershift
 import fibershift.subspaces as sub
 from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
                         ToleranceAmbiguity, TruncationLattice, eval_field,
                         orthonormal_frame, subspace_distance)
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
-from fibershift.fields import field_from_function, z_degree
+from fibershift.fields import z_degree
 from fibershift.subspaces import (_phase_normalize, canonical_columns,
                                   complement_frame, op_norm,
                                   project_onto, rank_decision, residual_norms,
                                   robust_svd)
 
 from helpers import haar_frame
+
+
+def test_exports_resolve_once():
+    """Every name in ``__all__`` is bound on the package and listed once, so
+    deleting a function cannot leave a stale export behind."""
+    names = fibershift.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(fibershift, n)] == []
 
 
 def test_lattice_validation():
@@ -112,12 +121,6 @@ def test_eval_field_bounds():
         eval_field(LaurentPolyField([(0, 4, 1, 1.0)]), lat)
     with pytest.raises(CoordinateOverflow):
         eval_field(LaurentPolyField([(0, 0, 3, 1.0)]), lat)
-
-
-def test_field_from_function():
-    lat = TruncationLattice(4, 2, 1)
-    f = field_from_function(lat, lambda lam: np.array([[lam], [0.0]]))
-    assert np.allclose(f.data[:, 0, 0], lat.lambdas())
 
 
 def test_orthonormal_frame_rank():

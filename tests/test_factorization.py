@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
-                        NotInvariant, NotPartialIsometry, OperatorField,
-                        SymbolField, TruncationLattice, commutes_with_S,
-                        connecting_isometry, decompose, decompose_range,
-                        RangeFunctionH, initial_space_is_full_hardy,
-                        range_from_generators,
-                        shat_closure, verify_decomposition)
+                        NotInvariant, NotPartialIsometry, SymbolField,
+                        TruncationLattice, connecting_isometry, decompose,
+                        decompose_range, RangeFunctionH, initial_space_base,
+                        range_from_generators, shat_closure, shift_matrix,
+                        verify_decomposition)
 from fibershift.factorization import DecompositionResult, verify_per_fiber
 from fibershift.fields import field_from_fibers
-from fibershift.shifts import shift_columns
 
 from helpers import (frame_projector, grid_seeds, haar_frame, haar_unitary,
                      unit_vector, with_frame, with_tilted_extra_direction,
@@ -68,7 +66,7 @@ def test_decompose_random_closure():
         col = np.stack([phi.flat()[m] for phi in res.frames.phis[:r]], axis=1)
         for j in range(lat.n_z):
             expected[:, j * lat.k: j * lat.k + r] = col
-            col = shift_columns(col, lat.n_z, lat.k)
+            col = shift_matrix(lat) @ col
         assert np.array_equal(res.field.op(m), expected)
 
 
@@ -124,15 +122,8 @@ def test_cover_stays_linear_for_a_tilted_tail_direction():
         assert diags["image_defect"] == pytest.approx(delta, rel=1e-6)
 
 
-def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
-    """Cost guard: every defect is a Frobenius norm, so verification makes
-    no SVD and no eigenproblem of any size. At (1,16,2) with n = 1 the
-    2-norm route ran one 16 x 16 eigenproblem per defect."""
-    rng = np.random.default_rng(14)
-    lat = TruncationLattice(1, 16, 2)
-    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
-    res = decompose_range(jm)
-    assert int(res.ranks[0]) == 1
+def _count_solver_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
+    """Record (name, input shape) of every svd, eigvalsh and eigh call."""
     calls = []
 
     def counting(real):
@@ -143,6 +134,19 @@ def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
 
     for name in ("svd", "eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    return calls
+
+
+def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
+    """Cost guard: every defect is a Frobenius norm, so verification makes
+    no SVD and no eigenproblem of any size. At (1,16,2) with n = 1 the
+    2-norm route ran one 16 x 16 eigenproblem per defect."""
+    rng = np.random.default_rng(14)
+    lat = TruncationLattice(1, 16, 2)
+    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    res = decompose_range(jm)
+    assert int(res.ranks[0]) == 1
+    calls = _count_solver_calls(monkeypatch)
     per = verify_per_fiber(res, jm)
     assert calls == []
     assert max(float(v.max()) for v in per.values()) < lat.orth_tol
@@ -275,7 +279,6 @@ def test_connecting_field_is_the_constant_unitary(n_lambda, n_z, k, seed):
         assert np.abs(psi.phi[m][:k] - v).max() < 1e-13
         assert not np.any(psi.phi[m][k:])
         assert np.abs(psi.op(m) - np.kron(np.eye(n_z), v)).max() < 1e-13
-    assert commutes_with_S(psi) == (True, 0.0)
 
 
 def test_connecting_isometry_rejects_factorization_off_the_images():
@@ -317,45 +320,61 @@ def test_connecting_isometry_rejects_different_images():
         connecting_isometry(res1, res2)
 
 
+def _assert_base_is(res, base):
+    for m in range(res.lattice.n_lambda):
+        assert np.abs(frame_projector(base.frames[m])
+                      - frame_projector(res.base.frames[m])).max() < 1e-8
+
+
 def test_initial_space_roundtrip():
-    # degree-zero frames keep every column of F exact, so the global
-    # partial isometry test applies; degree-positive frames clip at the
-    # top of the band and are rejected by design
     rng = np.random.default_rng(54)
     lat = TruncationLattice(6, 16, 2)
     col = np.zeros((lat.n_z, lat.k), dtype=complex)
     col[0] = haar_frame(rng, 2, 1)[:, 0]
     gens = [field_from_fibers(lat, [col] * lat.n_lambda)]
     res = decompose(shat_closure(gens), lat)
-    ok, base = initial_space_is_full_hardy(res.field)
-    assert ok
-    for m in range(lat.n_lambda):
-        assert np.abs(frame_projector(base.frames[m])
-                      - frame_projector(res.base.frames[m])).max() < 1e-8
+    _assert_base_is(res, initial_space_base(res.field))
 
 
-def test_initial_space_rejects_clipped_frames():
+def test_initial_space_accepts_frames_of_positive_degree():
+    """Frames of positive degree clip at the top of the truncated F, whose
+    singular values then stray from 0 and 1 (0.9936 at fiber 0). Read off
+    the untruncated symbol, the field is rigid and starts on res.base."""
     rng = np.random.default_rng(56)
     lat = TruncationLattice(6, 16, 2)
     res = decompose(shat_closure(grid_seeds(rng, lat, 1)), lat)
-    with pytest.raises(NotPartialIsometry):
-        initial_space_is_full_hardy(res.field)
+    s = np.linalg.svd(res.field.op(0), compute_uv=False)
+    assert np.any((s > 0.5) & (s < 1.0 - 1e-3))
+    _assert_base_is(res, initial_space_base(res.field))
 
 
 def test_initial_space_rejects_contraction():
     lat = TruncationLattice(4, 8, 1)
     res = decompose(_monomial_gens(lat, 1), lat)
-    half = OperatorField(lat, [0.5 * res.field.op(m) for m in range(lat.n_lambda)])
-    with pytest.raises(NotPartialIsometry):
-        initial_space_is_full_hardy(half)
+    with pytest.raises(NotPartialIsometry, match="eigenvalue 0.250000") as err:
+        initial_space_base(SymbolField(lat, 0.5 * res.field.phi))
+    assert err.value.fiber == 0
 
 
-def test_initial_space_rejects_noncommuting():
-    rng = np.random.default_rng(55)
-    lat = TruncationLattice(2, 4, 1)
-    ops = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
-    with pytest.raises(ValueError, match="commute"):
-        initial_space_is_full_hardy(OperatorField(lat, ops))
+def test_initial_space_rejects_overlapping_shifts_by_rigidity_alone():
+    """phi = (1 + z^40)/sqrt(2) has A_0 = 1, so the eigenvalue check passes;
+    A_40 = 1/2 makes the rigidity defect sqrt(2 * 1/4) = 0.707."""
+    res, _, _, _ = _corrupted("leak")
+    phi = res.field.phi[0]
+    assert np.abs(phi.conj().T @ phi - 1.0).max() < 1e-15
+    with pytest.raises(NotPartialIsometry, match="rigidity defect 7.071e-01"):
+        initial_space_base(res.field)
+
+
+def test_initial_space_runs_no_svd_and_only_coordinate_eigenproblems(monkeypatch):
+    """Cost guard: per fiber one k x k eigenproblem, no SVD and nothing of
+    the ambient size n_z * k."""
+    rng = np.random.default_rng(56)
+    lat = TruncationLattice(6, 16, 2)
+    res = decompose(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    calls = _count_solver_calls(monkeypatch)
+    initial_space_base(res.field)
+    assert calls == [("eigh", (lat.k, lat.k))] * lat.n_lambda
 
 
 def test_readme_library_block_runs(capsys):

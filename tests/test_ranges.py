@@ -1,15 +1,13 @@
-"""Range functions, operator fields, and the pointwise span calculus."""
+"""Range functions and the pointwise span calculus."""
 
 import numpy as np
 import pytest
 
-from fibershift import (FiberedField, NotOrthogonal, OperatorField,
-                        RangeFunctionH, RangeFunctionK, ToleranceAmbiguity,
-                        TruncationLattice, range_from_generators, shat_closure,
-                        shift_matrix)
-from fibershift.ranges import (apply_opfield, complement_range,
-                               direct_sum_ranges, image_and_kernel_ranges,
-                               member, spectrum)
+from fibershift import (FiberedField, NotOrthogonal, RangeFunctionH,
+                        RangeFunctionK, TruncationLattice,
+                        range_from_generators, shat_closure)
+from fibershift.ranges import (complement_range, direct_sum_ranges, member,
+                               spectrum)
 
 from helpers import brute_projector, frame_projector, grid_seeds
 
@@ -107,49 +105,6 @@ def test_vanishing_factor_empties_fibers():
     gens = shat_closure([FiberedField(lat, coeffs[:, :, None])])
     jm = range_from_generators(gens, lat)
     assert spectrum(jm) == [1, 3, 5, 7]
-
-
-def test_apply_opfield():
-    rng = np.random.default_rng(24)
-    lat = TruncationLattice(4, 3, 2)
-    ops = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
-    f = FiberedField(lat, rng.standard_normal((4, 3, 2)) + 0j)
-    g = apply_opfield(OperatorField(lat, ops), f)
-    for m in range(4):
-        assert np.allclose(g.flat()[m], ops[m] @ f.flat()[m])
-
-
-def test_image_and_kernel():
-    lat = TruncationLattice(4, 4, 1)
-    s = shift_matrix(lat)
-    field = OperatorField(lat, np.broadcast_to(s, (4, 4, 4)))
-    full = RangeFunctionH(lat, tuple(np.eye(4, dtype=complex) for _ in range(4)))
-    img, ker = image_and_kernel_ranges(field, full)
-    e = np.eye(4, dtype=complex)
-    for m in range(4):
-        # image of the shift is everything above degree zero
-        assert np.abs(frame_projector(img.frames[m])
-                      - frame_projector(e[:, 1:])).max() < 1e-12
-        # kernel is the top degree
-        assert np.abs(frame_projector(ker.frames[m])
-                      - frame_projector(e[:, 3:])).max() < 1e-12
-
-
-def test_kernel_guard_band():
-    lat = TruncationLattice(2, 2, 1)
-    ops = np.stack([np.diag([1.0, 1e-9]).astype(complex)] * 2)
-    full = RangeFunctionH(lat, (np.eye(2, dtype=complex),) * 2)
-    with pytest.raises(ToleranceAmbiguity):
-        image_and_kernel_ranges(OperatorField(lat, ops), full)
-
-
-def test_operator_field_shape_and_norm():
-    lat = TruncationLattice(2, 2, 1)
-    with pytest.raises(ValueError):
-        OperatorField(lat, np.zeros((2, 3, 2)))
-    field = OperatorField(lat, np.stack([np.diag([2.0, 0.0]),
-                                         np.diag([1.0, 1.0])]).astype(complex))
-    assert field.sup_norm() == pytest.approx(2.0)
 
 
 def test_range_frames_are_frozen():

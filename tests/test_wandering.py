@@ -10,7 +10,7 @@ from fibershift import (DimensionPartition, NotInvariant, RangeFunctionH,
                         range_from_generators, reconstruct_from_wandering,
                         shat_closure, wandering_range)
 from fibershift.errors import BandExceeded
-from fibershift.shifts import shift_columns, shift_matrix
+from fibershift.shifts import shift_matrix
 from fibershift.subspaces import complement_frame
 
 from helpers import brute_projector, frame_projector, grid_seeds, haar_frame
@@ -59,7 +59,7 @@ def test_wandering_lies_in_j_orthogonal_to_sj(k, seed):
     for m in range(lat.n_lambda):
         q, w = jm.frames[m], jr.frames[m]
         assert np.linalg.norm(w - q @ (q.conj().T @ w), 2) <= 1e-12
-        assert np.linalg.norm(w.conj().T @ shift_columns(q, lat.n_z, lat.k), 2) <= 1e-12
+        assert np.linalg.norm(w.conj().T @ shift_matrix(lat) @ q, 2) <= 1e-12
 
 
 def test_wandering_refuses_leak_at_cutoff_scale():
@@ -90,7 +90,7 @@ def _chain_with_slow_direction(eps: float) -> np.ndarray:
 def test_wandering_guard_band():
     lat = TruncationLattice(1, 8, 3)
     q = _chain_with_slow_direction(1.2e-9)
-    c = q.conj().T @ shift_columns(q, lat.n_z, lat.k)
+    c = q.conj().T @ shift_matrix(lat) @ q
     s = np.linalg.svd(c, compute_uv=False)
     assert np.allclose(s[:8], [1.0] * 7 + [1.2e-9], rtol=1e-12, atol=0.0)
     assert s[8:].max() == 0.0
