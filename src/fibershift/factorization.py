@@ -287,7 +287,9 @@ def initial_space_base(field: SymbolField) -> RangeFunctionK:
     frames = []
     for m in range(lat.n_lambda):
         phi = field.phi[m]
-        w, v = np.linalg.eigh(phi.conj().T @ phi)
+        # entries near 1e+200 overflow to an inf eigenvalue, which the gate fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, v = np.linalg.eigh(phi.conj().T @ phi)
         unit = np.abs(w - 1.0) <= tol
         bad = ~(unit | (np.abs(w) <= tol))
         if np.any(bad):

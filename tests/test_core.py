@@ -11,7 +11,7 @@ from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
                         ToleranceAmbiguity, TruncationLattice, eval_field,
                         orthonormal_frame, subspace_distance)
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
-from fibershift.fields import z_degree
+from fibershift.fields import field_from_fibers, z_degree
 from fibershift.subspaces import (_phase_normalize, canonical_columns,
                                   complement_frame, op_norm,
                                   project_onto, rank_decision, residual_norms,
@@ -121,6 +121,15 @@ def test_eval_field_bounds():
         eval_field(LaurentPolyField([(0, 4, 1, 1.0)]), lat)
     with pytest.raises(CoordinateOverflow):
         eval_field(LaurentPolyField([(0, 0, 3, 1.0)]), lat)
+
+
+def test_field_from_fibers_samples_a_function():
+    """Sampling a function on the grid is field_from_fibers over lambdas()."""
+    lat = TruncationLattice(4, 2, 1)
+    f = field_from_fibers(lat, map(lambda lam: np.array([[lam], [0.0]]),
+                                   lat.lambdas()))
+    assert np.allclose(f.data[:, 0, 0], lat.lambdas())
+    assert not np.any(f.data[:, 1])
 
 
 def test_orthonormal_frame_rank():

@@ -366,6 +366,44 @@ def test_initial_space_rejects_overlapping_shifts_by_rigidity_alone():
         initial_space_base(res.field)
 
 
+def test_initial_space_rejects_overflowing_symbol():
+    """A finite entry near 1e+200 overflows Phi* Phi: the eigenvalue gate
+    refuses the inf at that fiber, with no overflow warning escaping."""
+    lat = TruncationLattice(4, 8, 1)
+    res = decompose(_monomial_gens(lat, 1), lat)
+    phi = np.array(res.field.phi)
+    phi[2, 3, 0] = 1e200
+    with pytest.raises(NotPartialIsometry, match="eigenvalue inf") as err:
+        initial_space_base(SymbolField(lat, phi))
+    assert err.value.fiber == 2
+
+
+def test_initial_space_of_zero_symbol_is_empty():
+    """Phi = 0 is the zero partial isometry: it starts on the zero space."""
+    lat = TruncationLattice(3, 4, 2)
+    base = initial_space_base(SymbolField(lat, np.zeros((3, lat.ambient, lat.k))))
+    assert list(base.ranks()) == [0, 0, 0]
+
+
+def test_initial_space_follows_constant_unitaries_and_degree_shifts():
+    """Phi -> (I (x) U) z^2 Phi V keeps Phi rigid and moves the base to V* base:
+    a constant unitary on the left and a power of z leave Phi* Phi alone."""
+    rng = np.random.default_rng(54)
+    lat = TruncationLattice(6, 16, 2)
+    col = np.zeros((lat.n_z, lat.k), dtype=complex)
+    col[0] = haar_frame(rng, 2, 1)[:, 0]
+    res = decompose(shat_closure([field_from_fibers(lat, [col] * lat.n_lambda)]), lat)
+    u, v = haar_unitary(rng, lat.k), haar_unitary(rng, lat.k)
+    blocks = res.field.phi.reshape(lat.n_lambda, lat.n_z, lat.k, lat.k)
+    assert not np.any(blocks[:, -2:])
+    moved = np.zeros_like(blocks)
+    moved[:, 2:] = u @ blocks[:, :-2] @ v
+    base = initial_space_base(SymbolField(lat, moved.reshape(res.field.phi.shape)))
+    for m in range(lat.n_lambda):
+        assert np.abs(frame_projector(base.frames[m])
+                      - frame_projector(v.conj().T @ res.base.frames[m])).max() < 1e-8
+
+
 def test_initial_space_runs_no_svd_and_only_coordinate_eigenproblems(monkeypatch):
     """Cost guard: per fiber one k x k eigenproblem, no SVD and nothing of
     the ambient size n_z * k."""

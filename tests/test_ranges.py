@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fibershift import (FiberedField, NotOrthogonal, RangeFunctionH,
-                        RangeFunctionK, TruncationLattice,
+                        RangeFunctionK, ToleranceAmbiguity, TruncationLattice,
                         range_from_generators, shat_closure)
-from fibershift.ranges import (complement_range, direct_sum_ranges, member,
-                               spectrum)
+from fibershift.ranges import (complement_range, direct_sum_ranges,
+                               generator_ranks, member, spectrum)
 
 from helpers import brute_projector, frame_projector, grid_seeds
 
@@ -105,6 +105,18 @@ def test_vanishing_factor_empties_fibers():
     gens = shat_closure([FiberedField(lat, coeffs[:, :, None])])
     jm = range_from_generators(gens, lat)
     assert spectrum(jm) == [1, 3, 5, 7]
+
+
+def test_generator_guard_band_names_the_fiber():
+    """A generator fiber with a singular value at the rank cutoff is refused,
+    by the span and by the rank count alike, and the error names the fiber."""
+    lat = TruncationLattice(2, 2, 1)
+    a = FiberedField(lat, np.array([[[1.0], [0.0]], [[1.0], [0.0]]]))
+    b = FiberedField(lat, np.array([[[0.0], [1.0]], [[0.0], [1e-9]]]))
+    for build in (range_from_generators, generator_ranks):
+        with pytest.raises(ToleranceAmbiguity) as err:
+            build([a, b], lat)
+        assert err.value.fiber == 1
 
 
 def test_range_frames_are_frozen():
