@@ -4,10 +4,10 @@ function spaces on a finite truncation lattice.
 Functions on the unit circle with values in a truncated Hardy space are
 modeled on a grid of roots of unity with z-degrees capped at n_z. The
 package computes range functions of generated subspaces, tests invariance
-under the fiberwise shift, extracts wandering parts and frame fields,
-recognizes full Hardy subspaces, factors invariant subspaces through
-partial isometry fields, and specializes to classical inner-function
-extraction when the coordinate space is one dimensional.
+under the fiberwise shift, extracts wandering parts, recognizes full Hardy
+subspaces, factors invariant subspaces through partial isometry fields,
+and specializes to classical inner-function extraction when the
+coordinate space is one dimensional.
 """
 
 from .beurling import (InnerField, ScalarH2, inner_from_invariant,
@@ -35,9 +35,7 @@ from .ranges import (RangeFunctionH, RangeFunctionK, complement_range,
 from .shifts import (apply_S_hat, apply_U, apply_U_star, is_S_invariant,
                      shat_closure, shift_matrix)
 from .subspaces import orthonormal_frame, subspace_distance
-from .wandering import (DimensionPartition, FrameFields, dimension_partition,
-                        frame_fields, reconstruct_from_wandering,
-                        wandering_range)
+from .wandering import reconstruct_from_wandering, wandering_range
 
 __version__ = "0.1.0"
 
@@ -49,8 +47,7 @@ __all__ = [
     "direct_sum_ranges", "spectrum",
     "apply_U", "apply_U_star", "apply_S_hat", "shift_matrix", "shat_closure",
     "is_S_invariant",
-    "DimensionPartition", "FrameFields", "wandering_range",
-    "dimension_partition", "frame_fields", "reconstruct_from_wandering",
+    "wandering_range", "reconstruct_from_wandering",
     "project_pointwise", "full_hardy_from_base", "is_full_hardy",
     "full_hardy_complement",
     "DecompositionResult", "SymbolField", "decompose", "decompose_range",

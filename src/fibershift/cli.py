@@ -30,7 +30,7 @@ from .ranges import (generator_ranks, range_from_generators, spectrum,
                      spectrum_from_ranks)
 from .shifts import is_S_invariant, shat_closure
 from .subspaces import subspace_distance
-from .wandering import dimension_partition, wandering_range
+from .wandering import wandering_range
 
 
 def _unit_interval(text: str) -> float:
@@ -39,7 +39,7 @@ def _unit_interval(text: str) -> float:
     return float(text)
 
 
-def _common_flags(sp: argparse.ArgumentParser) -> None:
+def _problem_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rank-tol", type=float, default=None,
                     help="override the rank cutoff from the problem file")
     sp.add_argument("--orth-tol", type=float, default=None,
@@ -48,6 +48,9 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
                     help="override the inner-modulus tolerance")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed recorded in the report for fixture scripts")
+
+
+def _output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("text", "csv"), default="text",
                     help="report format (default text)")
     sp.add_argument("--out", default=None,
@@ -76,10 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("path", help="problem file")
-        _common_flags(sp)
+        _problem_flags(sp)
+        _output_flags(sp)
+    # a persisted result carries its own tolerances
     sp = sub.add_parser("verify", help="re-check a persisted decomposition")
     sp.add_argument("path", help="result directory or .fshd file")
-    _common_flags(sp)
+    _output_flags(sp)
     return p
 
 
@@ -103,13 +108,13 @@ def _load(args) -> tuple:
     return pf, lat, inner_tol, gens, notes
 
 
-def _ranks(rf) -> tuple[int, ...]:
-    return tuple(int(r) for r in rf.ranks())
+def _ranks(ranks) -> tuple[int, ...]:
+    return tuple(int(r) for r in ranks)
 
 
-def _partition_counts(partition) -> tuple[tuple[int, int], ...]:
-    return tuple((dim, len(fibers))
-                 for dim, fibers in sorted(partition.classes.items()))
+def _partition_counts(ranks) -> tuple[tuple[int, int], ...]:
+    """(dimension, fiber count) for every wandering dimension that occurs."""
+    return tuple((dim, int(n)) for dim, n in enumerate(np.bincount(ranks)) if n)
 
 
 def cmd_analyze(args) -> tuple[Report, int]:
@@ -119,19 +124,18 @@ def cmd_analyze(args) -> tuple[Report, int]:
     base = dict(command="analyze", version=__version__, digest=pf.digest,
                 lattice=lat, inner_tol=inner_tol, notes=notes,
                 s_invariant=ok, s_leak=leak,
-                spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm))
+                spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm.ranks()))
     if not ok:
         return Report(**base), 2
-    jr = wandering_range(jm)
-    partition = dimension_partition(jr)
-    report = Report(**base, ranks_jr=_ranks(jr),
-                    partition=_partition_counts(partition))
+    ranks_jr = wandering_range(jm).ranks()
+    report = Report(**base, ranks_jr=_ranks(ranks_jr),
+                    partition=_partition_counts(ranks_jr))
     return report, 0
 
 
 def cmd_spectrum(args) -> tuple[Report, int]:
     pf, lat, inner_tol, gens, notes = _load(args)
-    ranks = tuple(int(r) for r in generator_ranks(gens, lat))
+    ranks = _ranks(generator_ranks(gens, lat))
     report = Report(command="spectrum", version=__version__, digest=pf.digest,
                     lattice=lat, inner_tol=inner_tol, notes=notes,
                     spectrum=tuple(spectrum_from_ranks(ranks)),
@@ -151,9 +155,9 @@ def cmd_decompose(args) -> tuple[Report, int]:
     report = Report(command="decompose", version=__version__, digest=pf.digest,
                     lattice=lat, inner_tol=inner_tol, notes=notes,
                     s_invariant=ok, s_leak=leak,
-                    spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm),
-                    ranks_jr=_ranks(res.base),
-                    partition=_partition_counts(res.partition),
+                    spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm.ranks()),
+                    ranks_jr=_ranks(res.ranks),
+                    partition=_partition_counts(res.ranks),
                     diagnostics=tuple(sorted(res.diagnostics.items())))
     bad = any(not v <= lat.orth_tol for _, v in report.diagnostics)
     return report, 2 if bad else 0
@@ -173,9 +177,9 @@ def cmd_beurling(args) -> tuple[Report, int]:
     diagnostics += (("phi_range_distance", dist),)
     report = Report(command="beurling", version=__version__, digest=pf.digest,
                     lattice=lat, inner_tol=inner_tol, notes=notes,
-                    spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm),
-                    ranks_jr=_ranks(res.base),
-                    partition=_partition_counts(res.partition),
+                    spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm.ranks()),
+                    ranks_jr=_ranks(res.ranks),
+                    partition=_partition_counts(res.ranks),
                     diagnostics=diagnostics,
                     inner_defects=tuple(float(d) for d in phi.inner_defects()))
     bad = (not dist <= 10.0 * lat.orth_tol
@@ -195,11 +199,10 @@ def cmd_verify(args) -> tuple[Report, int]:
     lat = res.lattice
     diagnostics = verify_decomposition(res, jm)
     report = Report(command="verify", version=__version__, digest=digest,
-                    lattice=lat,
-                    inner_tol=args.inner_tol if args.inner_tol is not None else INNER_TOL_DEFAULT,
-                    ranks_jm=_ranks(jm), ranks_jr=_ranks(res.base),
+                    lattice=lat, inner_tol=INNER_TOL_DEFAULT,
+                    ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),
                     spectrum=tuple(spectrum(jm)),
-                    partition=_partition_counts(res.partition),
+                    partition=_partition_counts(res.ranks),
                     diagnostics=tuple(sorted(diagnostics.items())))
     bad = any(not v <= lat.orth_tol for _, v in report.diagnostics)
     return report, 2 if bad else 0

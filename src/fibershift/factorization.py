@@ -34,7 +34,7 @@ from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH, RangeFunctionK, range_from_generators
 from .shifts import shifted_copies
 from .subspaces import DEGREE_TOL, canonical_columns, project_onto
-from .wandering import DimensionPartition, FrameFields, frame_fields, wandering_range
+from .wandering import wandering_range
 
 DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect", "invariance_leak")
 
@@ -73,8 +73,9 @@ class DecompositionResult:
     ranks : wandering dimension per fiber; Phi vanishes past it
     diagnostics : the three verification defects, maxima over fibers
 
-    The coordinate base, the partition of the fibers by wandering dimension
-    and the frame fields phi_1 .. phi_k are derived from Phi and the ranks.
+    The fibers of wandering dimension n are those with ``ranks == n``, and
+    the frame field phi_i is ``field.phi[:, :, i]``. The coordinate base is
+    derived from the ranks.
     """
 
     field: SymbolField
@@ -98,18 +99,6 @@ class DecompositionResult:
         eye = np.eye(self.lattice.k, dtype=complex)
         return RangeFunctionK(self.lattice, tuple(eye[:, :r] for r in self.ranks))
 
-    @functools.cached_property
-    def partition(self) -> DimensionPartition:
-        return DimensionPartition.from_ranks(self.ranks)
-
-    @functools.cached_property
-    def frames(self) -> FrameFields:
-        lat = self.lattice
-        shape = (lat.n_lambda, lat.n_z, lat.k)
-        phis = tuple(FiberedField(lat, self.field.phi[:, :, i].reshape(shape))
-                     for i in range(lat.k))
-        return FrameFields(phis, self.partition)
-
 
 def _fiber_band(cols: np.ndarray, n_z: int) -> int:
     """Last degree b such that shifts of the frame columns up to b are exact."""
@@ -122,18 +111,22 @@ def decompose(gens: list[FiberedField], lattice: TruncationLattice) -> Decomposi
 
     The span must already be invariant under the fiber shift (NotInvariant
     otherwise; pass the closure of seed generators when needed). Steps: build
-    the range function, take its wandering part, partition fibers by
-    wandering dimension (RankTooLarge above k), store the wandering frames
-    as the symbol Phi, and verify.
+    the range function, take its wandering part (RankTooLarge above k),
+    store the wandering frames as the first columns of the symbol Phi, and
+    verify.
     """
     return decompose_range(range_from_generators(gens, lattice))
 
 
 def decompose_range(jm: RangeFunctionH) -> DecompositionResult:
     """``decompose`` for an already-built range function."""
-    frames = frame_fields(wandering_range(jm))
-    field = SymbolField(jm.lattice, np.stack([p.flat() for p in frames.phis], axis=2))
-    ranks = frames.partition.dimensions()
+    lat = jm.lattice
+    jr = wandering_range(jm)
+    ranks = jr.ranks()
+    phi = np.zeros((lat.n_lambda, lat.ambient, lat.k), dtype=complex)
+    for m, r in enumerate(ranks):
+        phi[m, :, :r] = jr.frames[m]
+    field = SymbolField(lat, phi)
     diagnostics = verify_decomposition(DecompositionResult(field, ranks, {}), jm)
     return DecompositionResult(field, ranks, diagnostics)
 

@@ -26,12 +26,12 @@ Persisted decompositions (``.fshd``, version 2) are little-endian binary:
     rank_tol, orth_tol                             (2 x float64)
     wandering rank per fiber                       (n_lambda x uint32)
     range rank per fiber                           (n_lambda x uint32)
-    the three diagnostics, DIAGNOSTIC_KEYS order   (3 x float64)
+    the three diagnostics, DIAGNOSTIC_KEYS order   (3 x float64, NaN if unmeasured)
     the symbol Phi, shape (n_lambda, n_z*k, k)     (complex128, C order)
     one target range frame per fiber, (n_z*k, r_m) (complex128, C order)
 
-F, the base, the partition and the frame fields are derived from Phi and
-the wandering ranks. Version 1 files (the dense F) are refused.
+F and the base are derived from Phi and the wandering ranks. Version 1
+files (the dense F) are refused.
 """
 
 from __future__ import annotations
@@ -250,11 +250,12 @@ def render_csv(report: Report) -> str:
 
 def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
                        path: str) -> None:
-    """Write a decomposition and its target range to the binary layout."""
+    """Write a decomposition and its target range to the binary layout; a
+    diagnostic missing from ``res.diagnostics`` is written as NaN (unmeasured)."""
     lat = res.lattice
     ranks_jr = np.array(res.ranks, dtype="<u4")
     ranks_jm = np.array(jm.ranks(), dtype="<u4")
-    diag = np.array([res.diagnostics.get(key, 0.0) for key in DIAGNOSTIC_KEYS],
+    diag = np.array([res.diagnostics.get(key, np.nan) for key in DIAGNOSTIC_KEYS],
                     dtype="<f8")
     blobs = [
         _HEADER.pack(MAGIC, BINARY_VERSION, lat.n_lambda, lat.n_z, lat.k,

@@ -3,73 +3,24 @@
 For an invariant fiber subspace J the wandering part is J minus its shifted
 image, computed in the coordinates of J's own frame (one small SVD and one
 rank decision per fiber), so it lies in J by construction. Its dimension
-never exceeds k, the shifted copies of its frame are orthogonal while they
-stay inside the reliable band, and stacking those copies reconstructs the
-original subspace.
+never exceeds k (RankTooLarge names the fiber otherwise), the shifted copies
+of its frame are orthogonal while they stay inside the reliable band, and
+stacking those copies reconstructs the original subspace.
+
+The partition of the circle by wandering dimension is read off ``ranks()``,
+and the frame field phi_i is the i-th frame column, which ``decompose``
+stores as ``Phi[:, :, i]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
-from .fields import FiberedField, z_degree
+from .fields import z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
 from .shifts import is_S_invariant, shift_leaks, shifted_copies
 from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
-
-
-@dataclass(frozen=True)
-class DimensionPartition:
-    """Grid indices grouped by wandering dimension.
-
-    ``classes[n]`` is the sorted tuple of fiber indices with dimension n;
-    the classes partition 0..n_lambda-1.
-    """
-
-    classes: dict[int, tuple[int, ...]]
-
-    def __post_init__(self):
-        fixed = {n: tuple(sorted(int(m) for m in self.classes[n]))
-                 for n in sorted(self.classes) if len(self.classes[n])}
-        object.__setattr__(self, "classes", fixed)
-        seen = [m for idx in fixed.values() for m in idx]
-        if sorted(seen) != list(range(len(seen))):
-            raise ValueError("classes must partition the fiber indices")
-        dims = np.zeros(len(seen), dtype=int)
-        for n, idx in fixed.items():
-            dims[list(idx)] = n
-        object.__setattr__(self, "_dims", dims)
-
-    @classmethod
-    def from_ranks(cls, ranks) -> "DimensionPartition":
-        """Fiber m goes to the class ranks[m]."""
-        classes: dict[int, list[int]] = {}
-        for m, r in enumerate(ranks):
-            classes.setdefault(int(r), []).append(m)
-        return cls({n: tuple(v) for n, v in classes.items()})
-
-    def dimension_at(self, m: int) -> int:
-        if not 0 <= m < len(self._dims):
-            raise KeyError(m)
-        return int(self._dims[m])
-
-    def dimensions(self) -> np.ndarray:
-        return self._dims.copy()
-
-
-@dataclass(frozen=True)
-class FrameFields:
-    """Measurable frame fields phi_1 .. phi_k attached to a partition.
-
-    On a fiber of dimension n the first n fields give an orthonormal basis
-    of the subspace there and the remaining fields vanish identically.
-    """
-
-    phis: tuple[FiberedField, ...]
-    partition: DimensionPartition
 
 
 def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
@@ -80,7 +31,8 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     C = Q* S Q, so S J = Q range(C) and J minus S J = Q ker(C*). The rank
     of C is decided once on its singular values; the kernel of C* is read
     off the right singular vectors of C*, which the ``robust_svd`` fallback
-    also returns in full.
+    also returns in full. The truncated shift has a k-dimensional kernel, so
+    for an invariant J ker(C*) has dimension at most k (RankTooLarge).
 
     A numerical J is invariant only up to ``leak``, the ``shift_leak`` of Q:
     the part S Q - Q C of S J outside J. It is of the order of the frame's
@@ -100,13 +52,16 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
         raise ToleranceAmbiguity(
             f"shift leaves the subspace by {leak:.3e}, beyond half the cutoff "
             f"{cutoff:.3e}", fiber=fiber)
+    if frame.shape[1] - rank > k:
+        raise RankTooLarge(f"rank {frame.shape[1] - rank} exceeds k = {k}", fiber=fiber)
     return canonical_columns(frame @ vh[rank:].conj().T)
 
 
 def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     """Pointwise wandering subspace of a shift-invariant range function.
 
-    Raises NotInvariant when some fiber's ``shift_leak`` exceeds orth_tol.
+    Raises NotInvariant when some fiber's ``shift_leak`` exceeds orth_tol,
+    and RankTooLarge naming the fiber where a wandering rank exceeds k.
     """
     lat = range_fn.lattice
     ok, leak = is_S_invariant(range_fn)
@@ -118,36 +73,6 @@ def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
         for m in range(lat.n_lambda)
     )
     return RangeFunctionH(lat, frames)
-
-
-def dimension_partition(range_fn: RangeFunctionH) -> DimensionPartition:
-    """Group fibers by rank; ranks above k are rejected.
-
-    Wandering subspaces of invariant range functions never exceed dimension
-    k, so a larger rank signals a non-wandering input (RankTooLarge).
-    """
-    k = range_fn.lattice.k
-    ranks = range_fn.ranks()
-    over = np.flatnonzero(ranks > k)
-    if over.size:
-        m = int(over[0])
-        raise RankTooLarge(f"rank {ranks[m]} exceeds k = {k}", fiber=m)
-    return DimensionPartition.from_ranks(ranks)
-
-
-def frame_fields(range_fn: RangeFunctionH) -> FrameFields:
-    """Package a low-rank range function as k frame fields.
-
-    Field i takes the i-th frame column on fibers of rank >= i and vanishes
-    elsewhere, so each field is supported exactly on its dimension classes.
-    """
-    lat = range_fn.lattice
-    partition = dimension_partition(range_fn)
-    data = np.zeros((lat.k, lat.n_lambda, lat.ambient), dtype=complex)
-    for m, q in enumerate(range_fn.frames):
-        data[: q.shape[1], m] = q.T
-    phis = tuple(FiberedField(lat, d.reshape(lat.n_lambda, lat.n_z, lat.k)) for d in data)
-    return FrameFields(phis, partition)
 
 
 def reconstruct_from_wandering(wandering: RangeFunctionH, depth: int) -> RangeFunctionH:

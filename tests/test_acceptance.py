@@ -67,7 +67,7 @@ def desk_runs():
         lat = TruncationLattice(64, 64, k)
         gens = fs.shat_closure(grid_seeds(rng, lat, r))
         res = fs.decompose(gens, lat)
-        runs.append({"k": k, "max_dim": max(res.partition.classes),
+        runs.append({"k": k, "max_dim": int(res.ranks.max()),
                      **res.diagnostics})
     return SimpleNamespace(runs=runs, elapsed=time.time() - t0)
 

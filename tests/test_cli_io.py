@@ -8,9 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from fibershift import (TruncationLattice, decompose_range,
+from fibershift import (DIAGNOSTIC_KEYS, DecompositionResult,
+                        TruncationLattice, decompose_range,
                         range_from_generators, shat_closure)
-from fibershift.cli import build_parser, cmd_analyze, cmd_spectrum
+from fibershift.cli import (_partition_counts, build_parser, cmd_analyze,
+                            cmd_spectrum)
 from fibershift.errors import BoundsError, ParseError
 from fibershift.factorization import verify_decomposition
 from fibershift.fileio import (_HEADER, Report, load_decomposition,
@@ -125,12 +127,24 @@ def test_save_load_roundtrip(tmp_path):
     assert res2.diagnostics == res.diagnostics
     assert np.array_equal(res2.field.phi, res.field.phi)
     assert np.array_equal(res2.ranks, res.ranks)
-    assert res2.partition.classes == res.partition.classes
     for m in range(4):
         assert np.array_equal(jm2.frames[m], jm.frames[m])
         assert np.array_equal(res2.base.frames[m], res.base.frames[m])
     rechecked = verify_decomposition(res2, jm2)
     assert max(rechecked.values()) < 1e-8
+
+
+def test_unverified_result_loads_unmeasured(tmp_path):
+    # a result saved without its defects must not load as a perfect one
+    lat = TruncationLattice(4, 8, 1)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    path = str(tmp_path / "out.fshd")
+    save_decomposition(DecompositionResult(res.field, res.ranks, {}), jm, path)
+    loaded, _ = load_decomposition(path)
+    assert list(loaded.diagnostics) == list(DIAGNOSTIC_KEYS)
+    assert all(np.isnan(v) for v in loaded.diagnostics.values())
+    assert not any(v <= lat.orth_tol for v in loaded.diagnostics.values())
 
 
 def test_load_decomposition_rejects_garbage(tmp_path):
@@ -239,6 +253,12 @@ def test_cli_analyze_constant(tmp_path):
     assert "partition: dimension 1 on 4 fibers" in out
     assert "spectrum: 4 of 4 fibers" in out
     assert all(f"fiber {m}: rank_jm 8, rank_jr 1" in out for m in range(4))
+
+
+def test_partition_counts_list_only_dimensions_that_occur():
+    assert _partition_counts(np.array([2, 0, 2, 2])) == ((0, 1), (2, 3))
+    assert _partition_counts(np.array([1, 1])) == ((1, 2),)
+    assert _partition_counts(np.zeros(3, dtype=int)) == ((0, 3),)
 
 
 def test_cli_spectrum_and_seed_note(tmp_path):
@@ -564,8 +584,14 @@ def test_cli_exit_codes(tmp_path):
     (["analyze", "problem.txt", "--inner-tol", "-1"], 3),
     (["beurling", "problem.txt", "--inner-tol", "nan"], 3),
     (["verify", "out", "--inner-tol", "1"], 3),
+    # a persisted result carries its own tolerances: verify takes none
+    (["verify", "out", "--orth-tol", "1e-300"], 3),
+    (["verify", "out", "--rank-tol", "0.5"], 3),
+    (["verify", "out", "--inner-tol", "0.5"], 3),
+    (["verify", "out", "--seed", "9"], 3),
 ], ids=["unknown-flag", "no-command", "help", "inner-tol-negative",
-        "inner-tol-nan", "inner-tol-one"])
+        "inner-tol-nan", "inner-tol-one", "verify-orth-tol", "verify-rank-tol",
+        "verify-inner-tol", "verify-seed"])
 def test_cli_usage_exit_codes(argv, code):
     # argparse exits 2 on usage errors; 2 is reserved for failed invariants
     with pytest.raises(SystemExit) as exc:

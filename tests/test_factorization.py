@@ -1,5 +1,6 @@
 """Decomposition through a full Hardy space and connecting fields."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ def test_monomial_decomposition_exact():
     lat = TruncationLattice(4, 8, 1)
     res = decompose(_monomial_gens(lat, 2), lat)
     assert all(v == 0.0 for v in res.diagnostics.values())
-    assert list(res.partition.dimensions()) == [1, 1, 1, 1]
+    assert list(res.ranks) == [1, 1, 1, 1]
     # first column of F is the frame vector itself: the monomial z^2
     f0 = res.field.op(0)[:, 0]
     expected = np.zeros(lat.ambient, dtype=complex)
@@ -56,14 +57,14 @@ def test_decompose_random_closure():
     res = decompose(gens, lat)
     assert set(res.diagnostics) == set(DIAGNOSTIC_KEYS)
     assert max(res.diagnostics.values()) < 1e-8
-    assert max(res.partition.dimensions()) <= lat.k
+    assert max(res.ranks) <= lat.k
     # base spans are nested coordinate spans
     for m in range(lat.n_lambda):
         r = res.base.rank(m)
         assert np.array_equal(res.base.frames[m], np.eye(lat.k)[:, :r])
         # column j*k + i of F is phi_i shifted j times, and zero for i >= r
         expected = np.zeros((lat.ambient, lat.ambient), dtype=complex)
-        col = np.stack([phi.flat()[m] for phi in res.frames.phis[:r]], axis=1)
+        col = res.field.phi[m][:, :r]
         for j in range(lat.n_z):
             expected[:, j * lat.k: j * lat.k + r] = col
             col = shift_matrix(lat) @ col
@@ -78,8 +79,6 @@ def test_result_stores_only_the_symbol():
     assert res.field.phi.shape == (lat.n_lambda, lat.ambient, lat.k)
     assert list(res.ranks) == [1] * 4
     assert not np.any(res.field.phi[:, :, 1])  # zero past the wandering rank
-    assert res.partition.classes == {1: (0, 1, 2, 3)}
-    assert np.array_equal(res.frames.phis[0].flat(), res.field.phi[:, :, 0])
     with pytest.raises(ValueError, match="wandering rank"):
         DecompositionResult(res.field, [3] * 4, {})
 
@@ -421,5 +420,6 @@ def test_readme_library_block_runs(capsys):
     block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[0]) == [1] * 64
     assert out[1] == str(dict.fromkeys(DIAGNOSTIC_KEYS, 0.0))
     assert float(out[2]) < 1e-12

@@ -1,12 +1,12 @@
-"""Wandering subspaces, dimension partitions, frame fields."""
+"""Wandering subspaces: invariance, rank bound, reconstruction."""
 
 import numpy as np
 import pytest
 
-from fibershift import (DimensionPartition, NotInvariant, RangeFunctionH,
-                        RangeFunctionK, RankTooLarge, ToleranceAmbiguity,
-                        TruncationLattice, decompose_range, dimension_partition,
-                        frame_fields, full_hardy_from_base, is_S_invariant,
+import fibershift.wandering as wandering
+from fibershift import (NotInvariant, RangeFunctionH, RangeFunctionK,
+                        RankTooLarge, ToleranceAmbiguity, TruncationLattice,
+                        decompose_range, full_hardy_from_base, is_S_invariant,
                         range_from_generators, reconstruct_from_wandering,
                         shat_closure, wandering_range)
 from fibershift.errors import BandExceeded
@@ -151,41 +151,16 @@ def test_rotation_out_of_j_is_not_invariant(k):
         decompose_range(bad)
 
 
-def test_partition_classes():
-    lat = TruncationLattice(4, 2, 2)
-    e = np.eye(4, dtype=complex)
-    rf = RangeFunctionH(lat, (e[:, :0], e[:, :1], e[:, :1], e[:, :2]))
-    part = dimension_partition(rf)
-    assert part.classes == {0: (0,), 1: (1, 2), 2: (3,)}
-    assert part.dimension_at(2) == 1
-    assert list(part.dimensions()) == [0, 1, 1, 2]
-    dims = part.dimensions()
-    dims[0] = 2  # a copy: the partition is unchanged
-    assert part.dimension_at(0) == 0
-    with pytest.raises(RankTooLarge):
-        dimension_partition(RangeFunctionH(lat, (e[:, :3],) * 4))
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        DimensionPartition({0: (0, 2)})  # gap at index 1
-    with pytest.raises(KeyError):
-        DimensionPartition({1: (0,)}).dimension_at(5)
-    with pytest.raises(KeyError):
-        DimensionPartition({1: (0,)}).dimension_at(-1)
-
-
-def test_frame_fields_support():
-    lat = TruncationLattice(4, 2, 2)
-    e = np.eye(4, dtype=complex)
-    rf = RangeFunctionH(lat, (e[:, :0], e[:, :1], e[:, :1], e[:, :2]))
-    ff = frame_fields(rf)
-    assert len(ff.phis) == 2
-    # field i vanishes below dimension class i+1
-    assert not np.any(ff.phis[0].data[0])
-    assert np.any(ff.phis[0].data[1])
-    assert not np.any(ff.phis[1].data[2])
-    assert np.any(ff.phis[1].data[3])
+def test_wandering_rank_above_k_names_the_fiber(monkeypatch):
+    # the truncated shift has a k-dimensional kernel, so no invariant J has a
+    # wandering part above k; a rank decision that keeps no singular value
+    # of C* would leave all of J wandering, and must be refused at its fiber
+    lat = TruncationLattice(2, 4, 2)
+    jm = full_hardy_from_base(RangeFunctionK(lat, (np.eye(2, dtype=complex),) * 2))
+    assert list(wandering_range(jm).ranks()) == [2, 2]
+    monkeypatch.setattr(wandering, "rank_decision", lambda s, tol, fiber=None: 0)
+    with pytest.raises(RankTooLarge, match="fiber 0"):
+        wandering_range(jm)
 
 
 def test_reconstruct_from_wandering():
