@@ -35,6 +35,8 @@ class ScalarH2:
         c = frozen_array(self.coeffs)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty vector")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -117,18 +119,15 @@ class InnerField:
         object.__setattr__(self, "support", frozenset(int(m) for m in self.support))
         if not self.support <= set(range(self.lattice.n_lambda)):
             raise ValueError("support indices out of range")
-        worst, worst_m = 0.0, -1
         for m, f in enumerate(self.fibers):
-            if m not in self.support:
-                if np.any(f.coeffs != 0):
-                    raise ValueError(f"fiber {m} off the support is not zero")
-                continue
-            d = f.inner_defect()
-            if d > worst:
-                worst, worst_m = d, m
-        if worst > self.inner_tol:
-            raise NotInner(
-                f"boundary modulus deviates by {worst:.3e}", fiber=worst_m)
+            if m not in self.support and np.any(f.coeffs != 0):
+                raise ValueError(f"fiber {m} off the support is not zero")
+        # argmax lands on the first NaN, which the negated test then fails
+        defects = self.inner_defects()
+        worst_m = int(np.argmax(defects))
+        if not defects[worst_m] <= self.inner_tol:
+            raise NotInner(f"boundary modulus deviates by "
+                           f"{defects[worst_m]:.3e}", fiber=worst_m)
 
     def inner_defects(self) -> np.ndarray:
         """Per-fiber boundary defects (zero fibers report 0)."""

@@ -46,8 +46,6 @@ def _problem_flags(sp: argparse.ArgumentParser) -> None:
                     help="override the orthogonality tolerance")
     sp.add_argument("--inner-tol", type=_unit_interval, default=None,
                     help="override the inner-modulus tolerance")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed recorded in the report for fixture scripts")
 
 
 def _output_flags(sp: argparse.ArgumentParser) -> None:
@@ -103,8 +101,6 @@ def _load(args) -> tuple:
     seeds = problem_fields(pf)
     gens = shat_closure(seeds)
     notes = (f"shat-closure: applied ({len(seeds)} -> {len(gens)} generators)",)
-    if args.seed is not None:
-        notes += (f"seed: {args.seed}",)
     return pf, lat, inner_tol, gens, notes
 
 

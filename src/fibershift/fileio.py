@@ -129,9 +129,11 @@ def load_problem(path: str) -> ProblemFile:
             m = _parse_int(parts[0], "term m", lineno)
             j = _parse_int(parts[1], "term j", lineno)
             i = _parse_int(parts[2], "term i", lineno)
-            re = _parse_float(parts[3], "term re", lineno)
-            im = _parse_float(parts[4], "term im", lineno)
-            gens[-1].append((m, j, i, complex(re, im)))
+            c = complex(_parse_float(parts[3], "term re", lineno),
+                        _parse_float(parts[4], "term im", lineno))
+            if not np.isfinite(c):
+                raise ParseError(f"line {lineno}: term coefficient {c} is not finite")
+            gens[-1].append((m, j, i, c))
         else:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
 

@@ -124,10 +124,9 @@ def member(f: FiberedField, range_fn: RangeFunctionH) -> tuple[bool, float]:
     """
     lat = range_fn.lattice
     flat = f.flat()
-    worst = 0.0
-    for m in range(lat.n_lambda):
-        r = residual_norms(range_fn.frames[m], flat[m][:, None])
-        worst = max(worst, float(r[0]))
+    # np.max, unlike Python's max, propagates a NaN residual into the verdict
+    worst = float(np.max([residual_norms(range_fn.frames[m], flat[m][:, None])[0]
+                          for m in range(lat.n_lambda)]))
     ok = worst <= lat.orth_tol * max(1.0, f.norm())
     return ok, worst
 

@@ -135,8 +135,11 @@ def rank_decision(s: np.ndarray, rank_tol: float, fiber: int | None = None) -> i
 
     ``s`` holds singular values in decreasing order. If any lies inside
     [0.5, 2] times the cutoff the decision is ambiguous and
-    ToleranceAmbiguity is raised. Empty or all-zero input has rank 0.
+    ToleranceAmbiguity is raised. Empty or all-zero input has rank 0; a
+    non-finite value raises LinAlgError.
     """
+    if not np.all(np.isfinite(s)):
+        raise np.linalg.LinAlgError("non-finite singular value")
     smax = float(s[0]) if len(s) else 0.0
     if smax == 0.0:
         return 0
@@ -191,43 +194,15 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         return robust_svd(a)[1]
 
 
-def op_norm(a: np.ndarray) -> float:
-    """Largest singular value (0 for the empty matrix).
-
-    Read as the square root of the top eigenvalue of the smaller Gram
-    matrix of a / max|a|: the top eigenvalue carries relative rounding only
-    (small singular values are the ones a Gram matrix loses), and the
-    scaling keeps entries near 1e+-200 clear of underflow and overflow. A
-    failed eigensolver falls back to ``singular_values``. Non-finite input
-    raises LinAlgError.
-    """
-    if a.size == 0:
-        return 0.0
-    scale = float(np.max(np.abs(a)))
-    if not np.isfinite(scale):
-        raise np.linalg.LinAlgError("op_norm of a non-finite matrix")
-    if scale == 0.0:
-        return 0.0
-    b = a / scale
-    gram = b.conj().T @ b if b.shape[0] >= b.shape[1] else b @ b.conj().T
-    try:
-        top = np.linalg.eigvalsh(gram)[-1]
-    except np.linalg.LinAlgError:
-        return float(singular_values(a)[0])
-    return scale * float(np.sqrt(max(top, 0.0)))
-
-
 def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Sine of the largest principal angle between two frames.
+    """Frobenius distance ||q2 - q1 (q1* q2)||_F between two frames.
 
-    Computed from projection residuals in both directions, which stays
-    accurate for small angles. Frames of different ranks are at distance 1.
+    For orthonormal frames of equal rank this is the root sum of squared
+    sines of the principal angles; it is symmetric, since
+    ||(I - P1) Q2||_F^2 = r - ||Q1* Q2||_F^2 = ||(I - P2) Q1||_F^2, and at
+    least the sine of the largest angle. Frames of different ranks are at
+    distance 1, two empty frames at 0.
     """
-    r1, r2 = q1.shape[1], q2.shape[1]
-    if r1 != r2:
+    if q1.shape[1] != q2.shape[1]:
         return 1.0
-    if r1 == 0:
-        return 0.0
-    d1 = op_norm(q2 - project_onto(q1, q2))
-    d2 = op_norm(q1 - project_onto(q2, q1))
-    return max(d1, d2)
+    return float(np.linalg.norm(q2 - project_onto(q1, q2)))

@@ -100,6 +100,23 @@ def test_inner_field_validation():
             _const_field(lat, (2 * z1, np.zeros(8)), {0}, inner_tol=tol)
 
 
+def test_inner_field_fails_a_nan_defect():
+    """Non-finite coefficients are refused outright; finite ones whose
+    boundary values overflow give a NaN defect, which fails the check (a
+    worst-so-far comparison used to skip it)."""
+    lat = TruncationLattice(2, 8, 1)
+    z1 = np.zeros(8, dtype=complex)
+    z1[1] = 1.0
+    with pytest.raises(ValueError, match="finite"):
+        ScalarH2(np.where(np.arange(8) == 3, np.nan, z1))
+    huge = np.full(8, 1.7e308, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(ScalarH2(huge).inner_defect())
+        with pytest.raises(NotInner) as exc:
+            _const_field(lat, (z1, huge), {0, 1})
+    assert exc.value.fiber == 1
+
+
 def test_phi_representation_of_monomial():
     lat = TruncationLattice(4, 8, 1)
     col = np.zeros((8, 1), dtype=complex)

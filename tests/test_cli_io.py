@@ -261,12 +261,34 @@ def test_partition_counts_list_only_dimensions_that_occur():
     assert _partition_counts(np.zeros(3, dtype=int)) == ((0, 3),)
 
 
-def test_cli_spectrum_and_seed_note(tmp_path):
+def test_cli_spectrum_closure_note(tmp_path):
     path = _write(tmp_path, CONSTANT_PROBLEM)
-    code, out = run_cli(["spectrum", path, "--seed", "7"])
+    code, out = run_cli(["spectrum", path])
     assert code == 0
-    assert "note: seed: 7" in out
     assert "note: shat-closure: applied (1 -> 8 generators)" in out
+
+
+NON_FINITE_TERM = """\
+schema: fibershift-problem/1
+n_lambda: 4
+n_z: 4
+k: 1
+generator: g
+term: 0 1 1 1.0 0.0
+term: 1 0 1 {re} 0
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "decompose", "beurling"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_term_is_bad_input(tmp_path, capsys, command, value):
+    """A non-finite coefficient is refused by the parser; spectrum used to
+    read its NaN singular values as rank 0 and exit 0."""
+    path = _write(tmp_path, NON_FINITE_TERM.format(re=value))
+    code, out = run_cli([command, path])
+    assert code == 3
+    assert out == ""
+    assert "ParseError: line 7: term coefficient" in capsys.readouterr().err
 
 
 def _laurent_problem(tmp_path, seed: int, n_z: int = 32) -> str:
@@ -589,9 +611,10 @@ def test_cli_exit_codes(tmp_path):
     (["verify", "out", "--rank-tol", "0.5"], 3),
     (["verify", "out", "--inner-tol", "0.5"], 3),
     (["verify", "out", "--seed", "9"], 3),
+    (["spectrum", "problem.txt", "--seed", "7"], 3),
 ], ids=["unknown-flag", "no-command", "help", "inner-tol-negative",
         "inner-tol-nan", "inner-tol-one", "verify-orth-tol", "verify-rank-tol",
-        "verify-inner-tol", "verify-seed"])
+        "verify-inner-tol", "verify-seed", "spectrum-seed"])
 def test_cli_usage_exit_codes(argv, code):
     # argparse exits 2 on usage errors; 2 is reserved for failed invariants
     with pytest.raises(SystemExit) as exc:

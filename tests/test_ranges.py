@@ -72,6 +72,19 @@ def test_member():
     assert not ok
 
 
+def test_member_fails_a_nan_entry():
+    """One NaN entry makes the residual NaN and the verdict False; Python's
+    max(worst, nan) used to keep worst and read (True, 0.0)."""
+    rng = np.random.default_rng(21)
+    lat = TruncationLattice(8, 4, 1)
+    gens = shat_closure(grid_seeds(rng, lat, 1))
+    jm = range_from_generators(gens, lat)
+    data = gens[0].data.copy()
+    data[5, 2, 0] = np.nan
+    ok, res = member(FiberedField(lat, data), jm)
+    assert not ok and np.isnan(res)
+
+
 def test_complement_range():
     rng = np.random.default_rng(22)
     lat = TruncationLattice(4, 8, 1)
