@@ -200,8 +200,10 @@ def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     For orthonormal frames of equal rank this is the root sum of squared
     sines of the principal angles; it is symmetric, since
     ||(I - P1) Q2||_F^2 = r - ||Q1* Q2||_F^2 = ||(I - P2) Q1||_F^2, and at
-    least the sine of the largest angle. Frames of different ranks are at
-    distance 1, two empty frames at 0.
+    least the sine of the largest angle. The value lies in [0, sqrt(r)]
+    for rank r, not in [0, 1]: two orthogonal planes read sqrt(2). Frames
+    of different ranks read 1.0, a sentinel that fails any tolerance gate,
+    not the largest distance; two empty frames read 0.
     """
     if q1.shape[1] != q2.shape[1]:
         return 1.0
