@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
 from .factorization import constant_unitary
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH, spectrum_from_ranks
+from .ranges import RangeFunctionH
 from .shifts import shift_leak, shifted_copies
 from .subspaces import _phase_normalize, orthonormal_frame, subspace_distance
 from .wandering import _fiber_wandering
@@ -149,7 +149,7 @@ def phi_representation(res, inner_tol: float = INNER_TOL_DEFAULT) -> InnerField:
     lat = res.lattice
     if lat.k != 1:
         raise ValueError("phi representation requires a k = 1 decomposition")
-    supp = frozenset(spectrum_from_ranks(res.ranks))
+    supp = frozenset(np.flatnonzero(res.ranks))
     fibers = tuple(ScalarH2(phi[:, 0]) for phi in res.field.phi)
     return InnerField(lat, fibers, supp, inner_tol)
 

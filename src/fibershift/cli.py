@@ -2,8 +2,10 @@
 
 Subcommands: analyze, decompose, beurling, verify, spectrum. Problem files
 follow the text format documented in fileio; decompose persists its result
-in the binary layout and verify re-checks a persisted result. Exit codes:
-0 success, 2 a mathematical invariant failed, 3 bad input.
+in the binary layout and verify re-checks a persisted result. Each command
+returns the Report of what it measured. Exit codes: 0 success, 2 a
+mathematical invariant failed (``Report.exit_code`` or a refusal), 3 bad
+input.
 
 Generator lists in problem files are seeds: the pipelines close them under
 the fiber shift before building spans, so every analyzed subspace is shift
@@ -26,8 +28,7 @@ from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
                      render_csv, render_text, save_decomposition)
-from .ranges import (generator_ranks, range_from_generators, spectrum,
-                     spectrum_from_ranks)
+from .ranges import generator_ranks, range_from_generators
 from .shifts import is_S_invariant, shat_closure
 from .subspaces import subspace_distance
 from .wandering import wandering_range
@@ -108,38 +109,25 @@ def _ranks(ranks) -> tuple[int, ...]:
     return tuple(int(r) for r in ranks)
 
 
-def _partition_counts(ranks) -> tuple[tuple[int, int], ...]:
-    """(dimension, fiber count) for every wandering dimension that occurs."""
-    return tuple((dim, int(n)) for dim, n in enumerate(np.bincount(ranks)) if n)
-
-
-def cmd_analyze(args) -> tuple[Report, int]:
+def cmd_analyze(args) -> Report:
     pf, lat, inner_tol, gens, notes = _load(args)
     jm = range_from_generators(gens, lat)
     ok, leak = is_S_invariant(jm)
-    base = dict(command="analyze", version=__version__, digest=pf.digest,
-                lattice=lat, inner_tol=inner_tol, notes=notes,
-                s_invariant=ok, s_leak=leak,
-                spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm.ranks()))
-    if not ok:
-        return Report(**base), 2
-    ranks_jr = wandering_range(jm).ranks()
-    report = Report(**base, ranks_jr=_ranks(ranks_jr),
-                    partition=_partition_counts(ranks_jr))
-    return report, 0
+    # the wandering part is defined only for an invariant span
+    ranks_jr = _ranks(wandering_range(jm).ranks()) if ok else None
+    return Report(command="analyze", version=__version__, digest=pf.digest,
+                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  s_leak=leak, ranks_jm=_ranks(jm.ranks()), ranks_jr=ranks_jr)
 
 
-def cmd_spectrum(args) -> tuple[Report, int]:
+def cmd_spectrum(args) -> Report:
     pf, lat, inner_tol, gens, notes = _load(args)
-    ranks = _ranks(generator_ranks(gens, lat))
-    report = Report(command="spectrum", version=__version__, digest=pf.digest,
-                    lattice=lat, inner_tol=inner_tol, notes=notes,
-                    spectrum=tuple(spectrum_from_ranks(ranks)),
-                    ranks_jm=ranks)
-    return report, 0
+    return Report(command="spectrum", version=__version__, digest=pf.digest,
+                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  ranks_jm=_ranks(generator_ranks(gens, lat)))
 
 
-def cmd_decompose(args) -> tuple[Report, int]:
+def cmd_decompose(args) -> Report:
     pf, lat, inner_tol, gens, notes = _load(args)
     jm = range_from_generators(gens, lat)
     res = decompose_range(jm)
@@ -147,19 +135,15 @@ def cmd_decompose(args) -> tuple[Report, int]:
         os.makedirs(args.out, exist_ok=True)
         save_decomposition(res, jm, os.path.join(args.out, "decomposition.fshd"))
         notes += ("persisted: decomposition.fshd",)
-    ok, leak = is_S_invariant(jm)
-    report = Report(command="decompose", version=__version__, digest=pf.digest,
-                    lattice=lat, inner_tol=inner_tol, notes=notes,
-                    s_invariant=ok, s_leak=leak,
-                    spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm.ranks()),
-                    ranks_jr=_ranks(res.ranks),
-                    partition=_partition_counts(res.ranks),
-                    diagnostics=tuple(sorted(res.diagnostics.items())))
-    bad = any(not v <= lat.orth_tol for _, v in report.diagnostics)
-    return report, 2 if bad else 0
+    _, leak = is_S_invariant(jm)
+    return Report(command="decompose", version=__version__, digest=pf.digest,
+                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  s_leak=leak, ranks_jm=_ranks(jm.ranks()),
+                  ranks_jr=_ranks(res.ranks),
+                  diagnostics=tuple(sorted(res.diagnostics.items())))
 
 
-def cmd_beurling(args) -> tuple[Report, int]:
+def cmd_beurling(args) -> Report:
     pf, lat, inner_tol, gens, notes = _load(args)
     if lat.k != 1:
         raise ValueError("beurling requires a k = 1 problem")
@@ -169,39 +153,26 @@ def cmd_beurling(args) -> tuple[Report, int]:
     rphi = range_of_phi(phi)
     dist = max(subspace_distance(rphi.frames[m], jm.frames[m])
                for m in range(lat.n_lambda))
-    diagnostics = tuple(sorted(res.diagnostics.items()))
-    diagnostics += (("phi_range_distance", dist),)
-    report = Report(command="beurling", version=__version__, digest=pf.digest,
-                    lattice=lat, inner_tol=inner_tol, notes=notes,
-                    spectrum=tuple(spectrum(jm)), ranks_jm=_ranks(jm.ranks()),
-                    ranks_jr=_ranks(res.ranks),
-                    partition=_partition_counts(res.ranks),
-                    diagnostics=diagnostics,
-                    inner_defects=tuple(float(d) for d in phi.inner_defects()))
-    bad = (not dist <= 10.0 * lat.orth_tol
-           or any(not v <= lat.orth_tol for key, v in diagnostics
-                  if key != "phi_range_distance")
-           or any(not d <= inner_tol for d in report.inner_defects))
-    return report, 2 if bad else 0
+    return Report(command="beurling", version=__version__, digest=pf.digest,
+                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),
+                  diagnostics=(*sorted(res.diagnostics.items()),
+                               ("phi_range_distance", dist)),
+                  inner_defects=tuple(float(d) for d in phi.inner_defects()))
 
 
-def cmd_verify(args) -> tuple[Report, int]:
+def cmd_verify(args) -> Report:
     path = args.path
     if os.path.isdir(path):
         path = os.path.join(path, "decomposition.fshd")
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     res, jm = load_decomposition(path)
-    lat = res.lattice
     diagnostics = verify_decomposition(res, jm)
-    report = Report(command="verify", version=__version__, digest=digest,
-                    lattice=lat, inner_tol=INNER_TOL_DEFAULT,
-                    ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),
-                    spectrum=tuple(spectrum(jm)),
-                    partition=_partition_counts(res.ranks),
-                    diagnostics=tuple(sorted(diagnostics.items())))
-    bad = any(not v <= lat.orth_tol for _, v in report.diagnostics)
-    return report, 2 if bad else 0
+    return Report(command="verify", version=__version__, digest=digest,
+                  lattice=res.lattice, inner_tol=INNER_TOL_DEFAULT,
+                  ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),
+                  diagnostics=tuple(sorted(diagnostics.items())))
 
 
 _COMMANDS = {
@@ -216,7 +187,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, code = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command](args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -233,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         name = "report.csv" if args.format == "csv" else "report.txt"
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(rendered)
-    return code
+    return report.exit_code()
 
 
 if __name__ == "__main__":

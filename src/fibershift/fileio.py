@@ -101,22 +101,25 @@ def load_problem(path: str) -> ProblemFile:
     labels: list[str] = []
     int_keys = {"n_lambda", "n_z", "k"}
     float_keys = {"rank_tol", "orth_tol", "inner_tol"}
+    header_keys = {"schema"} | int_keys | float_keys
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
         key, value = _parse_kv(line, lineno)
-        if key == "schema":
-            if value != SCHEMA:
-                raise ParseError(f"line {lineno}: unsupported schema {value!r}")
-            header["schema"] = value
-        elif key in int_keys or key in float_keys:
+        if key in header_keys:
             if gens:
                 raise ParseError(f"line {lineno}: header key {key!r} after generators")
             if key in header:
                 raise ParseError(f"line {lineno}: duplicate key {key!r}")
-            header[key] = (_parse_int if key in int_keys else _parse_float)(value, key, lineno)
+            if key == "schema":
+                if value != SCHEMA:
+                    raise ParseError(f"line {lineno}: unsupported schema {value!r}")
+                header[key] = value
+            else:
+                header[key] = (_parse_int if key in int_keys else _parse_float)(
+                    value, key, lineno)
         elif key == "generator":
             gens.append([])
             labels.append(value if value else f"g{len(gens)}")
@@ -178,10 +181,15 @@ def problem_fields(pf: ProblemFile) -> list[FiberedField]:
 
 @dataclass(frozen=True)
 class Report:
-    """Everything a command run wants to say, in aggregation order.
+    """What one command run measured, in aggregation order.
 
-    Rendering is deterministic: tuples keep fiber order, dict sections are
-    emitted in fixed key order, floats print via repr (shortest roundtrip).
+    Every field is a measurement or the identity of the run. The rest of
+    what a report prints is derived when it is rendered: s-invariance from
+    the leak, the spectrum from the nonzero range ranks, the partition of
+    the circle from the wandering ranks. ``exit_code`` judges the same
+    fields. Rendering is deterministic: tuples keep fiber order, dict
+    sections are emitted in fixed key order, floats print via repr
+    (shortest roundtrip).
     """
 
     command: str
@@ -190,14 +198,26 @@ class Report:
     lattice: TruncationLattice
     inner_tol: float
     notes: tuple[str, ...] = ()
-    s_invariant: bool | None = None
     s_leak: float | None = None
-    spectrum: tuple[int, ...] = ()
     ranks_jm: tuple[int, ...] = ()
     ranks_jr: tuple[int, ...] | None = None
-    partition: tuple[tuple[int, int], ...] = ()   # (dimension, fiber count)
     diagnostics: tuple[tuple[str, float], ...] = ()
     inner_defects: tuple[float, ...] | None = None
+
+    def exit_code(self) -> int:
+        """The gate table: 2 when any measured value fails its gate, else 0.
+
+        The leak and every verification defect are held to orth_tol,
+        ``phi_range_distance`` to 10 orth_tol, every inner defect to
+        inner_tol. NaN fails every gate.
+        """
+        tol = self.lattice.orth_tol
+        gates = [(v, 10.0 * tol if key == "phi_range_distance" else tol)
+                 for key, v in self.diagnostics]
+        if self.s_leak is not None:
+            gates.append((self.s_leak, tol))
+        gates += [(d, self.inner_tol) for d in self.inner_defects or ()]
+        return 0 if all(v <= bound for v, bound in gates) else 2
 
 
 def _fmt(x: float) -> str:
@@ -216,13 +236,16 @@ def render_text(report: Report) -> str:
     ]
     for note in report.notes:
         lines.append(f"note: {note}")
-    if report.s_invariant is not None:
-        verdict = "yes" if report.s_invariant else "NO"
+    if report.s_leak is not None:
+        verdict = "yes" if report.s_leak <= lat.orth_tol else "NO"
         lines.append(f"s-invariant: {verdict} (leak {_fmt(report.s_leak)})")
     if report.ranks_jm:
-        lines.append(f"spectrum: {len(report.spectrum)} of {lat.n_lambda} fibers")
-    for dim, count in report.partition:
-        lines.append(f"partition: dimension {dim} on {count} fibers")
+        spectrum = np.count_nonzero(report.ranks_jm)
+        lines.append(f"spectrum: {spectrum} of {lat.n_lambda} fibers")
+    if report.ranks_jr is not None:
+        for dim, count in enumerate(np.bincount(report.ranks_jr)):
+            if count:
+                lines.append(f"partition: dimension {dim} on {count} fibers")
     if report.diagnostics:
         lines.append("diagnostics:")
         for key, val in report.diagnostics:

@@ -81,12 +81,16 @@ class RangeFunctionK(_RangeFunction):
 
 
 def _generator_stacks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
-    """Generator fibers stacked as columns, shape (n_lambda, ambient, n_gens)."""
-    if not gens:
-        raise ValueError("at least one generator required")
+    """Generator fibers stacked as columns, shape (n_lambda, ambient, n_gens).
+
+    No generators stack to zero columns: the zero subspace, of rank 0 on
+    every fiber.
+    """
     for g in gens:
         if g.lattice != lattice:
             raise ValueError("generator lattice mismatch")
+    if not gens:
+        return np.zeros((lattice.n_lambda, lattice.ambient, 0), dtype=complex)
     return np.stack([g.flat() for g in gens], axis=2)
 
 
@@ -168,11 +172,6 @@ def direct_sum_ranges(parts: list[RangeFunctionH]) -> RangeFunctionH:
     return RangeFunctionH(lat, tuple(frames))
 
 
-def spectrum_from_ranks(ranks) -> list[int]:
-    """Sorted grid indices whose rank is nonzero."""
-    return [m for m, r in enumerate(ranks) if r > 0]
-
-
 def spectrum(range_fn) -> list[int]:
     """Sorted grid indices where the fiber subspace is nonzero."""
-    return spectrum_from_ranks(range_fn.ranks())
+    return np.flatnonzero(range_fn.ranks()).tolist()

@@ -1,8 +1,10 @@
 """Problem files, persistence, report rendering, command drivers."""
 
+import dataclasses
 import os
 import shutil
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,8 +13,7 @@ import pytest
 from fibershift import (DIAGNOSTIC_KEYS, DecompositionResult,
                         TruncationLattice, decompose_range,
                         range_from_generators, shat_closure)
-from fibershift.cli import (_partition_counts, build_parser, cmd_analyze,
-                            cmd_spectrum)
+from fibershift.cli import build_parser, cmd_analyze, cmd_spectrum
 from fibershift.errors import BoundsError, ParseError
 from fibershift.factorization import verify_decomposition
 from fibershift.fileio import (_HEADER, Report, load_decomposition,
@@ -85,6 +86,25 @@ BAD_PROBLEMS = (
 def test_load_problem_parse_errors(tmp_path, text, needle):
     with pytest.raises(ParseError, match=needle):
         load_problem(_write(tmp_path, text))
+
+
+SCHEMA_MISPLACED = (
+    ("schema: fibershift-problem/1\nschema: fibershift-problem/1\n"
+     "n_lambda: 4\nn_z: 8\nk: 1\ngenerator: g\nterm: 0 0 1 1 0\n",
+     "line 2: duplicate key 'schema'"),
+    ("schema: fibershift-problem/1\nn_lambda: 4\nn_z: 8\nk: 1\n"
+     "generator: g\nterm: 0 0 1 1 0\nschema: fibershift-problem/1\n",
+     "line 7: header key 'schema' after generators"),
+)
+
+
+@pytest.mark.parametrize("text, needle", SCHEMA_MISPLACED, ids=["twice", "late"])
+def test_schema_line_meets_the_header_checks(tmp_path, capsys, text, needle):
+    """A repeated schema line, or one after the generator blocks, is refused
+    like any other header key."""
+    code, out = run_cli(["analyze", _write(tmp_path, text)])
+    assert (code, out) == (3, "")
+    assert f"ParseError: {needle}" in capsys.readouterr().err
 
 
 def test_load_problem_bounds(tmp_path):
@@ -212,15 +232,17 @@ def test_render_text_layout():
     report = Report(command="analyze", version="0.1.0", digest="ab" * 32,
                     lattice=lat, inner_tol=1e-6,
                     notes=("shat-closure: applied (1 -> 3 generators)",),
-                    s_invariant=False, s_leak=0.25,
-                    spectrum=(0,), ranks_jm=(3, 0),
+                    s_leak=0.25, ranks_jm=(3, 0),
                     diagnostics=(("isometry_defect", 1e-15),))
     text = render_text(report)
     assert text.startswith("fibershift report (analyze)\n")
     assert "s-invariant: NO (leak 0.25)" in text
+    assert "spectrum: 1 of 2 fibers" in text
     assert "  isometry_defect 1e-15" in text
     assert "  fiber 1: rank_jm 0" in text
     assert text.endswith("\n")
+    nan_leak = render_text(dataclasses.replace(report, s_leak=float("nan")))
+    assert "s-invariant: NO (leak nan)" in nan_leak
 
 
 def test_render_csv_layout():
@@ -255,10 +277,85 @@ def test_cli_analyze_constant(tmp_path):
     assert all(f"fiber {m}: rank_jm 8, rank_jr 1" in out for m in range(4))
 
 
+VANISHING_PROBLEM = """\
+schema: fibershift-problem/1
+n_lambda: 4
+n_z: 4
+k: 1
+generator: vanishing
+term: 0 1 1 0.5 0.0
+term: 4 1 1 -0.5 0.0
+"""
+
+
+def test_cli_zero_subspace_round_trip(tmp_path):
+    """lambda^4 = 1 on a grid of 4 points, so the seed vanishes on every
+    fiber and closes to no generators: the zero subspace, not bad input."""
+    path = _write(tmp_path, VANISHING_PROBLEM)
+    for command in ("analyze", "spectrum", "decompose", "beurling"):
+        code, out = run_cli([command, path, "--out", str(tmp_path / command)])
+        assert code == 0, command
+        assert "note: shat-closure: applied (1 -> 0 generators)" in out
+        assert "spectrum: 0 of 4 fibers" in out
+        assert all(f"fiber {m}: rank_jm 0" in out for m in range(4))
+        if command in ("analyze", "decompose"):
+            assert "s-invariant: yes (leak 0.0)" in out
+        if command != "spectrum":
+            assert "partition: dimension 0 on 4 fibers" in out
+        if command in ("decompose", "beurling"):
+            assert all(_diagnostic(out, key) == 0.0 for key in DIAGNOSTIC_KEYS)
+    code, out = run_cli(["verify", str(tmp_path / "decompose")])
+    assert code == 0
+    assert all(_diagnostic(out, key) == 0.0 for key in DIAGNOSTIC_KEYS)
+
+
+def _partition_lines(ranks_jr) -> list[str]:
+    lat = TruncationLattice(len(ranks_jr), 4, 2)
+    report = Report(command="verify", version="0.1.0", digest="ef" * 32,
+                    lattice=lat, inner_tol=1e-6, ranks_jm=(4,) * len(ranks_jr),
+                    ranks_jr=tuple(ranks_jr))
+    return [line for line in render_text(report).splitlines()
+            if line.startswith("partition: ")]
+
+
 def test_partition_counts_list_only_dimensions_that_occur():
-    assert _partition_counts(np.array([2, 0, 2, 2])) == ((0, 1), (2, 3))
-    assert _partition_counts(np.array([1, 1])) == ((1, 2),)
-    assert _partition_counts(np.zeros(3, dtype=int)) == ((0, 3),)
+    assert _partition_lines((2, 0, 2, 2)) == [
+        "partition: dimension 0 on 1 fibers",
+        "partition: dimension 2 on 3 fibers"]
+    assert _partition_lines((1, 1)) == ["partition: dimension 1 on 2 fibers"]
+    assert _partition_lines((0, 0, 0)) == ["partition: dimension 0 on 3 fibers"]
+
+
+def _gated(**fields) -> Report:
+    """A report at orth_tol 1e-8 and inner_tol 1e-6 with the given measurements."""
+    return Report(command="gate", version="0.1.0", digest="00" * 32,
+                  lattice=TruncationLattice(2, 4, 1), inner_tol=1e-6,
+                  ranks_jm=(4, 0), **fields)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("fields, code", [
+    (dict(s_leak=1e-8), 0),
+    (dict(s_leak=2e-8), 2),
+    (dict(diagnostics=(("isometry_defect", 5e-8),)), 2),
+    (dict(diagnostics=(("phi_range_distance", 5e-8),)), 0),
+    (dict(diagnostics=(("phi_range_distance", 2e-7),)), 2),
+    (dict(inner_defects=(0.0, 2e-6)), 2),
+    (dict(s_leak=NAN), 2),
+    (dict(diagnostics=(("image_defect", NAN),)), 2),
+    (dict(diagnostics=(("phi_range_distance", NAN),)), 2),
+    (dict(inner_defects=(NAN, 0.0)), 2),
+    (dict(), 0),
+], ids=["leak-at-tol", "leak-above", "defect-5x", "phi-distance-5x",
+        "phi-distance-20x", "inner-defect-above", "nan-leak", "nan-defect",
+        "nan-phi-distance", "nan-inner-defect", "spectrum-only"])
+def test_report_exit_code_gate_table(fields, code):
+    """One gate per measured value: orth_tol for the leak and the
+    verification defects, 10 orth_tol for the Phi range distance,
+    inner_tol for the inner defects; NaN fails every gate."""
+    assert _gated(**fields).exit_code() == code
 
 
 def test_cli_spectrum_closure_note(tmp_path):
@@ -304,12 +401,14 @@ def test_spectrum_matches_analyze(tmp_path, seed):
     """spectrum reads ranks off singular values alone; analyze builds the
     frames. Both report the same ranks and spectrum."""
     path = _laurent_problem(tmp_path, seed)
-    spec, code_s = cmd_spectrum(build_parser().parse_args(["spectrum", path]))
-    full, code_a = cmd_analyze(build_parser().parse_args(["analyze", path]))
-    assert code_s == 0 and code_a == 0
+    spec = cmd_spectrum(build_parser().parse_args(["spectrum", path]))
+    full = cmd_analyze(build_parser().parse_args(["analyze", path]))
+    assert spec.exit_code() == 0 and full.exit_code() == 0
     assert spec.ranks_jm == full.ranks_jm
-    assert spec.spectrum == full.spectrum
-    assert 0 < len(spec.spectrum) and min(spec.ranks_jm) < max(spec.ranks_jm)
+    spectrum_lines = [[line for line in render_text(report).splitlines()
+                       if line.startswith("spectrum: ")] for report in (spec, full)]
+    assert spectrum_lines[0] == spectrum_lines[1]
+    assert 0 < np.count_nonzero(spec.ranks_jm) and min(spec.ranks_jm) < max(spec.ranks_jm)
 
 
 def test_analyze_refuses_leaky_span_at_n_z_16(tmp_path, capsys):
@@ -623,10 +722,26 @@ def test_cli_usage_exit_codes(argv, code):
 
 
 def test_console_script(tmp_path):
+    """The exit status of a real process: the installed console script when
+    it is on PATH, else ``python -m fibershift.cli``."""
     exe = shutil.which("fibershift")
+    env = dict(os.environ)
     if exe is None:
-        pytest.skip("console script not on PATH")
-    path = _write(tmp_path, CONSTANT_PROBLEM)
-    proc = subprocess.run([exe, "spectrum", path], capture_output=True, text=True)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    command = [exe] if exe else [sys.executable, "-m", "fibershift.cli"]
+
+    def run(*argv):
+        return subprocess.run(command + list(argv), capture_output=True,
+                              text=True, env=env)
+
+    proc = run("spectrum", _write(tmp_path, CONSTANT_PROBLEM))
     assert proc.returncode == 0
     assert "fibershift report (spectrum)" in proc.stdout
+    proc = run("decompose", _write(tmp_path, BLASCHKE_PROBLEM, name="b.txt"),
+               "--orth-tol", "1e-16")
+    assert proc.returncode == 2
+    proc = run("analyze", str(tmp_path / "missing.txt"))
+    assert proc.returncode == 3
+    assert proc.stdout == ""

@@ -132,6 +132,20 @@ def test_generator_guard_band_names_the_fiber():
         assert err.value.fiber == 1
 
 
+def test_no_generators_span_the_zero_subspace():
+    """An empty generator list (seeds that vanish on every fiber close to
+    none) spans the zero subspace: rank 0 on every fiber, empty spectrum.
+    A direct sum of no summands has no lattice and is still refused."""
+    lat = TruncationLattice(4, 4, 2)
+    jm = range_from_generators([], lat)
+    assert jm.ranks().tolist() == [0, 0, 0, 0]
+    assert all(q.shape == (8, 0) for q in jm.frames)
+    assert generator_ranks([], lat).tolist() == [0, 0, 0, 0]
+    assert spectrum(jm) == []
+    with pytest.raises(ValueError, match="at least one summand"):
+        direct_sum_ranges([])
+
+
 def test_range_frames_are_frozen():
     lat = TruncationLattice(2, 2, 1)
     rf = RangeFunctionH(lat, (np.eye(2, dtype=complex),) * 2)
