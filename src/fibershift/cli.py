@@ -7,8 +7,8 @@ returns the Report of what it measured. Exit codes: 0 success, 2 a
 mathematical invariant failed (``Report.exit_code`` or a refusal), 3 bad
 input.
 
-Generator lists in problem files are seeds: the pipelines close them under
-the fiber shift before building spans, so every analyzed subspace is shift
+Generator lists in problem files are seeds: the pipelines span them
+together with their fiber shifts, so every analyzed subspace is shift
 invariant by construction. Reports record that the closure was applied.
 """
 
@@ -28,8 +28,8 @@ from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
                      render_csv, render_text, save_decomposition)
-from .ranges import generator_ranks, range_from_generators
-from .shifts import is_S_invariant, shat_closure
+from .ranges import closure_range, closure_ranks
+from .shifts import closure_counts, is_S_invariant
 from .subspaces import subspace_distance
 from .wandering import wandering_range
 
@@ -100,9 +100,9 @@ def _load(args) -> tuple:
         pf = dataclasses.replace(pf, lattice=lat)
     inner_tol = args.inner_tol if args.inner_tol is not None else pf.inner_tol
     seeds = problem_fields(pf)
-    gens = shat_closure(seeds)
-    notes = (f"shat-closure: applied ({len(seeds)} -> {len(gens)} generators)",)
-    return pf, lat, inner_tol, gens, notes
+    notes = (f"shat-closure: applied ({len(seeds)} -> {sum(closure_counts(seeds))} "
+             "generators)",)
+    return pf, lat, inner_tol, seeds, notes
 
 
 def _ranks(ranks) -> tuple[int, ...]:
@@ -110,8 +110,8 @@ def _ranks(ranks) -> tuple[int, ...]:
 
 
 def cmd_analyze(args) -> Report:
-    pf, lat, inner_tol, gens, notes = _load(args)
-    jm = range_from_generators(gens, lat)
+    pf, lat, inner_tol, seeds, notes = _load(args)
+    jm = closure_range(seeds, lat)
     ok, leak = is_S_invariant(jm)
     # the wandering part is defined only for an invariant span
     ranks_jr = _ranks(wandering_range(jm).ranks()) if ok else None
@@ -121,18 +121,17 @@ def cmd_analyze(args) -> Report:
 
 
 def cmd_spectrum(args) -> Report:
-    pf, lat, inner_tol, gens, notes = _load(args)
+    pf, lat, inner_tol, seeds, notes = _load(args)
     return Report(command="spectrum", version=__version__, digest=pf.digest,
                   lattice=lat, inner_tol=inner_tol, notes=notes,
-                  ranks_jm=_ranks(generator_ranks(gens, lat)))
+                  ranks_jm=_ranks(closure_ranks(seeds, lat)))
 
 
 def cmd_decompose(args) -> Report:
-    pf, lat, inner_tol, gens, notes = _load(args)
-    jm = range_from_generators(gens, lat)
+    pf, lat, inner_tol, seeds, notes = _load(args)
+    jm = closure_range(seeds, lat)
     res = decompose_range(jm)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         save_decomposition(res, jm, os.path.join(args.out, "decomposition.fshd"))
         notes += ("persisted: decomposition.fshd",)
     _, leak = is_S_invariant(jm)
@@ -144,10 +143,10 @@ def cmd_decompose(args) -> Report:
 
 
 def cmd_beurling(args) -> Report:
-    pf, lat, inner_tol, gens, notes = _load(args)
+    pf, lat, inner_tol, seeds, notes = _load(args)
     if lat.k != 1:
         raise ValueError("beurling requires a k = 1 problem")
-    jm = range_from_generators(gens, lat)
+    jm = closure_range(seeds, lat)
     res = decompose_range(jm)
     phi = phi_representation(res, inner_tol)
     rphi = range_of_phi(phi)
@@ -187,6 +186,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # before the command runs, so an unusable directory prints no report
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
         report = _COMMANDS[args.command](args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -200,7 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     rendered = render_csv(report) if args.format == "csv" else render_text(report)
     sys.stdout.write(rendered)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         name = "report.csv" if args.format == "csv" else "report.txt"
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(rendered)

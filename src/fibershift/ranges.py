@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NotOrthogonal
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
+from .shifts import closure_counts, shifted_copies
 from .subspaces import (
     canonical_columns,
     complement_frame,
@@ -80,18 +81,40 @@ class RangeFunctionK(_RangeFunction):
         self._check(self.lattice.k)
 
 
-def _generator_stacks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
-    """Generator fibers stacked as columns, shape (n_lambda, ambient, n_gens).
+def _fiber_stacks(gens: list[FiberedField], counts: list[int],
+                  lattice: TruncationLattice):
+    """Per fiber m, the matrix whose columns are g(lambda_m), S g(lambda_m),
+    ..., S^(count-1) g(lambda_m) for each generator g in turn.
 
-    No generators stack to zero columns: the zero subspace, of rank 0 on
-    every fiber.
+    Each matrix is built when its fiber is reached, from the generators
+    alone, so no stack over all fibers is ever held. No generators give
+    zero columns: the zero subspace, of rank 0 on every fiber.
     """
     for g in gens:
         if g.lattice != lattice:
             raise ValueError("generator lattice mismatch")
-    if not gens:
-        return np.zeros((lattice.n_lambda, lattice.ambient, 0), dtype=complex)
-    return np.stack([g.flat() for g in gens], axis=2)
+    flats = [g.flat() for g in gens]
+    # shifted_copies is degree-major (column j*r + i is generator i shifted
+    # j times); these columns put it generator by generator
+    take = [j * len(gens) + i for i, c in enumerate(counts) for j in range(c)]
+    depth = max(counts, default=0)
+    fiber = np.zeros((lattice.ambient, len(gens)), dtype=complex)
+    for m in range(lattice.n_lambda):
+        for i, f in enumerate(flats):
+            fiber[:, i] = f[m]
+        yield shifted_copies(fiber, lattice.n_z, lattice.k, depth)[:, take]
+
+
+def _span(gens, counts, lattice) -> RangeFunctionH:
+    return RangeFunctionH(lattice, tuple(
+        orthonormal_frame(stack, lattice.rank_tol, fiber=m)
+        for m, stack in enumerate(_fiber_stacks(gens, counts, lattice))))
+
+
+def _span_ranks(gens, counts, lattice) -> np.ndarray:
+    return np.array([rank_decision(singular_values(stack), lattice.rank_tol, fiber=m)
+                     for m, stack in enumerate(_fiber_stacks(gens, counts, lattice))],
+                    dtype=int)
 
 
 def range_from_generators(gens: list[FiberedField],
@@ -102,10 +125,7 @@ def range_from_generators(gens: list[FiberedField],
     canonical orthonormal frame. Raises ToleranceAmbiguity when a rank
     decision falls inside the guard band.
     """
-    stacks = _generator_stacks(gens, lattice)
-    return RangeFunctionH(lattice, tuple(
-        orthonormal_frame(stacks[m], lattice.rank_tol, fiber=m)
-        for m in range(lattice.n_lambda)))
+    return _span(gens, [1] * len(gens), lattice)
 
 
 def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
@@ -114,9 +134,20 @@ def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice) -> np.
     Each fiber costs one SVD without singular vectors; the rank decision,
     guard band included, is the one ``range_from_generators`` makes.
     """
-    stacks = _generator_stacks(gens, lattice)
-    return np.array([rank_decision(singular_values(stacks[m]), lattice.rank_tol, fiber=m)
-                     for m in range(lattice.n_lambda)], dtype=int)
+    return _span_ranks(gens, [1] * len(gens), lattice)
+
+
+def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> RangeFunctionH:
+    """``range_from_generators(shat_closure(seeds), lattice)``, frame for
+    frame, without building the closure: each fiber's columns are the seeds'
+    shifted copies, made when that fiber's SVD needs them."""
+    return _span(seeds, closure_counts(seeds), lattice)
+
+
+def closure_ranks(seeds: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
+    """``generator_ranks(shat_closure(seeds), lattice)`` without building
+    the closure."""
+    return _span_ranks(seeds, closure_counts(seeds), lattice)
 
 
 def member(f: FiberedField, range_fn: RangeFunctionH) -> tuple[bool, float]:

@@ -16,12 +16,15 @@ they commute with both shifts by construction and need no commutation check.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH
+
+if TYPE_CHECKING:  # ranges imports this module
+    from .ranges import RangeFunctionH
 
 
 def apply_U(f: FiberedField) -> FiberedField:
@@ -43,18 +46,29 @@ def apply_S_hat(f: FiberedField) -> FiberedField:
     return FiberedField(f.lattice, data)
 
 
+def closure_counts(gens: list[FiberedField]) -> list[int]:
+    """Number of nonzero fiberwise shift iterates of each generator: n_z
+    minus the lowest z-degree with a nonzero coefficient on any fiber, and 0
+    for a zero generator."""
+    counts = []
+    for g in gens:
+        degrees = np.flatnonzero(np.any(g.data, axis=(0, 2)))
+        counts.append(g.lattice.n_z - int(degrees[0]) if degrees.size else 0)
+    return counts
+
+
 def shat_closure(gens: list[FiberedField]) -> list[FiberedField]:
-    """Generators together with all their nonzero fiberwise shift iterates.
+    """Generators together with all their nonzero fiberwise shift iterates,
+    generator by generator, each followed by its shifts.
 
     The fiber shift is nilpotent of order n_z, so the closure is finite; a
     range function built from the closure is shift invariant by construction.
+    ``ranges.closure_range`` spans the same columns without these fields.
     """
     out: list[FiberedField] = []
-    for g in gens:
+    for g, count in zip(gens, closure_counts(gens)):
         f = g
-        for _ in range(g.lattice.n_z):
-            if not np.any(f.data):
-                break
+        for _ in range(count):
             out.append(f)
             f = apply_S_hat(f)
     return out
@@ -87,12 +101,18 @@ def shifted_copies(cols: np.ndarray, n_z: int, k: int, count: int) -> np.ndarray
     return out
 
 
+def compressed_shift_adjoint(frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
+    """C* for the compression C = Q* S Q of the fiber shift to span(Q). S Q
+    is Q one degree block down, so C* = Q[:(n_z-1)k]* Q[k:]."""
+    return frame[: (n_z - 1) * k].conj().T @ frame[k:]
+
+
 def shift_leak(frame: np.ndarray, n_z: int, k: int) -> float:
     """``||S Q - Q C||_F`` with C = Q* S Q: the part of the shifted frame
     outside span(Q). It vanishes exactly when span(Q) is S-invariant."""
     if frame.shape[1] == 0:
         return 0.0
-    c_star = frame[: (n_z - 1) * k].conj().T @ frame[k:]
+    c_star = compressed_shift_adjoint(frame, n_z, k)
     # Q C - S Q, with S Q the frame one degree block down
     d = frame @ c_star.conj().T
     d[k:] -= frame[: (n_z - 1) * k]

@@ -117,16 +117,25 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     q = _phase_normalize(q)
     sv = np.zeros(q.shape[1]) if s is None else np.asarray(s, dtype=float)
     order = np.argsort(-sv, kind="stable")
-    if np.all(np.diff(sv[order])):
-        # no ties: the value order alone is the lexsort order below (and
-        # np.unique would import numpy.ma, about 1 MB resident)
+    # tied[i]: sorted positions i and i + 1 hold equal values (np.unique
+    # would find the runs too, but imports numpy.ma, about 1 MB resident)
+    tied = np.diff(sv[order]) == 0
+    if not tied.any():
         return np.take(q, order, axis=1)
-    # lexsort keys run least to most significant: the interleaved
-    # (real, imag) rows break exact ties, -sv decides first
-    interleaved = np.empty((2 * q.shape[0], q.shape[1]))
-    interleaved[0::2] = q.real
-    interleaved[1::2] = q.imag
-    order = np.lexsort(np.vstack([interleaved[::-1], -sv[None, :]]))
+    # only columns in a run of tied values move, in one lexsort over them.
+    # Its keys run least to most significant: the last is the run (numbered
+    # in sorted order), then row 0's real and imaginary parts, row 1's, and
+    # so on. The stable sort left each run in index order, which lexsort
+    # keeps for identical columns
+    in_run = np.concatenate(([False], tied)) | np.concatenate((tied, [False]))
+    pos = np.flatnonzero(in_run)
+    cols = order[pos]
+    block = np.take(q, cols, axis=1)[::-1]
+    keys = np.empty((2 * q.shape[0] + 1, cols.size))
+    keys[0:-1:2] = block.imag
+    keys[1:-1:2] = block.real
+    keys[-1] = np.cumsum(np.concatenate(([True], ~tied)))[pos]
+    order[pos] = cols[np.lexsort(keys)]
     return np.take(q, order, axis=1)
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
 from .fields import z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import is_S_invariant, shift_leaks, shifted_copies
+from .shifts import (compressed_shift_adjoint, is_S_invariant, shift_leaks,
+                     shifted_copies)
 from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
 
 
@@ -44,8 +45,7 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     """
     if frame.shape[1] == 0:
         return frame
-    c_star = frame[: (n_z - 1) * k].conj().T @ frame[k:]
-    _, s, vh = robust_svd(c_star)
+    _, s, vh = robust_svd(compressed_shift_adjoint(frame, n_z, k))
     rank = rank_decision(s, rank_tol, fiber)
     cutoff = rank_tol * float(s[0])
     if leak > 0.5 * cutoff:

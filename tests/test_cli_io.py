@@ -698,6 +698,25 @@ def test_cli_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_cli_out_that_cannot_be_a_directory_is_bad_input(tmp_path, capsys):
+    """An --out path that is a file, or lies under one, is refused before
+    the command runs: exit 3, one line on stderr, no report, and the file
+    is left alone."""
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    result = str(tmp_path / "result")
+    assert run_cli(["decompose", path, "--out", result])[0] == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    for out, error in ((blocker, "FileExistsError"), (blocker / "sub", "NotADirectoryError")):
+        for argv in (["analyze", path], ["spectrum", path], ["decompose", path],
+                     ["beurling", path], ["verify", result]):
+            assert run_cli(argv + ["--out", str(out)]) == (3, ""), argv
+            err = capsys.readouterr().err
+            assert err.startswith(error + ":") and err.count("\n") == 1, argv
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("argv, code", [
     (["decompose", "problem.txt", "--threads", "8"], 3),
     ([], 3),

@@ -191,11 +191,26 @@ def _convention_order(q, s):
     return sorted(range(q.shape[1]), key=key)
 
 
+_LEXSORT = np.lexsort   # tests below count calls to np.lexsort
+
+
+def _full_lexsort_order(q, s):
+    """The order of one lexsort over all columns, -s most significant, then
+    the interleaved (re, im) coefficient rows: what ``canonical_columns``
+    computes with a lexsort per run of tied values."""
+    sv = np.zeros(q.shape[1]) if s is None else np.asarray(s, dtype=float)
+    keys = np.empty((2 * q.shape[0], q.shape[1]))
+    keys[0::2] = q.real
+    keys[1::2] = q.imag
+    return _LEXSORT(np.vstack([keys[::-1], -sv[None, :]]))
+
+
 def _assert_convention(q, s):
     out = canonical_columns(q, s)
     normalized = _phase_normalize(q)
     assert out.shape == q.shape and out.dtype == complex
     assert out.tobytes() == normalized[:, _convention_order(normalized, s)].tobytes()
+    assert out.tobytes() == normalized[:, _full_lexsort_order(normalized, s)].tobytes()
 
 
 def _shared_prefix(rows: int, cols: int, prefix: int) -> np.ndarray:
@@ -221,6 +236,11 @@ def _shared_prefix(rows: int, cols: int, prefix: int) -> np.ndarray:
     (_shared_prefix(9, 5, 8), np.ones(5)),
     (_shared_prefix(64, 6, 40), None),
     (_shared_prefix(6, 4, 6), None),        # identical columns: index order
+    # several tied runs, each broken on its own coefficients
+    (haar_frame(np.random.default_rng(27), 7, 7),
+     np.array([3.0, 1.0, 3.0, 2.0, 1.0, 2.0, 0.5])),
+    (_shared_prefix(9, 6, 5), np.array([1.0, 1.0, 0.5, 0.5, 0.5, 0.25])),
+    (_shared_prefix(8, 6, 8), np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0])),
 ])
 def test_canonical_columns_convention(q, s):
     _assert_convention(q, s)

@@ -1,13 +1,17 @@
 """Range functions and the pointwise span calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fibershift import (FiberedField, NotOrthogonal, RangeFunctionH,
                         RangeFunctionK, ToleranceAmbiguity, TruncationLattice,
                         range_from_generators, shat_closure)
-from fibershift.ranges import (complement_range, direct_sum_ranges,
+from fibershift.ranges import (_fiber_stacks, closure_range, closure_ranks,
+                               complement_range, direct_sum_ranges,
                                generator_ranks, member, spectrum)
+from fibershift.shifts import closure_counts
 
 from helpers import brute_projector, frame_projector, grid_seeds
 
@@ -151,3 +155,64 @@ def test_range_frames_are_frozen():
     rf = RangeFunctionH(lat, (np.eye(2, dtype=complex),) * 2)
     with pytest.raises(ValueError):
         rf.frames[0][0, 0] = 9.0
+
+
+def _closure_seeds(case: str) -> tuple[TruncationLattice, list[FiberedField]]:
+    lat = TruncationLattice(8, 6, 2)
+    rng = np.random.default_rng(24)
+
+    def rand():
+        shape = (lat.n_lambda, lat.n_z, lat.k)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    high = rand()
+    high[:, :2] = 0.0               # lowest degree 2 on every fiber
+    mixed = rand()
+    mixed[:, :3] = 0.0
+    mixed[3, 1, 0] = 1.0            # lowest degree 1, on fiber 3 alone
+    # zero exactly on the even fibers, where lambda^4 = 1
+    vanish = rand() * ((lat.lambda_power(4) - 1.0) / 2.0)[:, None, None]
+    zero = np.zeros_like(high)
+    data = {"high": [high], "mixed": [mixed], "vanish": [vanish],
+            "zero-then-high": [zero, high], "all-zero": [zero, zero],
+            "three": [high, vanish, mixed]}[case]
+    return lat, [FiberedField(lat, d) for d in data]
+
+
+@pytest.mark.parametrize("case, counts", [
+    ("high", [4]), ("mixed", [5]), ("vanish", [6]), ("zero-then-high", [0, 4]),
+    ("all-zero", [0, 0]), ("three", [4, 6, 5])])
+def test_closure_stacks_are_the_closure_fields(case, counts):
+    """Each fiber's matrix is, bit for bit, the closure fields' fibers side
+    by side, seed by seed; spans and ranks are those of the closure."""
+    lat, seeds = _closure_seeds(case)
+    gens = shat_closure(seeds)
+    assert closure_counts(seeds) == counts and sum(counts) == len(gens)
+    for m, stack in enumerate(_fiber_stacks(seeds, counts, lat)):
+        expected = (np.stack([g.flat()[m] for g in gens], axis=1) if gens
+                    else np.zeros((lat.ambient, 0), dtype=complex))
+        assert stack.shape == expected.shape
+        assert stack.tobytes() == expected.tobytes()
+    jm, ref = closure_range(seeds, lat), range_from_generators(gens, lat)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(jm.frames, ref.frames))
+    assert closure_ranks(seeds, lat).tolist() == jm.ranks().tolist()
+    assert generator_ranks(gens, lat).tolist() == jm.ranks().tolist()
+
+
+def test_closure_range_holds_one_fiber_at_a_time():
+    """Spanning the closure allocates J's frames and one fiber's matrix at a
+    time: the peak stays below twice the frames' bytes (1.2 times here).
+    ``range_from_generators(shat_closure(seeds), lat)``, which holds the
+    closure as fields, reads 2.2."""
+    lat = TruncationLattice(32, 32, 3)
+    seeds = grid_seeds(np.random.default_rng(25), lat, 3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        jm = closure_range(seeds, lat)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    frames = sum(q.nbytes for q in jm.frames)
+    assert frames > 0 and peak < 2 * frames

@@ -9,7 +9,7 @@ from fibershift import (FiberedField, RangeFunctionH, SymbolField,
                         TruncationLattice, apply_S_hat, apply_U, apply_U_star,
                         is_S_invariant, range_from_generators, shat_closure,
                         shift_matrix)
-from fibershift.shifts import shift_leak, shifted_copies
+from fibershift.shifts import compressed_shift_adjoint, shift_leak, shifted_copies
 
 from helpers import grid_seeds, haar_frame
 
@@ -95,12 +95,15 @@ def test_symbol_field_commutes_exactly(n_z, k, seed):
 @given(n_z=st.integers(1, 6), k=st.integers(1, 3), r=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_shift_leak_matches_the_shift_matrix(n_z, k, r, seed):
-    """The leak is ||S Q - Q Q* S Q||_F with S the dense shift matrix."""
+    """The leak is ||S Q - Q Q* S Q||_F with S the dense shift matrix, and
+    the compression's adjoint is (Q* S Q)*."""
     lat = TruncationLattice(1, n_z, k)
     q = haar_frame(np.random.default_rng(seed), lat.ambient, min(r, lat.ambient))
     sq = shift_matrix(lat) @ q
     expected = np.linalg.norm(sq - q @ (q.conj().T @ sq))
     assert shift_leak(q, n_z, k) == pytest.approx(expected, abs=1e-13)
+    assert np.allclose(compressed_shift_adjoint(q, n_z, k), (q.conj().T @ sq).conj().T,
+                       rtol=0, atol=1e-13)
 
 
 def test_shifts_commute():
