@@ -35,7 +35,8 @@ from .ranges import (RangeFunctionH, RangeFunctionK, complement_range,
 from .shifts import (apply_S_hat, apply_U, apply_U_star, is_S_invariant,
                      shat_closure, shift_matrix)
 from .subspaces import orthonormal_frame, subspace_distance
-from .wandering import reconstruct_from_wandering, wandering_range
+from .wandering import (reconstruct_from_wandering, wandering_range,
+                        wandering_ranks)
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,7 @@ __all__ = [
     "direct_sum_ranges", "spectrum",
     "apply_U", "apply_U_star", "apply_S_hat", "shift_matrix", "shat_closure",
     "is_S_invariant",
-    "wandering_range", "reconstruct_from_wandering",
+    "wandering_range", "wandering_ranks", "reconstruct_from_wandering",
     "project_pointwise", "full_hardy_from_base", "is_full_hardy",
     "full_hardy_complement",
     "DecompositionResult", "SymbolField", "decompose", "decompose_range",

@@ -18,7 +18,7 @@ from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
 from .factorization import constant_unitary
 from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH
-from .shifts import shift_leak, shifted_copies
+from .shifts import shifted_copies
 from .subspaces import _phase_normalize, orthonormal_frame, subspace_distance
 from .wandering import _fiber_wandering
 
@@ -84,7 +84,9 @@ def inner_from_invariant(gens: list[ScalarH2],
         raise ValueError("generators disagree on n_z")
     stack = np.hstack([shifted_copies(g.coeffs[:, None], n_z, 1, n_z) for g in gens])
     frame = orthonormal_frame(stack, rank_tol)
-    wander = _fiber_wandering(frame, n_z, 1, rank_tol, shift_leak(frame, n_z, 1))
+    _, wander = _fiber_wandering(frame, n_z, 1, rank_tol)
+    if isinstance(wander, Exception):
+        raise wander
     if wander.shape[1] != 1:
         raise WanderingRankNotOne(
             f"wandering part has rank {wander.shape[1]}, expected 1")

@@ -24,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .beurling import INNER_TOL_DEFAULT, phi_representation, range_of_phi
-from .errors import BoundsError, FibershiftError, ParseError
+from .errors import BoundsError, FibershiftError, NotInvariant, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
                      render_csv, render_text, save_decomposition)
 from .ranges import closure_range, closure_ranks
 from .shifts import closure_counts, is_S_invariant
 from .subspaces import subspace_distance
-from .wandering import wandering_range
+from .wandering import wandering_ranks
 
 
 def _unit_interval(text: str) -> float:
@@ -112,9 +112,11 @@ def _ranks(ranks) -> tuple[int, ...]:
 def cmd_analyze(args) -> Report:
     pf, lat, inner_tol, seeds, notes = _load(args)
     jm = closure_range(seeds, lat)
-    ok, leak = is_S_invariant(jm)
-    # the wandering part is defined only for an invariant span
-    ranks_jr = _ranks(wandering_range(jm).ranks()) if ok else None
+    try:
+        ranks_jr = _ranks(wandering_ranks(jm))
+    except NotInvariant:  # the wandering part is defined only for an invariant span
+        ranks_jr = None
+    _, leak = is_S_invariant(jm)
     return Report(command="analyze", version=__version__, digest=pf.digest,
                   lattice=lat, inner_tol=inner_tol, notes=notes,
                   s_leak=leak, ranks_jm=_ranks(jm.ranks()), ranks_jr=ranks_jr)
@@ -190,6 +192,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
         report = _COMMANDS[args.command](args)
+        rendered = render_csv(report) if args.format == "csv" else render_text(report)
+        # before printing, so a report that cannot be written prints nothing
+        if args.out:
+            name = "report.csv" if args.format == "csv" else "report.txt"
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(rendered)
     except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -199,12 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except FibershiftError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    rendered = render_csv(report) if args.format == "csv" else render_text(report)
     sys.stdout.write(rendered)
-    if args.out:
-        name = "report.csv" if args.format == "csv" else "report.txt"
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(rendered)
     return report.exit_code()
 
 

@@ -8,7 +8,8 @@ Invariance is measured on whole frames: with P_n the truncation,
 P_n S P_n = P_n S, so the truncation of an S-invariant subspace is exactly
 invariant under the truncated shift and dropping the top degree cannot
 masquerade as a leak. The leak of one fiber is computed in ``shift_leak``
-alone; the invariance verdict and the wandering step both read it. Fields
+alone, from the C* that the wandering step decides on, and both the
+invariance verdict and the wandering step read it. Fields
 are stored as symbols, whose shifted copies make up the fiber operators, so
 they commute with both shifts by construction and need no commutation check.
 """
@@ -107,27 +108,31 @@ def compressed_shift_adjoint(frame: np.ndarray, n_z: int, k: int) -> np.ndarray:
     return frame[: (n_z - 1) * k].conj().T @ frame[k:]
 
 
-def shift_leak(frame: np.ndarray, n_z: int, k: int) -> float:
+def shift_leak(frame: np.ndarray, n_z: int, k: int,
+               c_star: np.ndarray | None = None) -> float:
     """``||S Q - Q C||_F`` with C = Q* S Q: the part of the shifted frame
-    outside span(Q). It vanishes exactly when span(Q) is S-invariant."""
+    outside span(Q). It vanishes exactly when span(Q) is S-invariant. A
+    caller that already holds ``c_star``, the frame's C*, passes it in."""
     if frame.shape[1] == 0:
         return 0.0
-    c_star = compressed_shift_adjoint(frame, n_z, k)
+    if c_star is None:
+        c_star = compressed_shift_adjoint(frame, n_z, k)
     # Q C - S Q, with S Q the frame one degree block down
     d = frame @ c_star.conj().T
     d[k:] -= frame[: (n_z - 1) * k]
     return float(np.linalg.norm(d))
 
 
-def shift_leaks(range_fn: RangeFunctionH) -> np.ndarray:
-    """Per-fiber ``shift_leak`` of a range function. Range functions are
-    immutable, so the array is kept on the object: a command that reports
-    the leak and then takes the wandering part computes it once."""
+def shift_leaks(range_fn: RangeFunctionH, measured=None) -> np.ndarray:
+    """Per-fiber ``shift_leak`` of a range function, kept on the immutable
+    object; the wandering step passes in the leaks it ``measured``, so a
+    command that also reports the leak computes it once."""
     leaks = range_fn.__dict__.get("_shift_leaks")
     if leaks is None:
-        lat = range_fn.lattice
-        leaks = frozen_array([shift_leak(q, lat.n_z, lat.k) for q in range_fn.frames],
-                             dtype=float)
+        if measured is None:
+            lat = range_fn.lattice
+            measured = [shift_leak(q, lat.n_z, lat.k) for q in range_fn.frames]
+        leaks = frozen_array(measured, dtype=float)
         object.__setattr__(range_fn, "_shift_leaks", leaks)
     return leaks
 

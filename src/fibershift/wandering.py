@@ -1,32 +1,37 @@
 """Wandering subspaces of shift-invariant range functions.
 
 For an invariant fiber subspace J the wandering part is J minus its shifted
-image, computed in the coordinates of J's own frame (one small SVD and one
-rank decision per fiber), so it lies in J by construction. Its dimension
-never exceeds k (RankTooLarge names the fiber otherwise), the shifted copies
-of its frame are orthogonal while they stay inside the reliable band, and
-stacking those copies reconstructs the original subspace.
+image, computed in the coordinates of J's own frame (one small matrix C*,
+which also gives the shift leak, one SVD and one rank decision per fiber),
+so it lies in J by construction. Its dimension never exceeds k (RankTooLarge
+names the fiber otherwise), the shifted copies of its frame are orthogonal
+while they stay inside the reliable band, and stacking those copies
+reconstructs the original subspace.
 
-The partition of the circle by wandering dimension is read off ``ranks()``,
-and the frame field phi_i is the i-th frame column, which ``decompose``
-stores as ``Phi[:, :, i]``.
+The partition of the circle by wandering dimension is ``wandering_ranks``,
+read off singular values alone, and the frame field phi_i is the i-th
+column of the ``wandering_range`` frames, stored as ``Phi[:, :, i]``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BandExceeded, NotInvariant, RankTooLarge, ToleranceAmbiguity
+from .errors import (BandExceeded, FibershiftError, NotInvariant, RankTooLarge,
+                     ToleranceAmbiguity)
 from .fields import z_degree
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import (compressed_shift_adjoint, is_S_invariant, shift_leaks,
-                     shifted_copies)
-from .subspaces import DEGREE_TOL, canonical_columns, rank_decision, robust_svd
+from .shifts import (compressed_shift_adjoint, is_S_invariant, shift_leak,
+                     shift_leaks, shifted_copies)
+from .subspaces import (DEGREE_TOL, canonical_columns, rank_decision, robust_svd,
+                        singular_values)
 
 
 def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
-                     leak: float, fiber: int | None = None) -> np.ndarray:
-    """Frame of J minus (fiber shift applied to J) for one fiber.
+                     fiber: int | None = None, vectors: bool = True):
+    """``(leak, part)`` for one fiber: the ``shift_leak`` of the frame Q and
+    the frame of J minus S J (with ``vectors``) or its dimension, both from
+    one C*. A refusal is returned as the part, not raised.
 
     With Q the frame of an invariant J, S Q = Q C for the r x r matrix
     C = Q* S Q, so S J = Q range(C) and J minus S J = Q ker(C*). The rank
@@ -35,44 +40,70 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     also returns in full. The truncated shift has a k-dimensional kernel, so
     for an invariant J ker(C*) has dimension at most k (RankTooLarge).
 
-    A numerical J is invariant only up to ``leak``, the ``shift_leak`` of Q:
-    the part S Q - Q C of S J outside J. It is of the order of the frame's
-    distance from an invariant subspace, and so of the error in C: beyond
-    half the cutoff a small singular value of C cannot be told from a zero
-    one, and the decision is refused (ToleranceAmbiguity). A weaker test
-    that only certifies rank(S Q) = rank(C) accepts such frames and then
-    misses the wandering ranks of the generators themselves at n_z = 16.
+    A numerical J is invariant only up to the leak, the part S Q - Q C of
+    S J outside J. It is of the order of the frame's distance from an
+    invariant subspace, and so of the error in C: beyond half the cutoff a
+    small singular value of C cannot be told from a zero one, and the
+    decision is refused (ToleranceAmbiguity). A weaker test that only
+    certifies rank(S Q) = rank(C) accepts such frames and then misses the
+    wandering ranks of the generators themselves at n_z = 16.
     """
     if frame.shape[1] == 0:
-        return frame
-    _, s, vh = robust_svd(compressed_shift_adjoint(frame, n_z, k))
-    rank = rank_decision(s, rank_tol, fiber)
-    cutoff = rank_tol * float(s[0])
-    if leak > 0.5 * cutoff:
-        raise ToleranceAmbiguity(
-            f"shift leaves the subspace by {leak:.3e}, beyond half the cutoff "
-            f"{cutoff:.3e}", fiber=fiber)
-    if frame.shape[1] - rank > k:
-        raise RankTooLarge(f"rank {frame.shape[1] - rank} exceeds k = {k}", fiber=fiber)
-    return canonical_columns(frame @ vh[rank:].conj().T)
+        return 0.0, frame if vectors else 0
+    c_star = compressed_shift_adjoint(frame, n_z, k)
+    leak = shift_leak(frame, n_z, k, c_star)
+    try:
+        if vectors:
+            _, s, vh = robust_svd(c_star)
+        else:
+            s = singular_values(c_star)
+        rank = rank_decision(s, rank_tol, fiber)
+        cutoff = rank_tol * float(s[0])
+        if leak > 0.5 * cutoff:
+            raise ToleranceAmbiguity(
+                f"shift leaves the subspace by {leak:.3e}, beyond half the cutoff "
+                f"{cutoff:.3e}", fiber=fiber)
+        if frame.shape[1] - rank > k:
+            raise RankTooLarge(f"rank {frame.shape[1] - rank} exceeds k = {k}", fiber=fiber)
+    except (FibershiftError, np.linalg.LinAlgError) as exc:
+        return leak, exc
+    if not vectors:
+        return leak, frame.shape[1] - rank
+    return leak, canonical_columns(frame @ vh[rank:].conj().T)
+
+
+def _wandering_parts(range_fn: RangeFunctionH, vectors: bool) -> tuple:
+    """``_fiber_wandering`` of every fiber, one C* held at a time. The leaks
+    are kept on the range function; NotInvariant, on their maximum, comes
+    before the lowest fiber's wandering refusal."""
+    lat = range_fn.lattice
+    leaks, parts = zip(*(_fiber_wandering(q, lat.n_z, lat.k, lat.rank_tol, m, vectors)
+                         for m, q in enumerate(range_fn.frames)))
+    shift_leaks(range_fn, leaks)
+    ok, leak = is_S_invariant(range_fn)
+    if not ok:
+        raise NotInvariant(f"input is not shift invariant (leak {leak:.3e})")
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return parts
 
 
 def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     """Pointwise wandering subspace of a shift-invariant range function.
 
     Raises NotInvariant when some fiber's ``shift_leak`` exceeds orth_tol,
-    and RankTooLarge naming the fiber where a wandering rank exceeds k.
+    and otherwise the refusal of the lowest refused fiber: RankTooLarge
+    where a wandering rank exceeds k, ToleranceAmbiguity where the rank
+    decision is ambiguous or the leak passes half the cutoff.
     """
-    lat = range_fn.lattice
-    ok, leak = is_S_invariant(range_fn)
-    if not ok:
-        raise NotInvariant(f"input is not shift invariant (leak {leak:.3e})")
-    leaks = shift_leaks(range_fn)
-    frames = tuple(
-        _fiber_wandering(range_fn.frames[m], lat.n_z, lat.k, lat.rank_tol, leaks[m], fiber=m)
-        for m in range(lat.n_lambda)
-    )
-    return RangeFunctionH(lat, frames)
+    return RangeFunctionH(range_fn.lattice, _wandering_parts(range_fn, True))
+
+
+def wandering_ranks(range_fn: RangeFunctionH) -> np.ndarray:
+    """Per-fiber ranks of ``wandering_range`` from one SVD of C* without
+    singular vectors per fiber, with the same rank decisions and refusals."""
+    return np.array(_wandering_parts(range_fn, False), dtype=int)
 
 
 def reconstruct_from_wandering(wandering: RangeFunctionH, depth: int) -> RangeFunctionH:

@@ -5,7 +5,8 @@ import pytest
 
 import fibershift.beurling as beurling
 from fibershift import (InnerField, NotInner, NotUnimodular, RangesDiffer,
-                        ScalarH2, TruncationLattice, WanderingRankNotOne,
+                        RankTooLarge, ScalarH2, TruncationLattice,
+                        WanderingRankNotOne,
                         decompose, inner_from_invariant, inner_quotient,
                         phi_representation, range_of_phi, shat_closure,
                         subspace_distance)
@@ -60,6 +61,29 @@ def test_outer_generator_gives_constant():
     expected = np.zeros(32, dtype=complex)
     expected[0] = 1.0
     assert np.abs(h.coeffs - expected).max() < 1e-9
+
+
+def test_inner_from_invariant_forms_c_star_once(monkeypatch):
+    """The leak and the wandering decision read one C*, and a refused
+    decision is raised: a rank decision that keeps no singular value leaves
+    all 14 dimensions of the span of z^2's shifts wandering."""
+    import fibershift.shifts
+    import fibershift.wandering
+    real = fibershift.shifts.compressed_shift_adjoint
+    calls = []
+
+    def counting(frame, n_z, k):
+        calls.append(frame.shape)
+        return real(frame, n_z, k)
+
+    for module in (fibershift.shifts, fibershift.wandering):
+        monkeypatch.setattr(module, "compressed_shift_adjoint", counting)
+    inner_from_invariant([_scalar([0, 0, 1], 16)])
+    assert calls == [(16, 14)]
+    monkeypatch.setattr(fibershift.wandering, "rank_decision",
+                        lambda s, tol, fiber=None: 0)
+    with pytest.raises(RankTooLarge, match="rank 14 exceeds k = 1"):
+        inner_from_invariant([_scalar([0, 0, 1], 16)])
 
 
 def test_zero_generator_rejected():

@@ -489,23 +489,62 @@ def test_cli_decompose_verify_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "decompose"])
 def test_cli_checks_invariance_once(tmp_path, monkeypatch, command):
-    """The report's leak and the wandering step read one per-fiber leak:
-    ``shift_leak`` runs once per fiber and command (twice at the time the
-    wandering step measured its own)."""
+    """The report's leak and the wandering step read one C* per fiber:
+    ``compressed_shift_adjoint`` runs once per fiber and command (twice at
+    the time the leak and the wandering step each formed their own)."""
     import fibershift.shifts
-    real = fibershift.shifts.shift_leak
+    import fibershift.wandering
+    real = fibershift.shifts.compressed_shift_adjoint
     calls = []
 
     def counting(frame, n_z, k):
         calls.append(frame.shape)
         return real(frame, n_z, k)
 
-    monkeypatch.setattr(fibershift.shifts, "shift_leak", counting)
+    for module in (fibershift.shifts, fibershift.wandering):
+        monkeypatch.setattr(module, "compressed_shift_adjoint", counting)
     path = _write(tmp_path, CONSTANT_PROBLEM)
     code, out = run_cli([command, path])
     assert code == 0
     assert "s-invariant: yes (leak " in out
     assert calls == [(8, 8)] * 4    # n_lambda fibers, each of rank n_z
+
+
+def test_analyze_takes_no_singular_vectors_of_c_star(tmp_path, monkeypatch):
+    """analyze computes singular vectors only for J's closure matrices, one
+    per fiber; every SVD of C* is values only. With every values-only call
+    failing, the robust_svd fallback gives the same report."""
+    path = _laurent_problem(tmp_path, 53)
+    _, expect = run_cli(["analyze", path])
+    real_svd = np.linalg.svd
+    shapes = []
+
+    def record(x, **kw):
+        shapes.append((x.shape, kw.get("compute_uv", True)))
+        return real_svd(x, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", record)
+    code, out = run_cli(["analyze", path])
+    assert code == 0 and out == expect
+    # per fiber, the closure matrix of 2 seeds and their 59 shifts, then
+    # the C* of J, square of J's rank
+    ranks = [30, 59, 59, 59] * 4
+    assert shapes == ([((64, 61), True)] * 16
+                      + [((r, r), False) for r in ranks])
+
+    calls = []
+
+    def fail_values_only(x, **kw):
+        calls.append(kw.get("compute_uv", True))
+        if not kw.get("compute_uv", True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(x, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_values_only)
+    code, out = run_cli(["analyze", path])
+    assert code == 0
+    assert out == expect
+    assert calls.count(False) == 16 and calls.count(True) == 32
 
 
 def _diagnostic(report: str, key: str) -> float:
@@ -715,6 +754,22 @@ def test_cli_out_that_cannot_be_a_directory_is_bad_input(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(error + ":") and err.count("\n") == 1, argv
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "report.txt"), ("csv", "report.csv")])
+def test_cli_report_that_cannot_be_written_is_bad_input(tmp_path, capsys, fmt, name):
+    """A directory where --out's report file goes: the report is written
+    before it is printed, inside the error handling, so the command exits 3
+    with one line on stderr and nothing on stdout."""
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    for command in ("spectrum", "analyze"):
+        argv = [command, path, "--out", str(out), "--format", fmt]
+        assert run_cli(argv) == (3, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith("IsADirectoryError:") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize("argv, code", [

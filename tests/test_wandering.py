@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fibershift.wandering as wandering
-from fibershift import (NotInvariant, RangeFunctionH, RangeFunctionK,
-                        RankTooLarge, ToleranceAmbiguity, TruncationLattice,
-                        decompose_range, full_hardy_from_base, is_S_invariant,
+from fibershift import (FibershiftError, NotInvariant, RangeFunctionH,
+                        RangeFunctionK, RankTooLarge, ToleranceAmbiguity,
+                        TruncationLattice, decompose_range,
+                        full_hardy_from_base, is_S_invariant,
                         range_from_generators, reconstruct_from_wandering,
-                        shat_closure, wandering_range)
-from fibershift.errors import BandExceeded
+                        shat_closure, wandering_range, wandering_ranks)
+from fibershift.errors import BandExceeded, DegreeOverflow
 from fibershift.shifts import shift_matrix
 from fibershift.subspaces import complement_frame
 
@@ -161,6 +164,46 @@ def test_wandering_rank_above_k_names_the_fiber(monkeypatch):
     monkeypatch.setattr(wandering, "rank_decision", lambda s, tol, fiber=None: 0)
     with pytest.raises(RankTooLarge, match="fiber 0"):
         wandering_range(jm)
+
+
+def _outcome(path, jm):
+    """Ranks of one wandering path on a fresh copy of ``jm`` (no leaks kept
+    from the other path), or the class and fiber of its refusal."""
+    try:
+        return list(path(RangeFunctionH(jm.lattice, jm.frames)))
+    except (FibershiftError, np.linalg.LinAlgError) as exc:
+        return type(exc), getattr(exc, "fiber", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_lambda=st.integers(1, 4), n_z=st.integers(1, 8), k=st.integers(1, 3),
+       r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_wandering_ranks_match_wandering_range(n_lambda, n_z, k, r, seed):
+    """The values-only ranks path gives the frames path's ranks, or the
+    same refusal at the same fiber, on closures of random seeds."""
+    lat = TruncationLattice(n_lambda, n_z, k)
+    try:
+        seeds = grid_seeds(np.random.default_rng(seed), lat, min(r, k))
+        jm = range_from_generators(shat_closure(seeds), lat)
+    except (DegreeOverflow, ToleranceAmbiguity):
+        assume(False)
+    assert (_outcome(wandering_ranks, jm)
+            == _outcome(lambda j: wandering_range(j).ranks(), jm))
+
+
+def test_not_invariant_comes_before_a_lower_fibers_refusal():
+    """Fiber 0 is refused by the wandering step (a singular value of C* in
+    the guard band) and fiber 1 leaks a whole unit under the shift: both
+    paths refuse NotInvariant, on fiber 1's leak, first."""
+    lat = TruncationLattice(2, 8, 3)
+    slow = _chain_with_slow_direction(1.2e-9)
+    unit = np.zeros((lat.ambient, 1), dtype=complex)
+    unit[0, 0] = 1.0
+    for path in (wandering_ranks, wandering_range):
+        with pytest.raises(ToleranceAmbiguity, match="guard band"):
+            path(RangeFunctionH(lat, (slow, slow)))
+        with pytest.raises(NotInvariant, match="leak 1.000e"):
+            path(RangeFunctionH(lat, (slow, unit)))
 
 
 def test_reconstruct_from_wandering():
