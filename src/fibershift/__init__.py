@@ -2,12 +2,14 @@
 function spaces on a finite truncation lattice.
 
 Functions on the unit circle with values in a truncated Hardy space are
-modeled on a grid of roots of unity with z-degrees capped at n_z. The
-package computes range functions of generated subspaces, tests invariance
-under the fiberwise shift, extracts wandering parts, recognizes full Hardy
-subspaces, factors invariant subspaces through partial isometry fields,
-and specializes to classical inner-function extraction when the
-coordinate space is one dimensional.
+modeled on a grid of roots of unity with z-degrees capped at n_z. A range
+function holds one subspace per grid point, so it reduces the grid rotation
+by construction. The pipeline spans the generators and their fiberwise
+shifts into a range function, tests its invariance under the fiberwise
+shift, extracts its wandering part and factors the subspace through the
+symbol Phi of a partial isometry field; when the coordinate space is one
+dimensional, Phi is the classical inner function. Full Hardy subspaces,
+which reduce both shifts, are recognized and built from their bases.
 """
 
 from .beurling import (InnerField, ScalarH2, inner_from_invariant,
@@ -26,14 +28,11 @@ from .fields import FiberedField, LaurentPolyField, eval_field, z_degree
 from .fileio import (ProblemFile, Report, load_decomposition, load_problem,
                      problem_fields, render_csv, render_text,
                      save_decomposition)
-from .full_hardy import (full_hardy_complement, full_hardy_from_base,
-                         is_full_hardy, project_pointwise)
+from .full_hardy import full_hardy_from_base, is_full_hardy, project_pointwise
 from .lattice import TruncationLattice
 from .ranges import (RangeFunctionH, RangeFunctionK, complement_range,
-                     direct_sum_ranges, member, range_from_generators,
-                     spectrum)
-from .shifts import (apply_S_hat, apply_U, apply_U_star, is_S_invariant,
-                     shat_closure, shift_matrix)
+                     direct_sum_ranges, range_from_generators, spectrum)
+from .shifts import apply_S_hat, is_S_invariant, shat_closure
 from .subspaces import orthonormal_frame, subspace_distance
 from .wandering import (reconstruct_from_wandering, wandering_range,
                         wandering_ranks)
@@ -44,13 +43,11 @@ __all__ = [
     "TruncationLattice", "FiberedField", "LaurentPolyField", "eval_field",
     "z_degree",
     "RangeFunctionH", "RangeFunctionK",
-    "range_from_generators", "member", "complement_range",
-    "direct_sum_ranges", "spectrum",
-    "apply_U", "apply_U_star", "apply_S_hat", "shift_matrix", "shat_closure",
-    "is_S_invariant",
+    "range_from_generators", "complement_range", "direct_sum_ranges",
+    "spectrum",
+    "apply_S_hat", "shat_closure", "is_S_invariant",
     "wandering_range", "wandering_ranks", "reconstruct_from_wandering",
     "project_pointwise", "full_hardy_from_base", "is_full_hardy",
-    "full_hardy_complement",
     "DecompositionResult", "SymbolField", "decompose", "decompose_range",
     "verify_decomposition", "connecting_isometry",
     "initial_space_base", "DIAGNOSTIC_KEYS", "CONNECTING_KEYS",

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
 from .factorization import constant_unitary
+from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH
+from .ranges import RangeFunctionH, _span
 from .shifts import shifted_copies
 from .subspaces import _phase_normalize, orthonormal_frame, subspace_distance
 from .wandering import _fiber_wandering
@@ -158,17 +159,11 @@ def phi_representation(res, inner_tol: float = INNER_TOL_DEFAULT) -> InnerField:
 
 def range_of_phi(phi: InnerField) -> RangeFunctionH:
     """The range function of the subspace phi multiplies out of the full
-    Hardy space: per supported fiber, the closed span of all shifts of
-    phi(lambda_m)."""
+    Hardy space: per fiber, the span of all n_z shifts of phi(lambda_m),
+    built like the closure of a seed. Off the support phi is exactly zero,
+    so those fibers span nothing."""
     lat = phi.lattice
-    frames = []
-    for m in range(lat.n_lambda):
-        if m in phi.support:
-            stack = shifted_copies(phi.fibers[m].coeffs[:, None], lat.n_z, 1, lat.n_z)
-            frames.append(orthonormal_frame(stack, lat.rank_tol, fiber=m))
-        else:
-            frames.append(np.zeros((lat.n_z, 0), dtype=complex))
-    return RangeFunctionH(lat, tuple(frames))
+    return _span([FiberedField(lat, phi.coeff_matrix()[:, :, None])], [lat.n_z], lat)
 
 
 def inner_quotient(phi1: InnerField, phi2: InnerField,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class FiberedField:
 
     def scaled(self, c: complex) -> "FiberedField":
         return FiberedField(self.lattice, c * self.data)
-
-
-def field_from_fibers(lattice: TruncationLattice, fibers: Iterable[np.ndarray]) -> FiberedField:
-    """Stack per-fiber (n_z, k) arrays into a field."""
-    data = np.stack([np.asarray(f, dtype=complex) for f in fibers])
-    return FiberedField(lattice, data)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from .fields import FiberedField
 from .ranges import RangeFunctionH, RangeFunctionK
 from .shifts import is_S_invariant, shift_leak, shifted_copies
-from .subspaces import canonical_columns, complement_frame, robust_svd
+from .subspaces import canonical_columns, robust_svd
 
 
 def project_pointwise(f: FiberedField, base: RangeFunctionK) -> FiberedField:
@@ -67,10 +67,3 @@ def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None
         u = robust_svd(q[:k])[0]
         base_frames.append(canonical_columns(u[:, : r // n_z]))
     return True, RangeFunctionK(lat, tuple(base_frames))
-
-
-def full_hardy_complement(base: RangeFunctionK) -> RangeFunctionK:
-    """Base of the complementary full Hardy subspace: the pointwise
-    orthogonal complement inside the coordinate space."""
-    frames = tuple(canonical_columns(complement_frame(b)) for b in base.frames)
-    return RangeFunctionK(base.lattice, frames)

@@ -53,9 +53,10 @@ class TruncationLattice:
 
         Reducing m*p modulo n_lambda before exponentiating keeps the values
         on the canonical grid angles, so repeated evaluations are bitwise
-        reproducible.
+        reproducible. p is reduced first, in exact integer arithmetic, so
+        an exponent of any size cannot overflow the product.
         """
-        m = (np.arange(self.n_lambda) * int(p)) % self.n_lambda
+        m = (np.arange(self.n_lambda) * (int(p) % self.n_lambda)) % self.n_lambda
         return np.exp(2j * np.pi * m / self.n_lambda)
 
 

@@ -21,7 +21,6 @@ from .subspaces import (
     complement_frame,
     orthonormal_frame,
     rank_decision,
-    residual_norms,
     singular_values,
 )
 
@@ -111,12 +110,6 @@ def _span(gens, counts, lattice) -> RangeFunctionH:
         for m, stack in enumerate(_fiber_stacks(gens, counts, lattice))))
 
 
-def _span_ranks(gens, counts, lattice) -> np.ndarray:
-    return np.array([rank_decision(singular_values(stack), lattice.rank_tol, fiber=m)
-                     for m, stack in enumerate(_fiber_stacks(gens, counts, lattice))],
-                    dtype=int)
-
-
 def range_from_generators(gens: list[FiberedField],
                           lattice: TruncationLattice) -> RangeFunctionH:
     """Pointwise span of the generators' fibers.
@@ -128,15 +121,6 @@ def range_from_generators(gens: list[FiberedField],
     return _span(gens, [1] * len(gens), lattice)
 
 
-def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
-    """Per-fiber ranks of ``range_from_generators`` without building frames.
-
-    Each fiber costs one SVD without singular vectors; the rank decision,
-    guard band included, is the one ``range_from_generators`` makes.
-    """
-    return _span_ranks(gens, [1] * len(gens), lattice)
-
-
 def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> RangeFunctionH:
     """``range_from_generators(shat_closure(seeds), lattice)``, frame for
     frame, without building the closure: each fiber's columns are the seeds'
@@ -145,25 +129,12 @@ def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> Rang
 
 
 def closure_ranks(seeds: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
-    """``generator_ranks(shat_closure(seeds), lattice)`` without building
-    the closure."""
-    return _span_ranks(seeds, closure_counts(seeds), lattice)
-
-
-def member(f: FiberedField, range_fn: RangeFunctionH) -> tuple[bool, float]:
-    """Whether f(lambda_m) lies in the fiber subspace at every grid point.
-
-    Returns (verdict, max residual). The residual at fiber m is the norm of
-    the component of f(lambda_m) outside the frame; the verdict is true when
-    the largest residual is at most orth_tol * max(1, ||f||).
-    """
-    lat = range_fn.lattice
-    flat = f.flat()
-    # np.max, unlike Python's max, propagates a NaN residual into the verdict
-    worst = float(np.max([residual_norms(range_fn.frames[m], flat[m][:, None])[0]
-                          for m in range(lat.n_lambda)]))
-    ok = worst <= lat.orth_tol * max(1.0, f.norm())
-    return ok, worst
+    """Per-fiber ranks of ``closure_range(seeds, lattice)`` without frames
+    or the closure: each fiber costs one SVD without singular vectors, and
+    the rank decision, guard band included, is the one the frames make."""
+    stacks = _fiber_stacks(seeds, closure_counts(seeds), lattice)
+    return np.array([rank_decision(singular_values(stack), lattice.rank_tol, fiber=m)
+                     for m, stack in enumerate(stacks)], dtype=int)
 
 
 def complement_range(range_fn: RangeFunctionH) -> RangeFunctionH:

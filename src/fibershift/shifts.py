@@ -1,9 +1,10 @@
-"""Shift operators on the truncated model.
+"""The fiberwise shift on the truncated model.
 
-Two shifts act on fields: rotation of the grid variable (multiplication by
-lambda, exactly unitary on the discrete grid) and the fiberwise degree shift
-(multiplication by z inside each fiber, which drops the top retained
-coefficient and is therefore a nilpotent contraction of order n_z).
+Of the two commuting shifts only the fiberwise degree shift S has code
+here: multiplication by z inside each fiber, which drops the top retained
+coefficient and is therefore a nilpotent contraction of order n_z. The grid
+rotation (multiplication by lambda) needs none: a range function is one
+subspace per grid point, so it reduces the rotation by construction.
 Invariance is measured on whole frames: with P_n the truncation,
 P_n S P_n = P_n S, so the truncation of an S-invariant subspace is exactly
 invariant under the truncated shift and dropping the top degree cannot
@@ -16,28 +17,15 @@ they commute with both shifts by construction and need no commutation check.
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import FiberedField
-from .lattice import TruncationLattice, frozen_array
+from .lattice import frozen_array
 
 if TYPE_CHECKING:  # ranges imports this module
     from .ranges import RangeFunctionH
-
-
-def apply_U(f: FiberedField) -> FiberedField:
-    """Multiply fiber m by lambda_m. Exactly unitary."""
-    lam = f.lattice.lambdas()
-    return FiberedField(f.lattice, f.data * lam[:, None, None])
-
-
-def apply_U_star(f: FiberedField) -> FiberedField:
-    """Multiply fiber m by conj(lambda_m); exact inverse of apply_U."""
-    lam = np.conj(f.lattice.lambdas())
-    return FiberedField(f.lattice, f.data * lam[:, None, None])
 
 
 def apply_S_hat(f: FiberedField) -> FiberedField:
@@ -73,20 +61,6 @@ def shat_closure(gens: list[FiberedField]) -> list[FiberedField]:
             out.append(f)
             f = apply_S_hat(f)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_matrix(n_z: int, k: int) -> np.ndarray:
-    n = np.zeros((n_z, n_z))
-    n[np.arange(1, n_z), np.arange(n_z - 1)] = 1.0
-    s = np.kron(n, np.eye(k)).astype(complex)
-    s.setflags(write=False)
-    return s
-
-
-def shift_matrix(lattice: TruncationLattice) -> np.ndarray:
-    """The fiber shift as an ambient matrix on flattened fibers."""
-    return _shift_matrix(lattice.n_z, lattice.k)
 
 
 def shifted_copies(cols: np.ndarray, n_z: int, k: int, count: int) -> np.ndarray:

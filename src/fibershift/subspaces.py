@@ -188,12 +188,6 @@ def project_onto(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return frame @ (frame.conj().T @ vectors)
 
 
-def residual_norms(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Column-wise norms of (I - P_frame) vectors."""
-    r = vectors - project_onto(frame, vectors)
-    return np.linalg.norm(r, axis=0)
-
-
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values in decreasing order, computed without singular
     vectors; a LAPACK failure falls back to ``robust_svd``."""

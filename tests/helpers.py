@@ -12,13 +12,36 @@ problem files without loss.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
+from typing import Iterable
 
 import numpy as np
 
 from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
                         TruncationLattice, eval_field)
 from fibershift.cli import main as cli_main
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_matrix(n_z: int, k: int) -> np.ndarray:
+    n = np.zeros((n_z, n_z))
+    n[np.arange(1, n_z), np.arange(n_z - 1)] = 1.0
+    s = np.kron(n, np.eye(k)).astype(complex)
+    s.setflags(write=False)
+    return s
+
+
+def shift_matrix(lattice: TruncationLattice) -> np.ndarray:
+    """The fiber shift as an ambient matrix on flattened fibers: the dense
+    reference for the library's shifted copies and leaks."""
+    return _shift_matrix(lattice.n_z, lattice.k)
+
+
+def field_from_fibers(lattice: TruncationLattice, fibers: Iterable[np.ndarray]) -> FiberedField:
+    """Stack per-fiber (n_z, k) arrays into a field."""
+    data = np.stack([np.asarray(f, dtype=complex) for f in fibers])
+    return FiberedField(lattice, data)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,12 +29,11 @@ from fibershift import (DIAGNOSTIC_KEYS, FiberedField, RangeFunctionK,
                         TruncationLattice)
 from fibershift.errors import ToleranceAmbiguity
 from fibershift.fields import z_degree
-from fibershift.shifts import shift_matrix
 from fibershift.subspaces import DEGREE_TOL, subspace_distance
 
 from helpers import (band_projector_distance, blaschke_coeffs, brute_projector,
                      frame_projector, grid_seeds, haar_frame, haar_unitary,
-                     laurent_seeds, write_problem)
+                     laurent_seeds, shift_matrix, write_problem)
 
 pytestmark = pytest.mark.acceptance
 

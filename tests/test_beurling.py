@@ -10,9 +10,10 @@ from fibershift import (InnerField, NotInner, NotUnimodular, RangesDiffer,
                         decompose, inner_from_invariant, inner_quotient,
                         phi_representation, range_of_phi, shat_closure,
                         subspace_distance)
-from fibershift.fields import field_from_fibers
+from fibershift.shifts import shifted_copies
+from fibershift.subspaces import orthonormal_frame
 
-from helpers import blaschke_coeffs
+from helpers import blaschke_coeffs, field_from_fibers, grid_seeds
 
 
 def _scalar(coeff_list, n_z):
@@ -153,6 +154,35 @@ def test_phi_representation_of_monomial():
     target = np.eye(8, dtype=complex)[:, 1:]
     for m in range(4):
         assert subspace_distance(jphi.frames[m], target) < 1e-10
+
+
+def _range_of_phi_per_fiber(phi):
+    """The frames of ``range_of_phi`` spanned one supported fiber at a time,
+    with an empty frame off the support."""
+    lat = phi.lattice
+    frames = []
+    for m in range(lat.n_lambda):
+        if m in phi.support:
+            stack = shifted_copies(phi.fibers[m].coeffs[:, None], lat.n_z, 1, lat.n_z)
+            frames.append(orthonormal_frame(stack, lat.rank_tol, fiber=m))
+        else:
+            frames.append(np.zeros((lat.n_z, 0), dtype=complex))
+    return frames
+
+
+@pytest.mark.parametrize("n, seed, support", [(16, 5, 16), (16, 12, 8), (64, 5, 64)])
+def test_range_of_phi_matches_the_per_fiber_span(n, seed, support):
+    """``range_of_phi`` spans phi's shifts with the closure's span kernel,
+    and its frames are bit for bit those of the per-fiber loop, the empty
+    frames off the support included."""
+    lat = TruncationLattice(n, n, 1)
+    seeds = grid_seeds(np.random.default_rng(seed), lat, 1)
+    phi = phi_representation(decompose(shat_closure(seeds), lat))
+    assert len(phi.support) == support
+    frames = range_of_phi(phi).frames
+    expected = _range_of_phi_per_fiber(phi)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(frames, expected, strict=True))
 
 
 def test_phi_representation_needs_scalar_fibers():

@@ -388,6 +388,34 @@ def test_cli_non_finite_term_is_bad_input(tmp_path, capsys, command, value):
     assert "ParseError: line 7: term coefficient" in capsys.readouterr().err
 
 
+HUGE_EXPONENT = """\
+schema: fibershift-problem/1
+n_lambda: 4
+n_z: 4
+k: 1
+generator: g
+term: {m} 0 1 1.0 0.0
+term: 0 0 1 -1.0 0.0
+"""
+
+
+def test_cli_huge_lambda_exponent(tmp_path):
+    """A lambda exponent past int64 is any integer, as the problem format
+    says: the report is the one for its residue modulo n_lambda (here 3, so
+    the seed lambda^3 - 1 vanishes on fiber 0 alone)."""
+    m = 99999999999999999999
+    code, out = run_cli(["spectrum", _write(tmp_path, HUGE_EXPONENT.format(m=m))])
+    assert code == 0
+    _, ref = run_cli(["spectrum", _write(tmp_path, HUGE_EXPONENT.format(m=m % 4),
+                                         "residue.txt")])
+    assert "spectrum: 3 of 4 fibers" in out
+
+    def body(report):
+        return [line for line in report.splitlines() if not line.startswith("input:")]
+
+    assert body(out) == body(ref)
+
+
 def _laurent_problem(tmp_path, seed: int, n_z: int = 32) -> str:
     rng = np.random.default_rng(seed)
     lat = TruncationLattice(16, n_z, 2)

@@ -12,14 +12,13 @@ from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         NotInvariant, NotPartialIsometry, SymbolField,
                         TruncationLattice, connecting_isometry, decompose,
                         decompose_range, RangeFunctionH, initial_space_base,
-                        range_from_generators, shat_closure, shift_matrix,
+                        range_from_generators, shat_closure,
                         verify_decomposition)
 from fibershift.factorization import DecompositionResult, verify_per_fiber
-from fibershift.fields import field_from_fibers
 
-from helpers import (frame_projector, grid_seeds, haar_frame, haar_unitary,
-                     unit_vector, with_frame, with_tilted_extra_direction,
-                     z_e1_range)
+from helpers import (field_from_fibers, frame_projector, grid_seeds, haar_frame,
+                     haar_unitary, shift_matrix, unit_vector, with_frame,
+                     with_tilted_extra_direction, z_e1_range)
 
 
 def _monomial_gens(lat, degree):

@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibershift import (RangeFunctionH, RangeFunctionK, TruncationLattice,
-                        complement_range, full_hardy_complement,
-                        full_hardy_from_base, is_full_hardy, is_S_invariant,
-                        project_pointwise, range_from_generators,
-                        shat_closure, subspace_distance)
+                        complement_range, full_hardy_from_base, is_full_hardy,
+                        is_S_invariant, project_pointwise,
+                        range_from_generators, shat_closure, subspace_distance)
 import fibershift.full_hardy as full_hardy
-from fibershift.fields import FiberedField, field_from_fibers
+from fibershift.fields import FiberedField
 from fibershift.shifts import shift_leak
 
-from helpers import brute_projector, frame_projector, grid_seeds, haar_frame
+from helpers import (brute_projector, field_from_fibers, frame_projector,
+                     grid_seeds, haar_frame)
 
 
 def _random_base(rng, lat, ranks):
@@ -68,18 +68,6 @@ def test_invariant_span_of_full_hardy_rank_is_not_reducing():
     assert jm.ranks().tolist() == [4, 4]
     assert is_S_invariant(jm) == (True, 0.0)
     assert is_full_hardy(jm) == (False, None)
-
-
-def test_complement_pointwise():
-    rng = np.random.default_rng(41)
-    lat = TruncationLattice(4, 4, 2)
-    base = _random_base(rng, lat, (1, 0, 2, 1))
-    comp = full_hardy_complement(base)
-    ok, recovered = is_full_hardy(full_hardy_from_base(comp))
-    assert ok
-    for m in range(lat.n_lambda):
-        p = frame_projector(base.frames[m]) + frame_projector(recovered.frames[m])
-        assert np.abs(p - np.eye(lat.k)).max() < 1e-10
 
 
 def test_project_pointwise_matches_dense():

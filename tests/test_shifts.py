@@ -1,4 +1,4 @@
-"""Grid rotation and fiber shift, and the invariance checks built on them."""
+"""The fiber shift and the invariance checks built on it."""
 
 import numpy as np
 import pytest
@@ -6,29 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibershift import (FiberedField, RangeFunctionH, SymbolField,
-                        TruncationLattice, apply_S_hat, apply_U, apply_U_star,
-                        is_S_invariant, range_from_generators, shat_closure,
-                        shift_matrix)
+                        TruncationLattice, apply_S_hat, is_S_invariant,
+                        range_from_generators, shat_closure)
 from fibershift.shifts import compressed_shift_adjoint, shift_leak, shifted_copies
 
-from helpers import grid_seeds, haar_frame
+from helpers import grid_seeds, haar_frame, shift_matrix
 
 
 def _rand_field(rng, lat):
     data = rng.standard_normal((lat.n_lambda, lat.n_z, lat.k)) \
         + 1j * rng.standard_normal((lat.n_lambda, lat.n_z, lat.k))
     return FiberedField(lat, data)
-
-
-def test_rotation_is_unitary():
-    rng = np.random.default_rng(10)
-    lat = TruncationLattice(8, 4, 2)
-    f = _rand_field(rng, lat)
-    uf = apply_U(f)
-    assert uf.norm() == pytest.approx(f.norm())
-    assert np.allclose(apply_U_star(uf).data, f.data)
-    lam = lat.lambdas()
-    assert np.allclose(uf.data, f.data * lam[:, None, None])
 
 
 def test_fiber_shift_moves_degrees():
@@ -104,14 +92,6 @@ def test_shift_leak_matches_the_shift_matrix(n_z, k, r, seed):
     assert shift_leak(q, n_z, k) == pytest.approx(expected, abs=1e-13)
     assert np.allclose(compressed_shift_adjoint(q, n_z, k), (q.conj().T @ sq).conj().T,
                        rtol=0, atol=1e-13)
-
-
-def test_shifts_commute():
-    rng = np.random.default_rng(14)
-    lat = TruncationLattice(8, 4, 2)
-    f = _rand_field(rng, lat)
-    assert np.allclose(apply_U(apply_S_hat(f)).data,
-                       apply_S_hat(apply_U(f)).data)
 
 
 def test_closure_is_invariant():

@@ -13,10 +13,11 @@ from fibershift import (FibershiftError, NotInvariant, RangeFunctionH,
                         range_from_generators, reconstruct_from_wandering,
                         shat_closure, wandering_range, wandering_ranks)
 from fibershift.errors import BandExceeded, DegreeOverflow
-from fibershift.shifts import shift_matrix
+from fibershift.ranges import closure_range, complement_range
 from fibershift.subspaces import complement_frame
 
-from helpers import brute_projector, frame_projector, grid_seeds, haar_frame
+from helpers import (brute_projector, frame_projector, grid_seeds, haar_frame,
+                     shift_matrix)
 
 
 def test_wandering_of_full_hardy_is_degree_zero():
@@ -219,3 +220,30 @@ def test_reconstruct_from_wandering():
                       - frame_projector(jm.frames[m])).max() < 1e-10
     with pytest.raises(BandExceeded):
         reconstruct_from_wandering(jr, lat.n_z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_lambda=st.integers(1, 4), n_z=st.integers(1, 8), k=st.integers(1, 3),
+       r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_closure_complement_and_reconstruction(n_lambda, n_z, k, r, seed):
+    """On closures of random seeds, J and its pointwise complement fill each
+    fiber orthogonally, and the wandering part shifted 0..d times stays
+    inside J at every depth d the band allows."""
+    lat = TruncationLattice(n_lambda, n_z, k)
+    try:
+        seeds = grid_seeds(np.random.default_rng(seed), lat, min(r, k))
+        jm = closure_range(seeds, lat)
+        jr = wandering_range(jm)
+    except (DegreeOverflow, ToleranceAmbiguity, NotInvariant, RankTooLarge):
+        assume(False)
+    comp = complement_range(jm)
+    assert (jm.ranks() + comp.ranks()).tolist() == [lat.ambient] * n_lambda
+    for q, c in zip(jm.frames, comp.frames):
+        assert np.abs(q.conj().T @ c).max(initial=0.0) <= 1e-10
+    for depth in range(n_z):
+        try:
+            rebuilt = reconstruct_from_wandering(jr, depth)
+        except BandExceeded:
+            break
+        for q, w in zip(jm.frames, rebuilt.frames):
+            assert np.linalg.norm(w - q @ (q.conj().T @ w)) <= lat.orth_tol
