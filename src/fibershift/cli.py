@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .beurling import INNER_TOL_DEFAULT, phi_representation, range_of_phi
-from .errors import BoundsError, FibershiftError, NotInvariant, ParseError
+from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
                      render_csv, render_text, save_decomposition)
-from .ranges import closure_range, closure_ranks
+from .ranges import closure_frames, closure_range, closure_ranks
 from .shifts import closure_counts, is_S_invariant
 from .subspaces import subspace_distance
 from .wandering import wandering_ranks
@@ -111,15 +111,13 @@ def _ranks(ranks) -> tuple[int, ...]:
 
 def cmd_analyze(args) -> Report:
     pf, lat, inner_tol, seeds, notes = _load(args)
-    jm = closure_range(seeds, lat)
-    try:
-        ranks_jr = _ranks(wandering_ranks(jm))
-    except NotInvariant:  # the wandering part is defined only for an invariant span
-        ranks_jr = None
-    _, leak = is_S_invariant(jm)
+    # each closure frame goes to the wandering step as it is made, and is
+    # dropped once its rank and leak are read
+    ranks_jm, leak, ranks_jr = wandering_ranks(closure_frames(seeds, lat), lat)
     return Report(command="analyze", version=__version__, digest=pf.digest,
                   lattice=lat, inner_tol=inner_tol, notes=notes,
-                  s_leak=leak, ranks_jm=_ranks(jm.ranks()), ranks_jr=ranks_jr)
+                  s_leak=leak, ranks_jm=_ranks(ranks_jm),
+                  ranks_jr=None if ranks_jr is None else _ranks(ranks_jr))
 
 
 def cmd_spectrum(args) -> Report:
@@ -166,8 +164,11 @@ def cmd_verify(args) -> Report:
     path = args.path
     if os.path.isdir(path):
         path = os.path.join(path, "decomposition.fshd")
+    sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 20):
+            sha.update(chunk)
+    digest = sha.hexdigest()
     res, jm = load_decomposition(path)
     diagnostics = verify_decomposition(res, jm)
     return Report(command="verify", version=__version__, digest=digest,

@@ -31,12 +31,16 @@ Persisted decompositions (``.fshd``, version 2) are little-endian binary:
     one target range frame per fiber, (n_z*k, r_m) (complex128, C order)
 
 F and the base are derived from Phi and the wandering ranks. Version 1
-files (the dense F) are refused.
+files (the dense F) are refused. Both directions go array by array: save
+writes each array through the buffer protocol, and load checks the sizes
+against the file's size first, then reads each array into memory that the
+result keeps, so neither holds a copy of the file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -276,22 +280,20 @@ def render_csv(report: Report) -> str:
 def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
                        path: str) -> None:
     """Write a decomposition and its target range to the binary layout; a
-    diagnostic missing from ``res.diagnostics`` is written as NaN (unmeasured)."""
+    diagnostic missing from ``res.diagnostics`` is written as NaN (unmeasured).
+
+    Each array goes to the file as it is, through the buffer protocol, so
+    nothing is copied beyond the small rank and diagnostic arrays."""
     lat = res.lattice
-    ranks_jr = np.array(res.ranks, dtype="<u4")
-    ranks_jm = np.array(jm.ranks(), dtype="<u4")
-    diag = np.array([res.diagnostics.get(key, np.nan) for key in DIAGNOSTIC_KEYS],
-                    dtype="<f8")
-    blobs = [
-        _HEADER.pack(MAGIC, BINARY_VERSION, lat.n_lambda, lat.n_z, lat.k,
-                     lat.rank_tol, lat.orth_tol),
-        ranks_jr.tobytes(), ranks_jm.tobytes(), diag.tobytes(),
-        np.ascontiguousarray(res.field.phi, dtype="<c16").tobytes(),
-    ]
-    for m in range(lat.n_lambda):
-        blobs.append(np.ascontiguousarray(jm.frames[m], dtype="<c16").tobytes())
+    if jm.lattice != lat:
+        raise ValueError("lattice mismatch")
+    diag = [res.diagnostics.get(key, np.nan) for key in DIAGNOSTIC_KEYS]
     with open(path, "wb") as fh:
-        fh.write(b"".join(blobs))
+        fh.write(_HEADER.pack(MAGIC, BINARY_VERSION, lat.n_lambda, lat.n_z, lat.k,
+                              lat.rank_tol, lat.orth_tol))
+        for arr, dtype in ((res.ranks, "<u4"), (jm.ranks(), "<u4"), (diag, "<f8"),
+                           (res.field.phi, "<c16"), *((q, "<c16") for q in jm.frames)):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
@@ -299,44 +301,46 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
 
     The header and the rank arrays fix the file size; invalid sizes or
     tolerances, ranks out of range, a short file and trailing bytes raise
-    ParseError before any field is read.
+    ParseError before any field is read. Each array is then read straight
+    into memory of its own, which the result keeps without a copy.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size or raw[:4] != MAGIC:
-        raise ParseError(f"{path}: not a decomposition file")
-    magic, version, n_lambda, n_z, k, rank_tol, orth_tol = _HEADER.unpack_from(raw)
-    if version != BINARY_VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    try:
-        lat = TruncationLattice(n_lambda=n_lambda, n_z=n_z, k=k,
-                                rank_tol=rank_tol, orth_tol=orth_tol)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    amb = lat.ambient
-    off = _HEADER.size
-    if len(raw) < off + 8 * n_lambda:
-        raise ParseError(f"{path}: truncated file")
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(dtype, count, shape=None):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
-        off += arr.nbytes
-        return arr if shape is None else arr.reshape(shape)
+        def take(dtype, shape):
+            arr = np.empty(shape, dtype=dtype)
+            if fh.readinto(arr) != arr.nbytes:
+                raise ParseError(f"{path}: truncated file")
+            return arr
 
-    ranks_jr = take("<u4", n_lambda).astype(int)
-    ranks_jm = take("<u4", n_lambda).astype(int)
-    if np.any(ranks_jr > k):
-        raise ParseError(f"{path}: wandering rank exceeds k")
-    if np.any(ranks_jm > amb):
-        raise ParseError(f"{path}: range rank exceeds the fiber dimension")
-    size = off + 8 * len(DIAGNOSTIC_KEYS) + 16 * amb * (n_lambda * k + int(ranks_jm.sum()))
-    if len(raw) != size:
-        raise ParseError(f"{path}: truncated file" if len(raw) < size else
-                         f"{path}: {len(raw) - size} trailing bytes")
-    diag_vals = take("<f8", len(DIAGNOSTIC_KEYS))
-    phi = take("<c16", n_lambda * amb * k, (n_lambda, amb, k))
-    jm_frames = tuple(take("<c16", amb * r, (amb, r)) for r in ranks_jm)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != MAGIC:
+            raise ParseError(f"{path}: not a decomposition file")
+        magic, version, n_lambda, n_z, k, rank_tol, orth_tol = _HEADER.unpack(head)
+        if version != BINARY_VERSION:
+            raise ParseError(f"{path}: unsupported version {version}")
+        try:
+            lat = TruncationLattice(n_lambda=n_lambda, n_z=n_z, k=k,
+                                    rank_tol=rank_tol, orth_tol=orth_tol)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        amb = lat.ambient
+        if size < _HEADER.size + 8 * n_lambda:
+            raise ParseError(f"{path}: truncated file")
+        ranks_jr = take("<u4", n_lambda).astype(int)
+        ranks_jm = take("<u4", n_lambda).astype(int)
+        if np.any(ranks_jr > k):
+            raise ParseError(f"{path}: wandering rank exceeds k")
+        if np.any(ranks_jm > amb):
+            raise ParseError(f"{path}: range rank exceeds the fiber dimension")
+        expected = (_HEADER.size + 8 * n_lambda + 8 * len(DIAGNOSTIC_KEYS)
+                    + 16 * amb * (n_lambda * k + int(ranks_jm.sum())))
+        if size != expected:
+            raise ParseError(f"{path}: truncated file" if size < expected else
+                             f"{path}: {size - expected} trailing bytes")
+        diag_vals = take("<f8", len(DIAGNOSTIC_KEYS))
+        phi = take("<c16", (n_lambda, amb, k))
+        jm_frames = tuple(take("<c16", (amb, r)) for r in ranks_jm)
     diagnostics = {key: float(v) for key, v in zip(DIAGNOSTIC_KEYS, diag_vals)}
     res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics)
     return res, RangeFunctionH(lat, jm_frames)

@@ -25,6 +25,20 @@ from .subspaces import (
 )
 
 
+def checked_frame(q: np.ndarray, ambient: int, m: int) -> np.ndarray:
+    """Frame ``q`` of fiber m, frozen; ValueError unless it has ``ambient``
+    rows and orthonormal columns."""
+    q = np.asarray(q, dtype=complex)
+    if q.ndim != 2 or q.shape[0] != ambient:
+        raise ValueError(f"frame {m} must have {ambient} rows")
+    if q.shape[1]:
+        gram = q.conj().T @ q
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if not np.abs(gram).max() <= 1e-10:
+            raise ValueError(f"frame {m} is not orthonormal")
+    return frozen_array(q)
+
+
 class _RangeFunction:
     """Shared behavior of range functions; subclasses fix the ambient size."""
 
@@ -34,18 +48,8 @@ class _RangeFunction:
     def _check(self, ambient: int):
         if len(self.frames) != self.lattice.n_lambda:
             raise ValueError("one frame per grid point required")
-        fixed = []
-        for m, q in enumerate(self.frames):
-            q = np.asarray(q, dtype=complex)
-            if q.ndim != 2 or q.shape[0] != ambient:
-                raise ValueError(f"frame {m} must have {ambient} rows")
-            if q.shape[1]:
-                gram = q.conj().T @ q
-                gram[np.diag_indices_from(gram)] -= 1.0
-                if not np.abs(gram).max() <= 1e-10:
-                    raise ValueError(f"frame {m} is not orthonormal")
-            fixed.append(frozen_array(q))
-        object.__setattr__(self, "frames", tuple(fixed))
+        object.__setattr__(self, "frames", tuple(
+            checked_frame(q, ambient, m) for m, q in enumerate(self.frames)))
 
     def rank(self, m: int) -> int:
         return self.frames[m].shape[1]
@@ -104,10 +108,13 @@ def _fiber_stacks(gens: list[FiberedField], counts: list[int],
         yield shifted_copies(fiber, lattice.n_z, lattice.k, depth)[:, take]
 
 
+def _span_frames(gens, counts, lattice):
+    for m, stack in enumerate(_fiber_stacks(gens, counts, lattice)):
+        yield orthonormal_frame(stack, lattice.rank_tol, fiber=m)
+
+
 def _span(gens, counts, lattice) -> RangeFunctionH:
-    return RangeFunctionH(lattice, tuple(
-        orthonormal_frame(stack, lattice.rank_tol, fiber=m)
-        for m, stack in enumerate(_fiber_stacks(gens, counts, lattice))))
+    return RangeFunctionH(lattice, tuple(_span_frames(gens, counts, lattice)))
 
 
 def range_from_generators(gens: list[FiberedField],
@@ -126,6 +133,13 @@ def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> Rang
     frame, without building the closure: each fiber's columns are the seeds'
     shifted copies, made when that fiber's SVD needs them."""
     return _span(seeds, closure_counts(seeds), lattice)
+
+
+def closure_frames(seeds: list[FiberedField], lattice: TruncationLattice):
+    """The frames of ``closure_range(seeds, lattice)``, checked alike, made
+    one fiber at a time as they are read, so a reader need not hold J."""
+    frames = _span_frames(seeds, closure_counts(seeds), lattice)
+    return (checked_frame(q, lattice.ambient, m) for m, q in enumerate(frames))
 
 
 def closure_ranks(seeds: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:

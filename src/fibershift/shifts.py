@@ -117,5 +117,10 @@ def is_S_invariant(range_fn: RangeFunctionH) -> tuple[bool, float]:
     Returns (max leak <= orth_tol, max leak), the leak being the Frobenius
     norm ``shift_leak`` of each whole fiber frame.
     """
-    worst = float(shift_leaks(range_fn).max())
-    return worst <= range_fn.lattice.orth_tol, worst
+    return leak_verdict(shift_leaks(range_fn), range_fn.lattice.orth_tol)
+
+
+def leak_verdict(leaks, orth_tol: float) -> tuple[bool, float]:
+    """(max leak <= orth_tol, max leak) over per-fiber shift leaks."""
+    worst = float(np.max(leaks))
+    return worst <= orth_tol, worst

@@ -8,20 +8,27 @@ names the fiber otherwise), the shifted copies of its frame are orthogonal
 while they stay inside the reliable band, and stacking those copies
 reconstructs the original subspace.
 
-The partition of the circle by wandering dimension is ``wandering_ranks``,
-read off singular values alone, and the frame field phi_i is the i-th
-column of the ``wandering_range`` frames, stored as ``Phi[:, :, i]``.
+The frame field phi_i is the i-th column of the ``wandering_range``
+frames, stored as ``Phi[:, :, i]``; the partition of the circle by
+wandering dimension is ``wandering_ranks``, read off singular values alone.
+Both run one per-fiber loop over frames as an iterable yields them:
+``wandering_range`` over a range function's stored frames, and
+``analyze`` ``wandering_ranks`` over the closure frames as they are made,
+so it holds one frame at a time, a refused fiber's included.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (BandExceeded, FibershiftError, NotInvariant, RankTooLarge,
                      ToleranceAmbiguity)
 from .fields import z_degree
+from .lattice import TruncationLattice
 from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import (compressed_shift_adjoint, is_S_invariant, shift_leak,
+from .shifts import (compressed_shift_adjoint, leak_verdict, shift_leak,
                      shift_leaks, shifted_copies)
 from .subspaces import (DEGREE_TOL, canonical_columns, rank_decision, robust_svd,
                         singular_values)
@@ -66,27 +73,30 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
         if frame.shape[1] - rank > k:
             raise RankTooLarge(f"rank {frame.shape[1] - rank} exceeds k = {k}", fiber=fiber)
     except (FibershiftError, np.linalg.LinAlgError) as exc:
-        return leak, exc
+        # held without the traceback and context whose frames hold Q and C*
+        exc.__context__ = None
+        return leak, exc.with_traceback(None)
     if not vectors:
         return leak, frame.shape[1] - rank
     return leak, canonical_columns(frame @ vh[rank:].conj().T)
 
 
-def _wandering_parts(range_fn: RangeFunctionH, vectors: bool) -> tuple:
-    """``_fiber_wandering`` of every fiber, one C* held at a time. The leaks
-    are kept on the range function; NotInvariant, on their maximum, comes
-    before the lowest fiber's wandering refusal."""
-    lat = range_fn.lattice
-    leaks, parts = zip(*(_fiber_wandering(q, lat.n_z, lat.k, lat.rank_tol, m, vectors)
-                         for m, q in enumerate(range_fn.frames)))
-    shift_leaks(range_fn, leaks)
-    ok, leak = is_S_invariant(range_fn)
-    if not ok:
-        raise NotInvariant(f"input is not shift invariant (leak {leak:.3e})")
+def _wandering(frames: Iterable[np.ndarray], lattice: TruncationLattice,
+               vectors: bool) -> tuple:
+    """``(ranks, leaks, parts)`` per fiber of each frame as ``frames`` yields
+    it, one frame and one C* held at a time. ``parts`` is None when the
+    frames are not shift invariant (``leak_verdict``); otherwise the lowest
+    refused fiber's refusal is raised."""
+    ranks, leaks, parts = zip(*(
+        (q.shape[1], *_fiber_wandering(q, lattice.n_z, lattice.k,
+                                       lattice.rank_tol, m, vectors))
+        for m, q in enumerate(frames)))
+    if not leak_verdict(leaks, lattice.orth_tol)[0]:
+        return ranks, leaks, None
     for part in parts:
         if isinstance(part, Exception):
             raise part
-    return parts
+    return ranks, leaks, parts
 
 
 def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
@@ -95,15 +105,28 @@ def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     Raises NotInvariant when some fiber's ``shift_leak`` exceeds orth_tol,
     and otherwise the refusal of the lowest refused fiber: RankTooLarge
     where a wandering rank exceeds k, ToleranceAmbiguity where the rank
-    decision is ambiguous or the leak passes half the cutoff.
+    decision is ambiguous or the leak passes half the cutoff. The leaks
+    are kept on ``range_fn`` (``shift_leaks``).
     """
-    return RangeFunctionH(range_fn.lattice, _wandering_parts(range_fn, True))
+    _, leaks, parts = _wandering(range_fn.frames, range_fn.lattice, True)
+    shift_leaks(range_fn, leaks)
+    if parts is None:
+        raise NotInvariant(f"input is not shift invariant (leak {np.max(leaks):.3e})")
+    return RangeFunctionH(range_fn.lattice, parts)
 
 
-def wandering_ranks(range_fn: RangeFunctionH) -> np.ndarray:
-    """Per-fiber ranks of ``wandering_range`` from one SVD of C* without
-    singular vectors per fiber, with the same rank decisions and refusals."""
-    return np.array(_wandering_parts(range_fn, False), dtype=int)
+def wandering_ranks(frames: Iterable[np.ndarray], lattice: TruncationLattice
+                    ) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """``(ranks, leak, wandering ranks)`` of the frames of a range function
+    on ``lattice``, read one at a time as ``frames`` yields them: the rank
+    of each frame, the largest ``shift_leak``, and the ranks of
+    ``wandering_range`` from one SVD of C* without singular vectors per
+    fiber, or None where ``wandering_range`` raises NotInvariant. Its other
+    refusals are raised alike.
+    """
+    ranks, leaks, parts = _wandering(frames, lattice, False)
+    return (np.array(ranks, dtype=int), float(np.max(leaks)),
+            None if parts is None else np.array(parts, dtype=int))
 
 
 def reconstruct_from_wandering(wandering: RangeFunctionH, depth: int) -> RangeFunctionH:

@@ -58,7 +58,10 @@ def haar_frame(rng: np.random.Generator, dim: int, r: int) -> np.ndarray:
 
 def laurent_seeds(rng: np.random.Generator, lat: TruncationLattice, r: int,
                   vanish: bool = True) -> list[LaurentPolyField]:
-    """r generator seeds with z-degree at most 6 and orthonormal directions."""
+    """r generator seeds with z-degree at most 6 and orthonormal directions,
+    so r <= k (ValueError otherwise, before anything is drawn)."""
+    if r > lat.k:
+        raise ValueError(f"{r} seeds need {r} orthonormal directions, k = {lat.k}")
     u = haar_unitary(rng, lat.k)
     out = []
     for i in range(r):

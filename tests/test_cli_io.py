@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -227,6 +228,119 @@ def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
     assert run_cli(["verify", str(path)])[0] == 3
 
 
+def test_save_decomposition_refuses_lattice_mismatch(tmp_path):
+    """A k = 1 result saved with a k = 2 range would make a file that load
+    refuses; save refuses the pair before it opens the file."""
+    res = decompose_range(z_e1_range(TruncationLattice(4, 8, 1)))
+    path = tmp_path / "d.fshd"
+    with pytest.raises(ValueError, match="lattice mismatch"):
+        save_decomposition(res, z_e1_range(TruncationLattice(4, 8, 2)), str(path))
+    assert not path.exists()
+
+
+def _traced_peak(fn):
+    """``(fn(), peak)``: the most memory tracemalloc saw allocated while
+    ``fn`` ran, its result included."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_decomposition_refuses_huge_header_before_allocating(tmp_path):
+    """A 100-byte file whose header declares n_lambda = n_z = 2**20, k = 4
+    is truncated; the size check comes before the 8 MiB of rank arrays the
+    header asks for are allocated."""
+    path = tmp_path / "huge.fshd"
+    path.write_bytes(_HEADER.pack(b"FSHD", 2, 2**20, 2**20, 4, 1e-9, 1e-8)
+                     + bytes(100 - _HEADER.size))
+
+    def load():
+        with pytest.raises(ParseError, match="truncated"):
+            load_decomposition(str(path))
+
+    assert _traced_peak(load)[1] < 2**20
+    assert run_cli(["verify", str(path)])[0] == 3
+
+
+@pytest.mark.parametrize("where", ["ranks", "diagnostics", "phi", "first frame",
+                                   "last frame"])
+def test_load_decomposition_reads_cut_files_as_truncated(tmp_path, where):
+    rng = np.random.default_rng(63)
+    lat = TruncationLattice(2, 8, 2)
+    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    assert np.all(jm.ranks() > 0)
+    path = tmp_path / "d.fshd"
+    save_decomposition(decompose_range(jm), jm, str(path))
+    raw = path.read_bytes()
+    diag = _HEADER.size + 8 * lat.n_lambda
+    frames = diag + 8 * 3 + 16 * lat.n_lambda * lat.ambient * lat.k
+    cut = {"ranks": diag - 2, "diagnostics": diag + 12,
+           "phi": (diag + 24 + frames) // 2, "first frame": frames + 16,
+           "last frame": len(raw) - 8}[where]
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ParseError, match="truncated"):
+        load_decomposition(str(path))
+
+
+def _problem(path, shape):
+    """A problem file of 3 Laurent seeds on ``shape``, and its closure J."""
+    lat = TruncationLattice(*shape)
+    write_problem(path, lat, laurent_seeds(np.random.default_rng(5), lat, 3))
+    return range_from_generators(shat_closure(problem_fields(load_problem(path))), lat)
+
+
+@pytest.fixture(scope="module")
+def stream_decomposition(tmp_path_factory):
+    """(8, 32, 3) with 3 seeds: J's frames take 1.0 MB, its .fshd file 1.1 MB."""
+    jm = _problem(str(tmp_path_factory.mktemp("stream") / "p.txt"), (8, 32, 3))
+    return jm, decompose_range(jm)
+
+
+def test_save_decomposition_holds_no_copy(stream_decomposition, tmp_path):
+    """Every array goes to the file as it is; no blob of the file is made."""
+    jm, res = stream_decomposition
+    path = str(tmp_path / "d.fshd")
+    _, peak = _traced_peak(lambda: save_decomposition(res, jm, path))
+    assert peak < 0.05 * os.path.getsize(path)
+
+
+def test_load_decomposition_reads_into_its_arrays(stream_decomposition, tmp_path):
+    """Each array is read into memory the result keeps: beside the arrays,
+    the load holds at most the orthonormality check of one frame (a
+    conjugate copy, the Gram matrix and its modulus), no raw buffer of the
+    file and no copy of the arrays."""
+    jm, res = stream_decomposition
+    path = str(tmp_path / "d.fshd")
+    save_decomposition(res, jm, path)
+    (res2, jm2), peak = _traced_peak(lambda: load_decomposition(path))
+    arrays = (res2.field.phi, *jm2.frames)
+    r = max(jm2.ranks())
+    check = jm2.lattice.ambient * r * 16 + 2 * r * r * 16
+    assert peak - sum(arr.nbytes for arr in arrays) <= check
+    for arr in arrays:
+        assert arr.flags.owndata and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("flags, code", [
+    ([], 0),
+    # every fiber's wandering step is refused (the leak passes half the
+    # cutoff) and then the span reads not invariant: the refusals are held
+    # until the leaks are known, without keeping their frames
+    (["--orth-tol", "1e-16", "--rank-tol", "1e-14"], 2)])
+def test_analyze_holds_one_frame_at_a_time(tmp_path, flags, code):
+    """analyze drops each fiber's frame once its ranks and leak are read,
+    so it never holds J's frames together. At (32, 32, 3) with 3 seeds
+    J's frames take 4.1 MB."""
+    path = str(tmp_path / "p.txt")
+    jm = _problem(path, (32, 32, 3))
+    (got, out), peak = _traced_peak(lambda: run_cli(["analyze", path, *flags]))
+    assert got == code
+    assert ("s-invariant: NO" in out) == bool(flags)
+    assert peak < sum(q.nbytes for q in jm.frames)
+
+
 def test_render_text_layout():
     lat = TruncationLattice(2, 4, 1)
     report = Report(command="analyze", version="0.1.0", digest="ab" * 32,
@@ -424,6 +538,16 @@ def _laurent_problem(tmp_path, seed: int, n_z: int = 32) -> str:
     return path
 
 
+def test_laurent_seeds_refuse_more_seeds_than_directions():
+    """r > k seeds cannot have orthonormal directions: refused before any
+    draw, so the generator is left as it was."""
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="2 seeds need 2 orthonormal directions"):
+        laurent_seeds(rng, TruncationLattice(1, 1, 1), 2)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_spectrum_matches_analyze(tmp_path, seed):
     """spectrum reads ranks off singular values alone; analyze builds the
@@ -538,10 +662,28 @@ def test_cli_checks_invariance_once(tmp_path, monkeypatch, command):
     assert calls == [(8, 8)] * 4    # n_lambda fibers, each of rank n_z
 
 
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_cli_checks_every_frame_orthonormal(tmp_path, monkeypatch, capsys, command):
+    """analyze reads the closure frames one at a time and decompose holds
+    them in a range function; both check each frame the same way."""
+    import fibershift.ranges
+    real = fibershift.ranges.orthonormal_frame
+
+    def stretched(columns, rank_tol, fiber=None):
+        q = real(columns, rank_tol, fiber)
+        return 2.0 * q if fiber == 1 else q
+
+    monkeypatch.setattr(fibershift.ranges, "orthonormal_frame", stretched)
+    code, out = run_cli([command, _write(tmp_path, CONSTANT_PROBLEM)])
+    assert code == 3 and out == ""
+    assert "ValueError: frame 1 is not orthonormal" in capsys.readouterr().err
+
+
 def test_analyze_takes_no_singular_vectors_of_c_star(tmp_path, monkeypatch):
     """analyze computes singular vectors only for J's closure matrices, one
-    per fiber; every SVD of C* is values only. With every values-only call
-    failing, the robust_svd fallback gives the same report."""
+    per fiber; every SVD of C* is values only, taken right after its fiber's
+    closure SVD. With every values-only call failing, the robust_svd
+    fallback gives the same report."""
     path = _laurent_problem(tmp_path, 53)
     _, expect = run_cli(["analyze", path])
     real_svd = np.linalg.svd
@@ -557,8 +699,8 @@ def test_analyze_takes_no_singular_vectors_of_c_star(tmp_path, monkeypatch):
     # per fiber, the closure matrix of 2 seeds and their 59 shifts, then
     # the C* of J, square of J's rank
     ranks = [30, 59, 59, 59] * 4
-    assert shapes == ([((64, 61), True)] * 16
-                      + [((r, r), False) for r in ranks])
+    assert shapes == [shape for r in ranks
+                      for shape in (((64, 61), True), ((r, r), False))]
 
     calls = []
 

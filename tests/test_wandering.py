@@ -176,6 +176,17 @@ def _outcome(path, jm):
         return type(exc), getattr(exc, "fiber", None)
 
 
+def _streamed_ranks(jm):
+    """``wandering_ranks`` over the frames as a generator yields them, with
+    its rank and leak checked against the stored range function's."""
+    ranks, leak, wandering_ranks_ = wandering_ranks(iter(jm.frames), jm.lattice)
+    assert ranks.tolist() == jm.ranks().tolist()
+    assert leak == is_S_invariant(jm)[1]
+    if wandering_ranks_ is None:
+        raise NotInvariant("not invariant")
+    return wandering_ranks_
+
+
 @settings(max_examples=150, deadline=None)
 @given(n_lambda=st.integers(1, 4), n_z=st.integers(1, 8), k=st.integers(1, 3),
        r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -188,23 +199,38 @@ def test_wandering_ranks_match_wandering_range(n_lambda, n_z, k, r, seed):
         jm = range_from_generators(shat_closure(seeds), lat)
     except (DegreeOverflow, ToleranceAmbiguity):
         assume(False)
-    assert (_outcome(wandering_ranks, jm)
+    assert (_outcome(_streamed_ranks, jm)
             == _outcome(lambda j: wandering_range(j).ranks(), jm))
 
 
 def test_not_invariant_comes_before_a_lower_fibers_refusal():
     """Fiber 0 is refused by the wandering step (a singular value of C* in
     the guard band) and fiber 1 leaks a whole unit under the shift: both
-    paths refuse NotInvariant, on fiber 1's leak, first."""
+    paths put NotInvariant, on fiber 1's leak, first."""
     lat = TruncationLattice(2, 8, 3)
     slow = _chain_with_slow_direction(1.2e-9)
     unit = np.zeros((lat.ambient, 1), dtype=complex)
     unit[0, 0] = 1.0
-    for path in (wandering_ranks, wandering_range):
-        with pytest.raises(ToleranceAmbiguity, match="guard band"):
-            path(RangeFunctionH(lat, (slow, slow)))
-        with pytest.raises(NotInvariant, match="leak 1.000e"):
-            path(RangeFunctionH(lat, (slow, unit)))
+    with pytest.raises(ToleranceAmbiguity, match="guard band"):
+        wandering_range(RangeFunctionH(lat, (slow, slow)))
+    with pytest.raises(ToleranceAmbiguity, match="guard band"):
+        wandering_ranks((slow, slow), lat)
+    with pytest.raises(NotInvariant, match="leak 1.000e"):
+        wandering_range(RangeFunctionH(lat, (slow, unit)))
+    ranks, leak, wandering_ranks_ = wandering_ranks((slow, unit), lat)
+    assert ranks.tolist() == [slow.shape[1], 1]
+    assert f"{leak:.3e}" == "1.000e+00" and wandering_ranks_ is None
+
+
+def test_held_refusal_keeps_no_frame():
+    """A refused fiber's error is held until the leaks are known, without
+    the traceback whose frames would keep its frame and C* alive."""
+    lat = TruncationLattice(2, 8, 3)
+    slow = _chain_with_slow_direction(1.2e-9)
+    leak, refusal = wandering._fiber_wandering(slow, lat.n_z, lat.k,
+                                               lat.rank_tol, 0, False)
+    assert isinstance(refusal, ToleranceAmbiguity)
+    assert refusal.__traceback__ is None and refusal.__context__ is None
 
 
 def test_reconstruct_from_wandering():
