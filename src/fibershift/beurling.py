@@ -18,10 +18,9 @@ from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
 from .factorization import constant_unitary
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH, _span
-from .shifts import shifted_copies
-from .subspaces import _phase_normalize, orthonormal_frame, subspace_distance
-from .wandering import _fiber_wandering
+from .ranges import RangeFunctionH, _span, closure_range
+from .subspaces import subspace_distance
+from .wandering import wandering_range
 
 INNER_TOL_DEFAULT = 1e-6
 
@@ -69,29 +68,30 @@ def inner_from_invariant(gens: list[ScalarH2],
                          rank_tol: float = 1e-9) -> tuple[ScalarH2, float]:
     """Extract the inner generator of the invariant span of ``gens``.
 
-    The span of all shifts of the generators is closed by the rank cutoff,
-    which discards the geometrically small directions a finite truncation
-    cannot distinguish from zero; what remains is the invariant subspace
-    generated by the inner part alone. Its wandering part must be one
-    dimensional (WanderingRankNotOne otherwise) and the unit wandering
-    vector, phase normalized, is the inner function. The returned defect is
-    the worst boundary-modulus deviation on a 4*n_z grid; it carries the
-    geometric truncation tail of non-polynomial inner functions.
+    ``closure_range`` on the lattice (1, n_z, 1) spans all shifts of the
+    generators, closed by the rank cutoff, which discards the geometrically
+    small directions a finite truncation cannot distinguish from zero; what
+    remains is the invariant subspace generated by the inner part alone. Its
+    ``wandering_range`` must be one dimensional (WanderingRankNotOne
+    otherwise); the canonical unit wandering vector is the inner function.
+    The returned defect is the worst boundary-modulus deviation on a 4*n_z
+    grid; it carries the geometric truncation tail of non-polynomial inner
+    functions.
     """
     if not gens:
         raise ValueError("need at least one generator")
     n_z = gens[0].n_z
     if any(g.n_z != n_z for g in gens):
         raise ValueError("generators disagree on n_z")
-    stack = np.hstack([shifted_copies(g.coeffs[:, None], n_z, 1, n_z) for g in gens])
-    frame = orthonormal_frame(stack, rank_tol)
-    _, wander = _fiber_wandering(frame, n_z, 1, rank_tol)
-    if isinstance(wander, Exception):
-        raise wander
+    # the wandering step refuses a leak past half the cutoff, so a gate at
+    # the cutoff (or orth_tol's default) turns no pass into NotInvariant
+    lat = TruncationLattice(1, n_z, 1, rank_tol=rank_tol, orth_tol=max(rank_tol, 1e-8))
+    seeds = [FiberedField(lat, g.coeffs[None, :, None]) for g in gens]
+    wander = wandering_range(closure_range(seeds, lat)).frames[0]
     if wander.shape[1] != 1:
         raise WanderingRankNotOne(
             f"wandering part has rank {wander.shape[1]}, expected 1")
-    h = ScalarH2(_phase_normalize(wander[:, :1])[:, 0])
+    h = ScalarH2(wander[:, 0])
     return h, h.inner_defect()
 
 

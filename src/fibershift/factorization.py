@@ -11,12 +11,11 @@ initial space the full Hardy space over the coordinate base span(e_1..e_n),
 commutes with both shifts by construction, and carries the embedded base
 onto the wandering part of J_M. F is built one fiber at a time, on demand.
 
-``verify_decomposition`` is band restricted: the truncated fiber shift is
-only isometric below the top retained degree, so defects are measured on
-columns whose degrees stay inside the reliable band, and the target is
-compared with the banded image on the band rows, where shifts of the image
-past the band vanish. Comparisons never introduce new rank decisions; they
-reuse frames that already exist, and every defect is a Frobenius norm.
+``verify_decomposition`` reads F's isometry exactly off the symbol. Only
+the cover of the target by the image is band limited: the truncated shift is
+isometric only below the top retained degree, so the target is compared
+with the banded image on the band rows. Comparisons make no rank decision,
+and every defect is a Frobenius norm.
 ``connecting_isometry`` compares two symbols on every degree, and
 ``initial_space_base`` reads the initial space of a field off its symbol.
 """
@@ -33,10 +32,10 @@ from .fields import FiberedField, z_degree
 from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH, RangeFunctionK, range_from_generators
 from .shifts import shifted_copies
-from .subspaces import DEGREE_TOL, canonical_columns, project_onto
+from .subspaces import DEGREE_TOL, canonical_columns
 from .wandering import wandering_range
 
-DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect", "invariance_leak")
+DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect")
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class DecompositionResult:
     """Output of ``decompose``.
 
     field : partial isometry field F, stored as its symbol Phi
-    ranks : wandering dimension per fiber; Phi vanishes past it
-    diagnostics : the three verification defects, maxima over fibers
+    ranks : wandering dimension per fiber; Phi must vanish past it
+    diagnostics : the two verification defects, maxima over fibers
 
     The fibers of wandering dimension n are those with ``ranks == n``, and
     the frame field phi_i is ``field.phi[:, :, i]``. The coordinate base is
@@ -87,6 +86,11 @@ class DecompositionResult:
         ranks = frozen_array(self.ranks, dtype=int)
         if ranks.shape != (lat.n_lambda,) or np.any((ranks < 0) | (ranks > lat.k)):
             raise ValueError("one wandering rank in 0..k per fiber required")
+        past = (np.arange(lat.k) >= ranks[:, None])[:, None]
+        mass = np.any((self.field.phi != 0) & past, axis=(1, 2))
+        if np.any(mass):
+            raise ValueError(f"Phi is nonzero past the wandering rank at fiber "
+                             f"{int(np.argmax(mass))}")
         object.__setattr__(self, "ranks", ranks)
 
     @property
@@ -132,30 +136,24 @@ def decompose_range(jm: RangeFunctionH) -> DecompositionResult:
 
 
 def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, float]:
-    """Recompute the three factorization defects against a target range.
+    """Recompute the two factorization defects against a target range.
 
-    Work happens in initial-space coordinates: the columns W = F G of F on
-    the full Hardy space over the base (G the embedded base, degree-major)
-    are the shifted copies of the first n columns of Phi. The shifted copies
-    of the other columns are the mass of F off that space, which must vanish
-    for a partial isometry starting there; its Frobenius norm is folded into
-    the isometry and image defects.
+    The columns W of F on the full Hardy space over the base are the
+    shifted copies of phi_1 .. phi_n, the only nonzero columns of Phi.
 
-    Every defect is a Frobenius norm: no SVD, no eigensolver, and as
-    ||A||_2 <= ||A||_F <= sqrt(rank A) ||A||_2, verdicts can only be
-    stricter than with 2-norms.
-
-    isometry_defect : ||(W* W - I) on band degrees||_F, off-space mass
+    isometry_defect : ||G - I||_F for the Gram matrix G of the n_z shifts
+        of phi_1 .. phi_n in H^2, not truncated. G is block Toeplitz in
+        A_d = phi* S^d phi, so ||G - I||_F^2 = n_z ||A_0 - I||_F^2
+        + 2 sum_{d >= 1} (n_z - d) ||A_d||_F^2; Phi lies below degree n_z,
+        so the truncated shifts give these products exactly.
     image_defect : containment ||W - Q Q* W||_F of W in the target frame Q,
-        the cover ||band rows of (Q - W_b W_b* Q)||_F of the target by the
-        banded image W_b, and the off-space mass. The cover is linear in a
-        tilt of Q into the band, where a projector distance is quadratic.
-    invariance_leak : ||S W - W W* S W||_F on the band
+        and the cover ||band rows of (Q - W_b W_b* Q)||_F of the target by
+        the banded image W_b, linear in a tilt of Q into the band.
 
-    Values are maxima over fibers; a NaN defect stays NaN, and products
-    that overflow read inf or NaN rather than warn. All three vanish
-    (to rounding) for a valid decomposition whose frame vectors are band
-    limited. Commutation with the shifts needs no check: it holds by
+    Every defect is a Frobenius norm (no SVD, no eigensolver), never below
+    the 2-norm of its matrix, so verdicts can only be stricter. Values are
+    maxima over fibers; NaN stays NaN, and products that overflow read inf
+    or NaN rather than warn. Commutation with the shifts holds by
     construction for a field stored as its symbol.
     """
     if jm.lattice != res.lattice:
@@ -164,44 +162,46 @@ def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH) -> dict[s
     return {key: float(np.max(per[key])) for key in DIAGNOSTIC_KEYS}
 
 
+def _gram_defect(cols: np.ndarray, shifts: np.ndarray, p: np.ndarray,
+                 weights: np.ndarray) -> float:
+    """(sum_d weights[d] ||A_d - [d = 0] P||_F^2)^(1/2) for the blocks
+    A_d = cols* S^d cols, d = 0 .. n_z - 1, of the n_z ``shifts`` of cols."""
+    c = cols.shape[1]
+    a = (cols.conj().T @ shifts).reshape(c, len(weights), c)
+    a[:, 0] -= p
+    return float(np.sqrt(np.sum(np.abs(a) ** 2, axis=(0, 2)) @ weights))
+
+
 def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, np.ndarray]:
     """Per-fiber defect arrays behind ``verify_decomposition``."""
     lat = res.lattice
     n_z, k = lat.n_z, lat.k
+    # each A_d with d >= 1 sits n_z - d times above the diagonal of G, and below
+    weights = 2.0 * (n_z - np.arange(n_z))
+    weights[0] = n_z
 
     def one(m: int) -> tuple[float, ...]:
         n = int(res.ranks[m])
-        phi = res.field.phi[m]
-        b = _fiber_band(phi[:, :n], n_z)
+        phi = res.field.phi[m][:, :n]
         q = jm.frames[m]
-
-        w = shifted_copies(phi[:, :n], n_z, k, n_z)
-        off_mass = np.linalg.norm(shifted_copies(phi[:, n:], n_z, k, n_z))
-
-        w_band = w[:, : n * (b + 1)]
-        gram = w_band.conj().T @ w_band
-        gram[np.diag_indices_from(gram)] -= 1.0
+        w = shifted_copies(phi, n_z, k, n_z)
+        iso = _gram_defect(phi, w, np.eye(n), weights)
 
         qw = q.conj().T @ w
         contain = np.linalg.norm(w - q @ qw)
         # band rows of J's frame outside span(W_b): shifts of W past the band
         # vanish on those rows, so this is zero exactly when W_b covers them
-        rows = (b + 1) * k
-        cover = np.linalg.norm(q[:rows] - w_band[:rows] @ qw[:, : n * (b + 1)].conj().T)
-
-        # the shift of the first b layers of W is its next b layers
-        shifted = w[:, n: n * (b + 1)]
-        leak = np.linalg.norm(shifted - project_onto(w, shifted))
-        return np.linalg.norm(gram), off_mass, contain, cover, leak
+        b = _fiber_band(phi, n_z)
+        rows, cols = (b + 1) * k, (b + 1) * n
+        cover = np.linalg.norm(q[:rows] - w[:rows, :cols] @ qw[:, :cols].conj().T)
+        return iso, contain, cover
 
     # entries near 1e+200 overflow to inf or NaN defects, which gates fail
     with np.errstate(over="ignore", invalid="ignore"):
         terms = [one(m) for m in range(lat.n_lambda)]
-    gram, off_mass, contain, cover, leak = np.array(terms).T
+    iso, contain, cover = np.array(terms).T
     # elementwise maxima propagate NaN, where max(0.0, nan) reads 0.0
-    return dict(zip(DIAGNOSTIC_KEYS, (np.maximum(gram, off_mass),
-                                      np.maximum.reduce([contain, cover, off_mass]),
-                                      leak)))
+    return dict(zip(DIAGNOSTIC_KEYS, (iso, np.maximum(contain, cover))))
 
 
 CONNECTING_KEYS = ("isometry_defect", "factorization_defect")
@@ -265,18 +265,20 @@ def initial_space_base(field: SymbolField) -> RangeFunctionK:
     - A_0 = Phi* Phi (k x k) must have every eigenvalue within orth_tol of
       0 or 1; P projects onto its unit eigenvectors, which span the base.
     - The rigidity defect R = sqrt(mean_t ||Phi(zeta_t)* Phi(zeta_t) - P||_F^2)
-      over the 2 n_z-th roots of unity must be at most orth_tol. Degrees of
-      Phi* Phi stay below n_z in modulus, so these points do not alias and
-      R^2 = ||A_0 - P||_F^2 + 2 sum_{d >= 1} ||A_d||_F^2 exactly, with
-      A_d = sum_j phi_j* phi_{j+d} for the degree blocks phi_j.
+      over the circle must be at most orth_tol. Phi* Phi is a trigonometric
+      polynomial in the blocks A_d = Phi* S^d Phi that verification reads,
+      so R^2 = ||A_0 - P||_F^2 + 2 sum_{d >= 1} ||A_d||_F^2 exactly.
 
     Either failure raises NotPartialIsometry naming the fiber; a NaN R
     fails too. Columns of Phi are never truncated here, so a decomposition
     over frames of positive degree passes where the truncated F would clip.
-    Each fiber costs one FFT of length 2 n_z and one k x k eigenproblem.
+    Each fiber costs one product of Phi* with its shifts and one k x k
+    eigenproblem.
     """
     lat = field.lattice
     n_z, k, tol = lat.n_z, lat.k, lat.orth_tol
+    weights = np.full(n_z, 2.0)
+    weights[0] = 1.0
     frames = []
     for m in range(lat.n_lambda):
         phi = field.phi[m]
@@ -289,9 +291,8 @@ def initial_space_base(field: SymbolField) -> RangeFunctionK:
             raise NotPartialIsometry(
                 f"eigenvalue {float(w[bad][0]):.6f} of Phi* Phi away from 0 and 1", fiber=m)
         base = v[:, unit]
-        values = np.fft.fft(phi.reshape(n_z, k, k), n=2 * n_z, axis=0)
-        grams = values.conj().transpose(0, 2, 1) @ values
-        rigidity = float(np.linalg.norm(grams - base @ base.conj().T) / np.sqrt(2 * n_z))
+        rigidity = _gram_defect(phi, shifted_copies(phi, n_z, k, n_z),
+                                base @ base.conj().T, weights)
         if not rigidity <= tol:
             raise NotPartialIsometry(
                 f"rigidity defect {rigidity:.3e}: Phi* Phi is not constant", fiber=m)

@@ -20,18 +20,19 @@ Degrees j run over 0..n_z-1 and coordinates i over 1..k (BoundsError
 otherwise); the lambda exponent m may be any integer since powers wrap on
 the grid.
 
-Persisted decompositions (``.fshd``, version 2) are little-endian binary:
+Persisted decompositions (``.fshd``, version 3) are little-endian binary:
 
-    magic ``FSHD``, version 2, n_lambda, n_z, k    (4 bytes, 4 x uint32)
+    magic ``FSHD``, version 3, n_lambda, n_z, k    (4 bytes, 4 x uint32)
     rank_tol, orth_tol                             (2 x float64)
     wandering rank per fiber                       (n_lambda x uint32)
     range rank per fiber                           (n_lambda x uint32)
-    the three diagnostics, DIAGNOSTIC_KEYS order   (3 x float64, NaN if unmeasured)
+    the two diagnostics, DIAGNOSTIC_KEYS order     (2 x float64, NaN if unmeasured)
     the symbol Phi, shape (n_lambda, n_z*k, k)     (complex128, C order)
     one target range frame per fiber, (n_z*k, r_m) (complex128, C order)
 
-F and the base are derived from Phi and the wandering ranks. Version 1
-files (the dense F) are refused. Both directions go array by array: save
+F and the base are derived from Phi and the wandering ranks; Phi must vanish
+past each fiber's wandering rank. Files of version 1 (the dense F) and 2
+(three diagnostics) are refused. Both directions go array by array: save
 writes each array through the buffer protocol, and load checks the sizes
 against the file's size first, then reads each array into memory that the
 result keeps, so neither holds a copy of the file.
@@ -54,7 +55,7 @@ from .ranges import RangeFunctionH
 
 SCHEMA = "fibershift-problem/1"
 MAGIC = b"FSHD"
-BINARY_VERSION = 2
+BINARY_VERSION = 3
 
 _HEADER = struct.Struct("<4sIIIIdd")
 
@@ -302,7 +303,8 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
     The header and the rank arrays fix the file size; invalid sizes or
     tolerances, ranks out of range, a short file and trailing bytes raise
     ParseError before any field is read. Each array is then read straight
-    into memory of its own, which the result keeps without a copy.
+    into memory of its own, which the result keeps without a copy; a Phi
+    that ``DecompositionResult`` refuses raises ParseError too.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -342,5 +344,8 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
         phi = take("<c16", (n_lambda, amb, k))
         jm_frames = tuple(take("<c16", (amb, r)) for r in ranks_jm)
     diagnostics = {key: float(v) for key, v in zip(DIAGNOSTIC_KEYS, diag_vals)}
-    res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics)
+    try:
+        res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return res, RangeFunctionH(lat, jm_frames)

@@ -181,13 +181,6 @@ def orthonormal_frame(columns: np.ndarray, rank_tol: float,
     return canonical_columns(u[:, :rank], s[:rank])
 
 
-def project_onto(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of column vectors onto span(frame)."""
-    if frame.shape[1] == 0:
-        return np.zeros_like(vectors)
-    return frame @ (frame.conj().T @ vectors)
-
-
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values in decreasing order, computed without singular
     vectors; a LAPACK failure falls back to ``robust_svd``."""
@@ -210,4 +203,4 @@ def subspace_distance(q1: np.ndarray, q2: np.ndarray) -> float:
     """
     if q1.shape[1] != q2.shape[1]:
         return 1.0
-    return float(np.linalg.norm(q2 - project_onto(q1, q2)))
+    return float(np.linalg.norm(q2 - q1 @ (q1.conj().T @ q2)))

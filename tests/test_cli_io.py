@@ -17,7 +17,7 @@ from fibershift import (DIAGNOSTIC_KEYS, DecompositionResult,
 from fibershift.cli import build_parser, cmd_analyze, cmd_spectrum
 from fibershift.errors import BoundsError, ParseError
 from fibershift.factorization import verify_decomposition
-from fibershift.fileio import (_HEADER, Report, load_decomposition,
+from fibershift.fileio import (_HEADER, BINARY_VERSION, Report, load_decomposition,
                                load_problem, problem_fields, render_csv,
                                render_text, save_decomposition)
 from fibershift.fields import eval_field
@@ -140,9 +140,9 @@ def test_save_load_roundtrip(tmp_path):
     res = decompose_range(jm)
     path = str(tmp_path / "out.fshd")
     save_decomposition(res, jm, path)
-    # version 2: header, two rank arrays, three diagnostics, Phi, frames
+    # header, two rank arrays, the diagnostics, Phi, frames
     ranks_jm = jm.ranks()
-    assert os.path.getsize(path) == (_HEADER.size + 8 * 4 + 8 * 3
+    assert os.path.getsize(path) == (_HEADER.size + 8 * 4 + 8 * len(DIAGNOSTIC_KEYS)
                                      + 16 * lat.ambient * (4 * lat.k + ranks_jm.sum()))
     res2, jm2 = load_decomposition(path)
     assert res2.diagnostics == res.diagnostics
@@ -253,7 +253,7 @@ def test_load_decomposition_refuses_huge_header_before_allocating(tmp_path):
     is truncated; the size check comes before the 8 MiB of rank arrays the
     header asks for are allocated."""
     path = tmp_path / "huge.fshd"
-    path.write_bytes(_HEADER.pack(b"FSHD", 2, 2**20, 2**20, 4, 1e-9, 1e-8)
+    path.write_bytes(_HEADER.pack(b"FSHD", BINARY_VERSION, 2**20, 2**20, 4, 1e-9, 1e-8)
                      + bytes(100 - _HEADER.size))
 
     def load():
@@ -275,9 +275,10 @@ def test_load_decomposition_reads_cut_files_as_truncated(tmp_path, where):
     save_decomposition(decompose_range(jm), jm, str(path))
     raw = path.read_bytes()
     diag = _HEADER.size + 8 * lat.n_lambda
-    frames = diag + 8 * 3 + 16 * lat.n_lambda * lat.ambient * lat.k
+    phi = diag + 8 * len(DIAGNOSTIC_KEYS)
+    frames = phi + 16 * lat.n_lambda * lat.ambient * lat.k
     cut = {"ranks": diag - 2, "diagnostics": diag + 12,
-           "phi": (diag + 24 + frames) // 2, "first frame": frames + 16,
+           "phi": (phi + frames) // 2, "first frame": frames + 16,
            "last frame": len(raw) - 8}[where]
     path.write_bytes(raw[:cut])
     with pytest.raises(ParseError, match="truncated"):
@@ -723,16 +724,25 @@ def _diagnostic(report: str, key: str) -> float:
 
 
 def _phi_offset(lat: TruncationLattice, m: int, row: int, col: int) -> int:
-    """Byte offset of Phi[m][row, col] in a version 2 file."""
-    return (_HEADER.size + 8 * lat.n_lambda + 8 * 3
+    """Byte offset of Phi[m][row, col] in a ``.fshd`` file."""
+    return (_HEADER.size + 8 * lat.n_lambda + 8 * len(DIAGNOSTIC_KEYS)
             + 16 * ((m * lat.ambient + row) * lat.k + col))
 
 
-def _nudge(path, offset: int, delta: complex) -> None:
+def _nudge(path, lat: TruncationLattice, m: int, row: int, col: int,
+           delta: complex) -> None:
+    """Add ``delta`` to Phi[m][row, col] on disk. The file is loaded first,
+    and Phi read back from the written bytes must differ from the loaded
+    one in exactly that entry, so a wrong offset cannot pass unnoticed."""
+    before = load_decomposition(str(path))[0].field.phi
+    offset = _phi_offset(lat, m, row, col)
     raw = bytearray(path.read_bytes())
     value = np.frombuffer(bytes(raw[offset:offset + 16]), dtype="<c16")[0]
     raw[offset:offset + 16] = np.array([value + delta], dtype="<c16").tobytes()
     path.write_bytes(bytes(raw))
+    after = np.frombuffer(bytes(raw), dtype="<c16", count=before.size,
+                          offset=_phi_offset(lat, 0, 0, 0)).reshape(before.shape)
+    assert np.argwhere(after != before).tolist() == [[m, row, col]]
 
 
 def test_cli_verify_catches_perturbed_symbol(tmp_path):
@@ -744,7 +754,7 @@ def test_cli_verify_catches_perturbed_symbol(tmp_path):
     assert code == 0
     assert _diagnostic(out, "isometry_defect") == 0.0
     lat = TruncationLattice(4, 8, 1)
-    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 0, 3, 0), 1e-3)
+    _nudge(outdir / "decomposition.fshd", lat, 0, 3, 0, 1e-3)
     code, vout = run_cli(["verify", str(outdir)])
     assert code == 2
     assert _diagnostic(vout, "isometry_defect") > 1e-8  # orth_tol
@@ -753,26 +763,27 @@ def test_cli_verify_catches_perturbed_symbol(tmp_path):
 TWO_COORDINATE_PROBLEM = CONSTANT_PROBLEM.replace("k: 1", "k: 2")
 
 
-def test_cli_verify_catches_mass_past_the_rank(tmp_path):
+def test_cli_verify_refuses_mass_past_the_rank(tmp_path, capsys):
     """The wandering rank is 1 with k = 2, so Phi's second column must vanish.
     A nonzero entry there is mass of F off the full Hardy space over the
-    base: its n_z shifted copies give an off-space mass of 1e-3 sqrt(n_z)."""
+    base, which no decomposition holds: the file is bad input."""
     path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
     outdir = tmp_path / "result"
     code, out = run_cli(["decompose", path, "--out", str(outdir)])
     assert code == 0
     assert "partition: dimension 1 on 4 fibers" in out
     lat = TruncationLattice(4, 8, 2)
-    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 0, 0, 1), 1e-3)
-    code, vout = run_cli(["verify", str(outdir)])
-    assert code == 2
-    for key in ("isometry_defect", "image_defect"):
-        assert _diagnostic(vout, key) == pytest.approx(1e-3 * np.sqrt(8), rel=1e-12)
-    assert _diagnostic(vout, "invariance_leak") == 0.0
+    fshd = outdir / "decomposition.fshd"
+    _nudge(fshd, lat, 2, 0, 1, 1e-3)
+    with pytest.raises(ParseError, match="nonzero past the wandering rank at fiber 2"):
+        load_decomposition(str(fshd))
+    capsys.readouterr()
+    assert run_cli(["verify", str(outdir)]) == (3, "")
+    assert "nonzero past the wandering rank" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row, col, delta", [
-    (0, 1, np.nan),     # past the wandering rank: verify used to print zeros
+    (0, 1, np.nan),     # past the wandering rank
     (0, 0, np.nan),     # inside the rank: verify used to exit 2
     (0, 0, np.inf),
 ])
@@ -782,7 +793,7 @@ def test_cli_verify_refuses_non_finite_symbol(tmp_path, capsys, row, col, delta)
     outdir = tmp_path / "result"
     assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
     lat = TruncationLattice(4, 8, 2)
-    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 1, row, col), delta)
+    _nudge(outdir / "decomposition.fshd", lat, 1, row, col, delta)
     capsys.readouterr()
     assert run_cli(["verify", str(outdir)]) == (3, "")
     assert "phi must be finite" in capsys.readouterr().err
@@ -796,7 +807,7 @@ def test_cli_verify_fails_an_overflowing_symbol(tmp_path):
     outdir = tmp_path / "result"
     assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
     lat = TruncationLattice(4, 8, 2)
-    _nudge(outdir / "decomposition.fshd", _phi_offset(lat, 1, 0, 0), 1e200)
+    _nudge(outdir / "decomposition.fshd", lat, 1, 0, 0, 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(["verify", str(outdir)])
@@ -856,6 +867,28 @@ def test_version_1_file_refused(tmp_path, capsys):
         load_decomposition(str(path))
     assert run_cli(["verify", str(path)]) == (3, "")
     assert "unsupported version 1" in capsys.readouterr().err
+
+
+def test_version_2_file_refused(tmp_path, capsys):
+    """A file in the version 2 layout (three diagnostics, then Phi and the
+    frames) is refused as bad input, before its sizes are read."""
+    lat = TruncationLattice(4, 8, 1)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    blob = b"".join([
+        _HEADER.pack(b"FSHD", 2, lat.n_lambda, lat.n_z, lat.k,
+                     lat.rank_tol, lat.orth_tol),
+        np.array(res.ranks, dtype="<u4").tobytes(),
+        np.array(jm.ranks(), dtype="<u4").tobytes(),
+        np.zeros(3, dtype="<f8").tobytes(),
+        res.field.phi.astype("<c16").tobytes(),
+        *(q.astype("<c16").tobytes() for q in jm.frames)])
+    path = tmp_path / "old.fshd"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match="unsupported version 2"):
+        load_decomposition(str(path))
+    assert run_cli(["verify", str(path)]) == (3, "")
+    assert "unsupported version 2" in capsys.readouterr().err
 
 
 def test_cli_lapack_failure_exits_2(tmp_path, monkeypatch):

@@ -13,8 +13,7 @@ from fibershift import (FiberedField, LaurentPolyField, RangeFunctionH,
 from fibershift.errors import CoordinateOverflow, DegreeOverflow
 from fibershift.fields import z_degree
 from fibershift.subspaces import (_phase_normalize, canonical_columns,
-                                  complement_frame, project_onto, rank_decision,
-                                  robust_svd)
+                                  complement_frame, rank_decision, robust_svd)
 
 from helpers import field_from_fibers, haar_frame
 
@@ -470,14 +469,6 @@ def test_subspace_distance_runs_no_decomposition(monkeypatch):
     assert subspace_distance(q1, q2) == expect
     assert subspace_distance(q2, q1) == pytest.approx(expect, rel=1e-12)
     assert subspace_distance(q1[:, :0], q2[:, :0]) == 0.0
-
-
-def test_projection_helpers():
-    rng = np.random.default_rng(6)
-    q = haar_frame(rng, 5, 2)
-    v = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    p = project_onto(q, v)
-    assert np.abs(q.conj().T @ (v - p)).max() < 1e-12
 
 
 def test_phase_normalize_below_floor():

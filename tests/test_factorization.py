@@ -15,6 +15,9 @@ from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
                         range_from_generators, shat_closure,
                         verify_decomposition)
 from fibershift.factorization import DecompositionResult, verify_per_fiber
+from fibershift.fields import z_degree
+from fibershift.shifts import shifted_copies
+from fibershift.subspaces import DEGREE_TOL
 
 from helpers import (field_from_fibers, frame_projector, grid_seeds, haar_frame,
                      haar_unitary, shift_matrix, unit_vector, with_frame,
@@ -158,13 +161,13 @@ def _corrupted(defect: str):
     """A symbol and a target that the named defect alone must catch, with
     the value that defect reads."""
     if defect == "isometry":
-        # phi_1 = z e_1 scaled by 1 + 1e-6: W* W - I = 2.000001e-6 I on the
-        # n_z - 1 band columns
+        # phi_1 = z e_1 scaled by 1 + 1e-6: G - I = 2.000001e-6 I on all n_z
+        # shifts of phi_1 in H^2
         lat = TruncationLattice(4, 8, 2)
         jm = z_e1_range(lat)
         res = decompose_range(jm)
         phi = np.array(res.field.phi) * (1.0 + 1e-6)
-        expected = (2e-6 + 1e-12) * np.sqrt(lat.n_z - 1)
+        expected = (2e-6 + 1e-12) * np.sqrt(lat.n_z)
         return DecompositionResult(SymbolField(lat, phi), res.ranks, {}), jm, \
             "isometry_defect", expected
     if defect == "contain":
@@ -179,18 +182,19 @@ def _corrupted(defect: str):
         jm = z_e1_range(lat)
         return decompose_range(jm), with_tilted_extra_direction(jm, 1e-5), \
             "image_defect", 1e-5
-    # leak: phi = (1 + z^40)/sqrt(2) has band 0 .. 23, where its shifts are
-    # orthonormal, but W W* is no projector past the band: each shift
-    # S^j phi (1 <= j <= 23) leaves (1/2) z^(j+40)/sqrt(2) outside it
+    # overlap: phi = (1 + z^40)/sqrt(2) has A_0 = 1 and A_40 = 1/2, which
+    # sits 64 - 40 = 24 times above the diagonal of G and 24 times below:
+    # ||G - I||_F^2 = 48/4 = 12. Its shifts inside the band 0 .. 23 are
+    # orthonormal, so a Gram on the band alone reads 0.
     lat = TruncationLattice(1, 64, 1)
     phi = np.zeros((1, lat.ambient, 1), dtype=complex)
     phi[0, [0, 40], 0] = 1.0 / np.sqrt(2.0)
     res = DecompositionResult(SymbolField(lat, phi), [1], {})
     jm = _dense_range(lat, np.eye(lat.ambient, dtype=complex))
-    return res, jm, "invariance_leak", np.sqrt(23) / (2.0 * np.sqrt(2.0))
+    return res, jm, "isometry_defect", np.sqrt(12.0)
 
 
-@pytest.mark.parametrize("defect", ["isometry", "contain", "cover", "leak"])
+@pytest.mark.parametrize("defect", ["isometry", "contain", "cover", "overlap"])
 def test_each_defect_fails_on_its_own_corruption(defect):
     """Every check can fail: each corruption drives its defect past
     orth_tol, to the Frobenius norm worked out by hand."""
@@ -200,14 +204,75 @@ def test_each_defect_fails_on_its_own_corruption(defect):
     assert diags[key] > 10 * jm.lattice.orth_tol
 
 
-def test_leak_corruption_passes_the_band_isometry():
-    """The band isometry cannot see the overlap of phi = (1 + z^40)/sqrt(2)
-    with its shifts past the band: there the shifted copies are orthonormal
-    to rounding. The invariance leak reads it."""
-    res, jm, _, _ = _corrupted("leak")
-    per = verify_per_fiber(res, jm)
-    assert per["isometry_defect"][0] < 1e-14
-    assert per["invariance_leak"][0] > 0.3
+def _band_references(phi: np.ndarray, n_z: int, k: int) -> tuple[float, float]:
+    """The two band-limited checks the isometry defect replaced, for the
+    columns ``phi``: the Gram ||W_b* W_b - I||_F of the shifts inside the
+    band and the image leak ||S W_b' - W W* S W_b'||_F of the shifts of its
+    first layers, with W all n_z truncated shifts."""
+    n = phi.shape[1]
+    b = n_z - 1 - max(z_degree(phi.reshape(n_z, -1), DEGREE_TOL), 0)
+    w = shifted_copies(phi, n_z, k, n_z)
+    band = w[:, : n * (b + 1)]
+    shifted = w[:, n: n * (b + 1)]
+    return (float(np.linalg.norm(band.conj().T @ band - np.eye(band.shape[1]))),
+            float(np.linalg.norm(shifted - w @ (w.conj().T @ shifted))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_z=st.integers(2, 8), k=st.integers(1, 3), data=st.data(),
+       scale=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_isometry_defect_bounds_the_band_checks(n_z, k, data, scale, seed):
+    """The exact defect ||G - I||_F is never below the band Gram (a block
+    of G - I) and bounds the image leak ||W (I - W* W) E||_F by
+    ||W||_2 ||G - I||_F <= sqrt(1 + ||G - I||_F) ||G - I||_F. Symbols are
+    inner (constant unitary columns at degree p) plus noise below degree
+    D, so the band is not trivial."""
+    n = data.draw(st.integers(1, k))
+    top = data.draw(st.integers(1, n_z))
+    p = data.draw(st.integers(0, top - 1))
+    rng = np.random.default_rng(seed)
+    lat = TruncationLattice(1, n_z, k)
+    phi = np.zeros((1, lat.ambient, k), dtype=complex)
+    phi[0, p * k:(p + 1) * k, :n] = haar_frame(rng, k, n)
+    noise = rng.standard_normal((top * k, n)) + 1j * rng.standard_normal((top * k, n))
+    phi[0, : top * k, :n] += scale * noise
+    res = DecompositionResult(SymbolField(lat, phi), [n], {})
+    new = float(verify_per_fiber(res, _dense_range(lat, np.eye(lat.ambient)))[
+        "isometry_defect"][0])
+    band_gram, leak = _band_references(phi[0, :, :n], n_z, k)
+    assert new >= band_gram - 1e-10
+    assert np.sqrt(1.0 + new) * new >= leak - 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="the cover never reads target rows above "
+                   "the band, so a wrong wandering dimension verifies")
+def test_verify_fails_a_wrong_wandering_dimension():
+    """Phi = z e_1 decomposes J = z H^2 e_1 at (1, 8, 2). J' = J + span(z^7 e_2)
+    is S-invariant with wandering dimension 2, so Phi does not factor it;
+    every defect still reads 0.0, as z^7 e_2 sits above the band."""
+    lat = TruncationLattice(1, 8, 2)
+    jm = z_e1_range(lat)
+    res = decompose_range(jm)
+    wider = with_frame(jm, 0, np.column_stack([jm.frames[0], unit_vector(lat, 7, 1)]))
+    assert list(res.ranks) == [1]
+    assert list(decompose_range(wider).ranks) == [2]
+    assert max(verify_decomposition(res, wider).values()) > lat.orth_tol
+
+
+@pytest.mark.parametrize("bad", [1e-3, np.nan])
+def test_decomposition_refuses_mass_past_the_rank(bad):
+    """A partial isometry starting on the full Hardy space over the base has
+    no mass off it: a symbol nonzero (or NaN, set behind SymbolField's
+    check) past the wandering rank is refused."""
+    lat = TruncationLattice(4, 8, 2)
+    res = decompose_range(z_e1_range(lat))
+    phi = np.array(res.field.phi)
+    phi[2, 5, 1] = bad
+    field = SymbolField(lat, np.zeros_like(phi))
+    object.__setattr__(field, "phi", phi)
+    with pytest.raises(ValueError, match="nonzero past the wandering rank at fiber 2"):
+        DecompositionResult(field, res.ranks, {})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -217,22 +282,6 @@ def test_symbol_field_rejects_non_finite(bad):
     phi[1, 0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         SymbolField(lat, phi)
-
-
-def test_verify_propagates_nan_past_the_rank():
-    """A NaN in Phi past the wandering rank (which SymbolField refuses; set
-    here behind its back) makes the off-space mass NaN at that fiber, and
-    the defects built from it stay NaN instead of reading 0.0."""
-    lat = TruncationLattice(4, 8, 2)
-    jm = z_e1_range(lat)
-    res = decompose_range(jm)
-    phi = np.array(res.field.phi)
-    phi[1, 0, 1] = np.nan
-    object.__setattr__(res.field, "phi", phi)
-    per = verify_per_fiber(res, jm)
-    for key in ("isometry_defect", "image_defect"):
-        assert np.isnan(per[key][1]) and not np.isnan(per[key][[0, 2, 3]]).any()
-    assert np.isnan(verify_decomposition(res, jm)["image_defect"])
 
 
 def test_connecting_isometry_remixed_generators():
@@ -357,7 +406,7 @@ def test_initial_space_rejects_contraction():
 def test_initial_space_rejects_overlapping_shifts_by_rigidity_alone():
     """phi = (1 + z^40)/sqrt(2) has A_0 = 1, so the eigenvalue check passes;
     A_40 = 1/2 makes the rigidity defect sqrt(2 * 1/4) = 0.707."""
-    res, _, _, _ = _corrupted("leak")
+    res, _, _, _ = _corrupted("overlap")
     phi = res.field.phi[0]
     assert np.abs(phi.conj().T @ phi - 1.0).max() < 1e-15
     with pytest.raises(NotPartialIsometry, match="rigidity defect 7.071e-01"):
