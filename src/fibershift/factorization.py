@@ -11,11 +11,11 @@ initial space the full Hardy space over the coordinate base span(e_1..e_n),
 commutes with both shifts by construction, and carries the embedded base
 onto the wandering part of J_M. F is built one fiber at a time, on demand.
 
-``verify_decomposition`` reads F's isometry exactly off the symbol. Only
-the cover of the target by the image is band limited: the truncated shift is
-isometric only below the top retained degree, so the target is compared
-with the banded image on the band rows. Comparisons make no rank decision,
-and every defect is a Frobenius norm.
+``verify_decomposition`` holds Phi to the seeds it factors, with no band:
+F's isometry is read exactly off the symbol, and the seeds must lie in the
+truncated image Phi H^2 + z^n_z H^2 and generate it mod z^n_z. Every defect
+is a Frobenius norm; the one rank decision, whether the seeds generate, is
+made at rank_tol.
 ``connecting_isometry`` compares two symbols on every degree, and
 ``initial_space_base`` reads the initial space of a field off its symbol.
 """
@@ -28,14 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImagesDiffer, NotPartialIsometry
-from .fields import FiberedField, z_degree
+from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH, RangeFunctionK, range_from_generators
 from .shifts import shifted_copies
-from .subspaces import DEGREE_TOL, canonical_columns
+from .subspaces import canonical_columns
 from .wandering import wandering_range
 
 DIAGNOSTIC_KEYS = ("isometry_defect", "image_defect")
+# added to W* W in the image defect: above its rounding, far below its
+# nonzero eigenvalues
+_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,8 @@ class DecompositionResult:
     field : partial isometry field F, stored as its symbol Phi
     ranks : wandering dimension per fiber; Phi must vanish past it
     diagnostics : the two verification defects, maxima over fibers
+    seeds : the generators whose H^2 span Phi H^2 is claimed to be, as
+        FiberedFields on the field's lattice
 
     The fibers of wandering dimension n are those with ``ranks == n``, and
     the frame field phi_i is ``field.phi[:, :, i]``. The coordinate base is
@@ -80,6 +85,7 @@ class DecompositionResult:
     field: SymbolField
     ranks: np.ndarray
     diagnostics: dict[str, float]
+    seeds: tuple[FiberedField, ...]
 
     def __post_init__(self):
         lat = self.field.lattice
@@ -91,7 +97,11 @@ class DecompositionResult:
         if np.any(mass):
             raise ValueError(f"Phi is nonzero past the wandering rank at fiber "
                              f"{int(np.argmax(mass))}")
+        seeds = tuple(self.seeds)
+        if any(g.lattice != lat for g in seeds):
+            raise ValueError("seed lattice mismatch")
         object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "seeds", seeds)
 
     @property
     def lattice(self) -> TruncationLattice:
@@ -104,26 +114,23 @@ class DecompositionResult:
         return RangeFunctionK(self.lattice, tuple(eye[:, :r] for r in self.ranks))
 
 
-def _fiber_band(cols: np.ndarray, n_z: int) -> int:
-    """Last degree b such that shifts of the frame columns up to b are exact."""
-    d = z_degree(cols.reshape(n_z, -1), DEGREE_TOL) if cols.shape[1] else -1
-    return n_z - 1 - max(d, 0)
-
-
 def decompose(gens: list[FiberedField], lattice: TruncationLattice) -> DecompositionResult:
     """Factor the pointwise span of ``gens`` through a full Hardy space.
 
     The span must already be invariant under the fiber shift (NotInvariant
-    otherwise; pass the closure of seed generators when needed). Steps: build
-    the range function, take its wandering part (RankTooLarge above k),
-    store the wandering frames as the first columns of the symbol Phi, and
-    verify.
+    otherwise). Steps: build the range function, take its wandering part
+    (RankTooLarge above k), store the wandering frames as the first columns
+    of the symbol Phi, and verify Phi against ``gens``, the generators it is
+    held to and the result carries. Seeds go through
+    ``decompose_range(closure_range(seeds, lattice), seeds)``, which holds
+    Phi to the seeds alone.
     """
-    return decompose_range(range_from_generators(gens, lattice))
+    return decompose_range(range_from_generators(gens, lattice), gens)
 
 
-def decompose_range(jm: RangeFunctionH) -> DecompositionResult:
-    """``decompose`` for an already-built range function."""
+def decompose_range(jm: RangeFunctionH, seeds: list[FiberedField]) -> DecompositionResult:
+    """``decompose`` for an already-built range function ``jm`` spanned by
+    ``seeds`` and their shifts."""
     lat = jm.lattice
     jr = wandering_range(jm)
     ranks = jr.ranks()
@@ -131,24 +138,35 @@ def decompose_range(jm: RangeFunctionH) -> DecompositionResult:
     for m, r in enumerate(ranks):
         phi[m, :, :r] = jr.frames[m]
     field = SymbolField(lat, phi)
-    diagnostics = verify_decomposition(DecompositionResult(field, ranks, {}), jm)
-    return DecompositionResult(field, ranks, diagnostics)
+    diagnostics = verify_decomposition(DecompositionResult(field, ranks, {}, seeds))
+    return DecompositionResult(field, ranks, diagnostics, seeds)
 
 
-def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, float]:
-    """Recompute the two factorization defects against a target range.
+def verify_decomposition(res: DecompositionResult) -> dict[str, float]:
+    """Recompute the two factorization defects against the result's seeds.
 
-    The columns W of F on the full Hardy space over the base are the
-    shifted copies of phi_1 .. phi_n, the only nonzero columns of Phi.
+    Per fiber, W = shifted_copies of phi_1 .. phi_n (the columns of F on
+    the full Hardy space over the base) and G holds the seeds, each scaled
+    to unit norm; a seed at or below rank_tol times the fiber's largest is
+    left out, as the rank decision that built J leaves it out.
 
-    isometry_defect : ||G - I||_F for the Gram matrix G of the n_z shifts
-        of phi_1 .. phi_n in H^2, not truncated. G is block Toeplitz in
-        A_d = phi* S^d phi, so ||G - I||_F^2 = n_z ||A_0 - I||_F^2
-        + 2 sum_{d >= 1} (n_z - d) ||A_d||_F^2; Phi lies below degree n_z,
-        so the truncated shifts give these products exactly.
-    image_defect : containment ||W - Q Q* W||_F of W in the target frame Q,
-        and the cover ||band rows of (Q - W_b W_b* Q)||_F of the target by
-        the banded image W_b, linear in a tilt of Q into the band.
+    isometry_defect : ||G_W - I||_F for the Gram matrix G_W of the n_z
+        shifts of phi_1 .. phi_n in H^2, not truncated. G_W is block
+        Toeplitz in A_d = phi* S^d phi, so ||G_W - I||_F^2 =
+        n_z ||A_0 - I||_F^2 + 2 sum_{d >= 1} (n_z - d) ||A_d||_F^2; Phi lies
+        below degree n_z, so the truncated shifts give these products
+        exactly.
+    image_defect : the seeds against Phi H^2 + z^n_z H^2, the subspace a
+        decomposition truncated at n_z stands for (a rational inner factor
+        is no polynomial, so Phi H^2 alone can miss the seeds). Containment
+        is ||G - W X||_F, the distance of G to span(W): X starts at
+        W* G = P_+(Phi* G), exact for an isometric W, and two steps on
+        W* W + ridge I take off what the truncation leaves near the top
+        degree. Generation mod z^n_z holds when the degree-0 block A_0 of
+        W* G, which every X with G = W X mod z^n_z shares since Phi is
+        inner below degree n_z, has rank n; an A_0 with fewer seeds than n
+        or with 1 / ||R^-1||_F <= rank_tol for the triangular R of A_0*
+        (a lower bound on its n-th singular value) reads inf.
 
     Every defect is a Frobenius norm (no SVD, no eigensolver), never below
     the 2-norm of its matrix, so verdicts can only be stricter. Values are
@@ -156,9 +174,7 @@ def verify_decomposition(res: DecompositionResult, jm: RangeFunctionH) -> dict[s
     or NaN rather than warn. Commutation with the shifts holds by
     construction for a field stored as its symbol.
     """
-    if jm.lattice != res.lattice:
-        raise ValueError("lattice mismatch")
-    per = verify_per_fiber(res, jm)
+    per = verify_per_fiber(res)
     return {key: float(np.max(per[key])) for key in DIAGNOSTIC_KEYS}
 
 
@@ -172,36 +188,60 @@ def _gram_defect(cols: np.ndarray, shifts: np.ndarray, p: np.ndarray,
     return float(np.sqrt(np.sum(np.abs(a) ** 2, axis=(0, 2)) @ weights))
 
 
-def verify_per_fiber(res: DecompositionResult, jm: RangeFunctionH) -> dict[str, np.ndarray]:
+def _rank_below(a0: np.ndarray, tol: float) -> bool:
+    """Whether the n x s matrix a0 may have rank below n at tol: fewer
+    columns than rows, or 1 / ||R^-1||_F <= tol for the triangular R of a0*
+    (a lower bound on the n-th singular value, so the test is stricter)."""
+    if a0.shape[1] < a0.shape[0]:
+        return True
+    try:
+        r_inv = np.linalg.inv(np.linalg.qr(a0.conj().T, mode="r"))
+    except np.linalg.LinAlgError:
+        return True
+    return not tol * np.linalg.norm(r_inv) < 1.0
+
+
+def verify_per_fiber(res: DecompositionResult) -> dict[str, np.ndarray]:
     """Per-fiber defect arrays behind ``verify_decomposition``."""
     lat = res.lattice
     n_z, k = lat.n_z, lat.k
-    # each A_d with d >= 1 sits n_z - d times above the diagonal of G, and below
+    # each A_d with d >= 1 sits n_z - d times above the diagonal of G_W, and below
     weights = 2.0 * (n_z - np.arange(n_z))
     weights[0] = n_z
-
-    def one(m: int) -> tuple[float, ...]:
-        n = int(res.ranks[m])
-        phi = res.field.phi[m][:, :n]
-        q = jm.frames[m]
-        w = shifted_copies(phi, n_z, k, n_z)
-        iso = _gram_defect(phi, w, np.eye(n), weights)
-
-        qw = q.conj().T @ w
-        contain = np.linalg.norm(w - q @ qw)
-        # band rows of J's frame outside span(W_b): shifts of W past the band
-        # vanish on those rows, so this is zero exactly when W_b covers them
-        b = _fiber_band(phi, n_z)
-        rows, cols = (b + 1) * k, (b + 1) * n
-        cover = np.linalg.norm(q[:rows] - w[:rows, :cols] @ qw[:, :cols].conj().T)
-        return iso, contain, cover
-
+    iso, image = np.zeros((2, lat.n_lambda))
+    flats = [g.flat() for g in res.seeds]
     # entries near 1e+200 overflow to inf or NaN defects, which gates fail
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [one(m) for m in range(lat.n_lambda)]
-    iso, contain, cover = np.array(terms).T
-    # elementwise maxima propagate NaN, where max(0.0, nan) reads 0.0
-    return dict(zip(DIAGNOSTIC_KEYS, (iso, np.maximum(contain, cover))))
+        for m in range(lat.n_lambda):
+            n = int(res.ranks[m])
+            g = np.array([f[m] for f in flats]).reshape(len(flats), lat.ambient).T
+            phi = res.field.phi[m][:, :n]
+            w = shifted_copies(phi, n_z, k, n_z)
+            iso[m] = _gram_defect(phi, w, np.eye(n), weights)
+            # a seed at or below the cutoff of the rank decision that built J
+            # (rounding left by a factor that vanishes there) reads as zero
+            # and is left out; a NaN norm is kept, so it reaches the defects
+            norms = np.linalg.norm(g, axis=0)
+            keep = ~(norms <= lat.rank_tol * norms.max(initial=0.0))
+            g = g[:, keep] / norms[keep]
+            wh = w.conj().T
+            a = wh @ g                  # block j is P_+(Phi* G) at degree j
+            r = g - w @ a
+            # the truncated W is no isometry near the top degree: each step on
+            # W* W + ridge I leaves ridge / sigma^2 of r's part along a
+            # singular value sigma of W, so two take r off span(W)
+            gram = wh @ w
+            gram[np.diag_indices_from(gram)] += _RIDGE
+            try:
+                for _ in range(2):
+                    r -= w @ np.linalg.solve(gram, wh @ r)
+            except np.linalg.LinAlgError:
+                r[:] = np.inf
+            image[m] = np.linalg.norm(r)
+            # seeds that do not generate read inf; a NaN stays NaN
+            if n and _rank_below(a[:n], lat.rank_tol):
+                image[m] = np.maximum(image[m], np.inf)
+    return dict(zip(DIAGNOSTIC_KEYS, (iso, image)))
 
 
 CONNECTING_KEYS = ("isometry_defect", "factorization_defect")

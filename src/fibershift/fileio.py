@@ -20,22 +20,26 @@ Degrees j run over 0..n_z-1 and coordinates i over 1..k (BoundsError
 otherwise); the lambda exponent m may be any integer since powers wrap on
 the grid.
 
-Persisted decompositions (``.fshd``, version 3) are little-endian binary:
+Persisted decompositions (``.fshd``, version 4) are little-endian binary:
 
-    magic ``FSHD``, version 3, n_lambda, n_z, k    (4 bytes, 4 x uint32)
-    rank_tol, orth_tol                             (2 x float64)
+    magic ``FSHD``, version 4, n_lambda, n_z, k    (4 bytes, 4 x uint32)
+    rank_tol, orth_tol, seed count s               (2 x float64, uint32)
     wandering rank per fiber                       (n_lambda x uint32)
     range rank per fiber                           (n_lambda x uint32)
     the two diagnostics, DIAGNOSTIC_KEYS order     (2 x float64, NaN if unmeasured)
     the symbol Phi, shape (n_lambda, n_z*k, k)     (complex128, C order)
+    the s seeds, each (n_lambda, n_z, k)           (complex128, C order)
     one target range frame per fiber, (n_z*k, r_m) (complex128, C order)
 
 F and the base are derived from Phi and the wandering ranks; Phi must vanish
-past each fiber's wandering rank. Files of version 1 (the dense F) and 2
-(three diagnostics) are refused. Both directions go array by array: save
-writes each array through the buffer protocol, and load checks the sizes
-against the file's size first, then reads each array into memory that the
-result keeps, so neither holds a copy of the file.
+past each fiber's wandering rank, and the seeds must be finite. ``verify``
+holds Phi to the seeds; the range frames are read back for library callers
+only, and nothing checks them against the seeds. Files of version 1 (the
+dense F), 2 (three diagnostics) and 3 (no seeds) are refused. Both
+directions go array by array: save writes each array through the buffer
+protocol, and load checks the sizes against the file's size first, then
+reads each array into memory that the result keeps, so neither holds a copy
+of the file.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ from .ranges import RangeFunctionH
 
 SCHEMA = "fibershift-problem/1"
 MAGIC = b"FSHD"
-BINARY_VERSION = 3
+BINARY_VERSION = 4
 
-_HEADER = struct.Struct("<4sIIIIdd")
+_HEADER = struct.Struct("<4sIIIIddI")
 
 
 @dataclass(frozen=True)
@@ -280,8 +284,9 @@ def render_csv(report: Report) -> str:
 
 def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
                        path: str) -> None:
-    """Write a decomposition and its target range to the binary layout; a
-    diagnostic missing from ``res.diagnostics`` is written as NaN (unmeasured).
+    """Write a decomposition, its seeds and its target range to the binary
+    layout; a diagnostic missing from ``res.diagnostics`` is written as NaN
+    (unmeasured).
 
     Each array goes to the file as it is, through the buffer protocol, so
     nothing is copied beyond the small rank and diagnostic arrays."""
@@ -291,9 +296,11 @@ def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
     diag = [res.diagnostics.get(key, np.nan) for key in DIAGNOSTIC_KEYS]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, BINARY_VERSION, lat.n_lambda, lat.n_z, lat.k,
-                              lat.rank_tol, lat.orth_tol))
+                              lat.rank_tol, lat.orth_tol, len(res.seeds)))
         for arr, dtype in ((res.ranks, "<u4"), (jm.ranks(), "<u4"), (diag, "<f8"),
-                           (res.field.phi, "<c16"), *((q, "<c16") for q in jm.frames)):
+                           (res.field.phi, "<c16"),
+                           *((g.data, "<c16") for g in res.seeds),
+                           *((q, "<c16") for q in jm.frames)):
             fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
@@ -303,8 +310,9 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
     The header and the rank arrays fix the file size; invalid sizes or
     tolerances, ranks out of range, a short file and trailing bytes raise
     ParseError before any field is read. Each array is then read straight
-    into memory of its own, which the result keeps without a copy; a Phi
-    that ``DecompositionResult`` refuses raises ParseError too.
+    into memory of its own, which the result keeps without a copy; a
+    non-finite seed, or a Phi that ``DecompositionResult`` refuses, raises
+    ParseError too.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -318,7 +326,7 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size or head[:4] != MAGIC:
             raise ParseError(f"{path}: not a decomposition file")
-        magic, version, n_lambda, n_z, k, rank_tol, orth_tol = _HEADER.unpack(head)
+        magic, version, n_lambda, n_z, k, rank_tol, orth_tol, n_seeds = _HEADER.unpack(head)
         if version != BINARY_VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
         try:
@@ -336,16 +344,20 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
         if np.any(ranks_jm > amb):
             raise ParseError(f"{path}: range rank exceeds the fiber dimension")
         expected = (_HEADER.size + 8 * n_lambda + 8 * len(DIAGNOSTIC_KEYS)
-                    + 16 * amb * (n_lambda * k + int(ranks_jm.sum())))
+                    + 16 * amb * (n_lambda * (k + n_seeds) + int(ranks_jm.sum())))
         if size != expected:
             raise ParseError(f"{path}: truncated file" if size < expected else
                              f"{path}: {size - expected} trailing bytes")
         diag_vals = take("<f8", len(DIAGNOSTIC_KEYS))
         phi = take("<c16", (n_lambda, amb, k))
+        seeds = [take("<c16", (n_lambda, n_z, k)) for _ in range(n_seeds)]
+        if not all(np.all(np.isfinite(g)) for g in seeds):
+            raise ParseError(f"{path}: seeds must be finite")
         jm_frames = tuple(take("<c16", (amb, r)) for r in ranks_jm)
     diagnostics = {key: float(v) for key, v in zip(DIAGNOSTIC_KEYS, diag_vals)}
     try:
-        res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics)
+        res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics,
+                                  tuple(FiberedField(lat, g) for g in seeds))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return res, RangeFunctionH(lat, jm_frames)

@@ -142,28 +142,25 @@ def unit_vector(lat: TruncationLattice, degree: int, coord: int) -> np.ndarray:
     return v
 
 
+def z_e1_seed(lat: TruncationLattice) -> FiberedField:
+    """The seed z e_1 on every fiber."""
+    data = np.zeros((lat.n_lambda, lat.n_z, lat.k), dtype=complex)
+    data[:, 1, 0] = 1.0
+    return FiberedField(lat, data)
+
+
 def z_e1_range(lat: TruncationLattice) -> RangeFunctionH:
-    """J = z H^2 e_1 on every fiber, framed by z e_1 .. z^(n_z - 1) e_1. Its
-    wandering vector z e_1 has degree 1, so the reliable band of a
-    decomposition is degrees 0 .. n_z - 2, and e_2 z^0 is a band direction
-    outside J (k >= 2)."""
+    """J = z H^2 e_1 on every fiber, spanned by ``z_e1_seed`` and its shifts
+    and framed by z e_1 .. z^(n_z - 1) e_1."""
     frame = np.column_stack([unit_vector(lat, d, 0) for d in range(1, lat.n_z)])
     return RangeFunctionH(lat, (frame,) * lat.n_lambda)
 
 
-def with_frame(jm: RangeFunctionH, m: int, frame: np.ndarray) -> RangeFunctionH:
-    """``jm`` with the frame at fiber m replaced."""
-    frames = list(jm.frames)
-    frames[m] = frame
-    return RangeFunctionH(jm.lattice, tuple(frames))
-
-
-def with_tilted_extra_direction(jm: RangeFunctionH, delta: float) -> RangeFunctionH:
-    """``z_e1_range`` plus, at fiber 0, the direction e_2 z^(n_z - 1) past
-    the band tilted by delta into the band towards e_2 z^0."""
-    lat = jm.lattice
-    x = unit_vector(lat, lat.n_z - 1, 1) + delta * unit_vector(lat, 0, 1)
-    return with_frame(jm, 0, np.column_stack([jm.frames[0], x / np.linalg.norm(x)]))
+def symbol_seeds(lat: TruncationLattice, phi: np.ndarray) -> list[FiberedField]:
+    """The k columns of a symbol (n_lambda, n_z*k, k) as seeds: their H^2
+    span is Phi H^2 itself."""
+    return [FiberedField(lat, phi[:, :, i].reshape(lat.n_lambda, lat.n_z, lat.k))
+            for i in range(lat.k)]
 
 
 def blaschke_coeffs(a: complex, n_z: int) -> np.ndarray:

@@ -198,7 +198,7 @@ def test_scalar_representation_range():
         deg = max(z_degree(seed.fiber(m), DEGREE_TOL)
                   for m in range(lat.n_lambda))
         jm = fs.range_from_generators(fs.shat_closure([seed]), lat)
-        res = fs.decompose_range(jm)
+        res = fs.decompose_range(jm, [seed])
         jphi = fs.range_of_phi(fs.phi_representation(res))
         band = (lat.n_z - deg) * lat.k
         for m in range(lat.n_lambda):

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,7 @@ from fibershift.fileio import (_HEADER, BINARY_VERSION, Report, load_decompositi
 from fibershift.fields import eval_field
 
 from helpers import (grid_seeds, laurent_seeds, run_cli,
-                     with_tilted_extra_direction, write_problem, z_e1_range)
+                     write_problem, z_e1_range, z_e1_seed)
 
 GOLDEN = """\
 # comment lines and blanks are ignored
@@ -135,33 +136,33 @@ def test_problem_fields_match_eval(tmp_path):
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(61)
     lat = TruncationLattice(4, 32, 2)
-    gens = shat_closure(grid_seeds(rng, lat, 2))
-    jm = range_from_generators(gens, lat)
-    res = decompose_range(jm)
+    seeds = grid_seeds(rng, lat, 2)
+    jm = range_from_generators(shat_closure(seeds), lat)
+    res = decompose_range(jm, seeds)
     path = str(tmp_path / "out.fshd")
     save_decomposition(res, jm, path)
-    # header, two rank arrays, the diagnostics, Phi, frames
+    # header, two rank arrays, the diagnostics, Phi, two seeds, frames
     ranks_jm = jm.ranks()
     assert os.path.getsize(path) == (_HEADER.size + 8 * 4 + 8 * len(DIAGNOSTIC_KEYS)
-                                     + 16 * lat.ambient * (4 * lat.k + ranks_jm.sum()))
+                                     + 16 * lat.ambient * (4 * (lat.k + 2) + ranks_jm.sum()))
     res2, jm2 = load_decomposition(path)
     assert res2.diagnostics == res.diagnostics
     assert np.array_equal(res2.field.phi, res.field.phi)
     assert np.array_equal(res2.ranks, res.ranks)
+    assert [g.data.tolist() for g in res2.seeds] == [g.data.tolist() for g in seeds]
     for m in range(4):
         assert np.array_equal(jm2.frames[m], jm.frames[m])
         assert np.array_equal(res2.base.frames[m], res.base.frames[m])
-    rechecked = verify_decomposition(res2, jm2)
-    assert max(rechecked.values()) < 1e-8
+    assert verify_decomposition(res2) == res.diagnostics
 
 
 def test_unverified_result_loads_unmeasured(tmp_path):
     # a result saved without its defects must not load as a perfect one
     lat = TruncationLattice(4, 8, 1)
     jm = z_e1_range(lat)
-    res = decompose_range(jm)
+    res = decompose_range(jm, [z_e1_seed(lat)])
     path = str(tmp_path / "out.fshd")
-    save_decomposition(DecompositionResult(res.field, res.ranks, {}), jm, path)
+    save_decomposition(DecompositionResult(res.field, res.ranks, {}, res.seeds), jm, path)
     loaded, _ = load_decomposition(path)
     assert list(loaded.diagnostics) == list(DIAGNOSTIC_KEYS)
     assert all(np.isnan(v) for v in loaded.diagnostics.values())
@@ -180,7 +181,7 @@ def test_load_decomposition_rejects_truncation(tmp_path):
     lat = TruncationLattice(2, 8, 1)
     gens = shat_closure(grid_seeds(rng, lat, 1))
     jm = range_from_generators(gens, lat)
-    res = decompose_range(jm)
+    res = decompose_range(jm, gens)
     path = tmp_path / "t.fshd"
     save_decomposition(res, jm, str(path))
     whole = path.read_bytes()
@@ -201,9 +202,10 @@ def test_load_decomposition_rejects_truncation(tmp_path):
 def test_load_decomposition_checks_layout(tmp_path, edit, needle):
     rng = np.random.default_rng(63)
     lat = TruncationLattice(2, 8, 2)
-    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    seeds = grid_seeds(rng, lat, 1)
+    jm = range_from_generators(shat_closure(seeds), lat)
     path = tmp_path / "d.fshd"
-    save_decomposition(decompose_range(jm), jm, str(path))
+    save_decomposition(decompose_range(jm, seeds), jm, str(path))
     load_decomposition(str(path))
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ParseError, match=needle):
@@ -216,9 +218,10 @@ def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
     problem file: ParseError, and `verify` exits 3."""
     rng = np.random.default_rng(64)
     lat = TruncationLattice(2, 8, 1)
-    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    seeds = grid_seeds(rng, lat, 1)
+    jm = range_from_generators(shat_closure(seeds), lat)
     path = tmp_path / "d.fshd"
-    save_decomposition(decompose_range(jm), jm, str(path))
+    save_decomposition(decompose_range(jm, seeds), jm, str(path))
     raw = path.read_bytes()
     header = list(_HEADER.unpack_from(raw))
     header[field] = value
@@ -231,7 +234,8 @@ def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
 def test_save_decomposition_refuses_lattice_mismatch(tmp_path):
     """A k = 1 result saved with a k = 2 range would make a file that load
     refuses; save refuses the pair before it opens the file."""
-    res = decompose_range(z_e1_range(TruncationLattice(4, 8, 1)))
+    lat = TruncationLattice(4, 8, 1)
+    res = decompose_range(z_e1_range(lat), [z_e1_seed(lat)])
     path = tmp_path / "d.fshd"
     with pytest.raises(ValueError, match="lattice mismatch"):
         save_decomposition(res, z_e1_range(TruncationLattice(4, 8, 2)), str(path))
@@ -250,10 +254,11 @@ def _traced_peak(fn):
 
 def test_load_decomposition_refuses_huge_header_before_allocating(tmp_path):
     """A 100-byte file whose header declares n_lambda = n_z = 2**20, k = 4
-    is truncated; the size check comes before the 8 MiB of rank arrays the
-    header asks for are allocated."""
+    and 2**32 - 1 seeds is truncated; the size check comes before the 8 MiB
+    of rank arrays the header asks for are allocated."""
     path = tmp_path / "huge.fshd"
-    path.write_bytes(_HEADER.pack(b"FSHD", BINARY_VERSION, 2**20, 2**20, 4, 1e-9, 1e-8)
+    path.write_bytes(_HEADER.pack(b"FSHD", BINARY_VERSION, 2**20, 2**20, 4, 1e-9, 1e-8,
+                                  2**32 - 1)
                      + bytes(100 - _HEADER.size))
 
     def load():
@@ -264,39 +269,43 @@ def test_load_decomposition_refuses_huge_header_before_allocating(tmp_path):
     assert run_cli(["verify", str(path)])[0] == 3
 
 
-@pytest.mark.parametrize("where", ["ranks", "diagnostics", "phi", "first frame",
-                                   "last frame"])
+@pytest.mark.parametrize("where", ["ranks", "diagnostics", "phi", "seeds",
+                                   "first frame", "last frame"])
 def test_load_decomposition_reads_cut_files_as_truncated(tmp_path, where):
     rng = np.random.default_rng(63)
     lat = TruncationLattice(2, 8, 2)
-    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
+    seeds = grid_seeds(rng, lat, 1)
+    jm = range_from_generators(shat_closure(seeds), lat)
     assert np.all(jm.ranks() > 0)
     path = tmp_path / "d.fshd"
-    save_decomposition(decompose_range(jm), jm, str(path))
+    save_decomposition(decompose_range(jm, seeds), jm, str(path))
     raw = path.read_bytes()
     diag = _HEADER.size + 8 * lat.n_lambda
     phi = diag + 8 * len(DIAGNOSTIC_KEYS)
-    frames = phi + 16 * lat.n_lambda * lat.ambient * lat.k
+    seed = phi + 16 * lat.n_lambda * lat.ambient * lat.k
+    frames = seed + 16 * lat.n_lambda * lat.ambient
     cut = {"ranks": diag - 2, "diagnostics": diag + 12,
-           "phi": (phi + frames) // 2, "first frame": frames + 16,
-           "last frame": len(raw) - 8}[where]
+           "phi": (phi + seed) // 2, "seeds": (seed + frames) // 2,
+           "first frame": frames + 16, "last frame": len(raw) - 8}[where]
     path.write_bytes(raw[:cut])
     with pytest.raises(ParseError, match="truncated"):
         load_decomposition(str(path))
 
 
 def _problem(path, shape):
-    """A problem file of 3 Laurent seeds on ``shape``, and its closure J."""
+    """A problem file of 3 Laurent seeds on ``shape``, its closure J and
+    the seeds."""
     lat = TruncationLattice(*shape)
     write_problem(path, lat, laurent_seeds(np.random.default_rng(5), lat, 3))
-    return range_from_generators(shat_closure(problem_fields(load_problem(path))), lat)
+    seeds = problem_fields(load_problem(path))
+    return range_from_generators(shat_closure(seeds), lat), seeds
 
 
 @pytest.fixture(scope="module")
 def stream_decomposition(tmp_path_factory):
     """(8, 32, 3) with 3 seeds: J's frames take 1.0 MB, its .fshd file 1.1 MB."""
-    jm = _problem(str(tmp_path_factory.mktemp("stream") / "p.txt"), (8, 32, 3))
-    return jm, decompose_range(jm)
+    jm, seeds = _problem(str(tmp_path_factory.mktemp("stream") / "p.txt"), (8, 32, 3))
+    return jm, decompose_range(jm, seeds)
 
 
 def test_save_decomposition_holds_no_copy(stream_decomposition, tmp_path):
@@ -316,7 +325,7 @@ def test_load_decomposition_reads_into_its_arrays(stream_decomposition, tmp_path
     path = str(tmp_path / "d.fshd")
     save_decomposition(res, jm, path)
     (res2, jm2), peak = _traced_peak(lambda: load_decomposition(path))
-    arrays = (res2.field.phi, *jm2.frames)
+    arrays = (res2.field.phi, *(g.data for g in res2.seeds), *jm2.frames)
     r = max(jm2.ranks())
     check = jm2.lattice.ambient * r * 16 + 2 * r * r * 16
     assert peak - sum(arr.nbytes for arr in arrays) <= check
@@ -335,7 +344,7 @@ def test_analyze_holds_one_frame_at_a_time(tmp_path, flags, code):
     so it never holds J's frames together. At (32, 32, 3) with 3 seeds
     J's frames take 4.1 MB."""
     path = str(tmp_path / "p.txt")
-    jm = _problem(path, (32, 32, 3))
+    jm, _ = _problem(path, (32, 32, 3))
     (got, out), peak = _traced_peak(lambda: run_cli(["analyze", path, *flags]))
     assert got == code
     assert ("s-invariant: NO" in out) == bool(flags)
@@ -832,30 +841,96 @@ def test_cli_verify_refuses_a_non_orthonormal_target(tmp_path, capsys):
     assert "frame 1 is not orthonormal" in capsys.readouterr().err
 
 
-def test_cli_verify_catches_a_direction_tilted_into_the_band(tmp_path):
-    """A target with one extra direction tilted 1e-5 into the band exits 2:
-    the cover reads 1e-5 (a band projector distance read 1e-10)."""
+def _seed_offset(lat: TruncationLattice, i: int, m: int, degree: int, coord: int) -> int:
+    """Byte offset of seed i's coefficient of z^degree e_(coord + 1) at
+    fiber m in a ``.fshd`` file: the seeds follow Phi."""
+    return (_phi_offset(lat, lat.n_lambda, 0, 0)
+            + 16 * (((i * lat.n_lambda + m) * lat.n_z + degree) * lat.k + coord))
+
+
+def _set_seed(path, lat: TruncationLattice, m: int, degree: int, coord: int,
+              value: complex) -> None:
+    """Set the first seed's coefficient of z^degree e_(coord + 1) at fiber m
+    on disk; the seeds read back from the written bytes must differ from
+    the loaded ones in exactly that entry."""
+    before = load_decomposition(str(path))[0].seeds[0].data
+    offset = _seed_offset(lat, 0, m, degree, coord)
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 16] = np.array([value], dtype="<c16").tobytes()
+    path.write_bytes(bytes(raw))
+    after = np.frombuffer(bytes(raw), dtype="<c16", count=before.size,
+                          offset=_seed_offset(lat, 0, 0, 0, 0)).reshape(before.shape)
+    assert np.argwhere(after != before).tolist() == [[m, degree, coord]]
+
+
+def test_cli_verify_catches_a_seed_tilted_out_of_the_image(tmp_path):
+    """The stored seed e_1 tilted by delta towards z^7 e_2, outside
+    Phi H^2 = H^2 e_1, at one fiber: verify exits 2 and the image defect
+    reads delta (the band cover it replaced never read degree 7)."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
     lat = TruncationLattice(4, 8, 2)
-    jm = z_e1_range(lat)
-    res = decompose_range(jm)
-    path = str(tmp_path / "tilted.fshd")
-    save_decomposition(res, with_tilted_extra_direction(jm, 1e-5), path)
-    code, out = run_cli(["verify", path])
+    fshd = outdir / "decomposition.fshd"
+    _set_seed(fshd, lat, 2, 7, 1, 1e-5)
+    code, out = run_cli(["verify", str(outdir)])
     assert code == 2
-    assert _diagnostic(out, "image_defect") >= 1e-6
+    assert _diagnostic(out, "image_defect") == pytest.approx(1e-5, rel=1e-6)
+    assert _diagnostic(out, "isometry_defect") == 0.0
+
+
+def test_cli_verify_fails_an_extra_symbol_column(tmp_path):
+    """A file whose Phi gains the unit column e_2 at fiber 1, with that
+    fiber's wandering rank raised to 2, is still rigid: the isometry defect
+    stays 0. The seed e_1 does not generate e_2, so A_0 is singular and the
+    image defect reads inf; verify exits 2, and numpy warns about nothing."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    lat = TruncationLattice(4, 8, 2)
+    fshd = outdir / "decomposition.fshd"
+    raw = bytearray(fshd.read_bytes())
+    raw[_HEADER.size + 4:_HEADER.size + 8] = (2).to_bytes(4, "little")
+    fshd.write_bytes(bytes(raw))
+    _nudge(fshd, lat, 1, 1, 1, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["verify", str(outdir)])
+    assert code == 2
+    assert "partition: dimension 2 on 1 fibers" in out
+    assert _diagnostic(out, "isometry_defect") == 0.0
+    assert _diagnostic(out, "image_defect") == np.inf
+
+
+def test_cli_verify_refuses_a_non_finite_seed(tmp_path, capsys):
+    """A NaN in the stored seeds is bad input."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    fshd = outdir / "decomposition.fshd"
+    _set_seed(fshd, TruncationLattice(4, 8, 2), 3, 0, 0, complex(np.nan, 0.0))
+    with pytest.raises(ParseError, match="seeds must be finite"):
+        load_decomposition(str(fshd))
+    capsys.readouterr()
+    assert run_cli(["verify", str(outdir)]) == (3, "")
+    assert "ParseError" in capsys.readouterr().err
+
+
+# the header of layout versions 1 to 3, which had no seed count
+_OLD_HEADER = struct.Struct("<4sIIIIdd")
 
 
 def test_version_1_file_refused(tmp_path, capsys):
     """A file in the version 1 layout (four diagnostics, then the dense F)
     is refused as bad input."""
     lat = TruncationLattice(4, 8, 1)
-    jm = range_from_generators(shat_closure(
-        problem_fields(load_problem(_write(tmp_path, CONSTANT_PROBLEM)))), lat)
-    res = decompose_range(jm)
+    seeds = problem_fields(load_problem(_write(tmp_path, CONSTANT_PROBLEM)))
+    jm = range_from_generators(shat_closure(seeds), lat)
+    res = decompose_range(jm, seeds)
     dense = np.stack([res.field.op(m) for m in range(lat.n_lambda)])
     blob = b"".join([
-        _HEADER.pack(b"FSHD", 1, lat.n_lambda, lat.n_z, lat.k,
-                     lat.rank_tol, lat.orth_tol),
+        _OLD_HEADER.pack(b"FSHD", 1, lat.n_lambda, lat.n_z, lat.k,
+                         lat.rank_tol, lat.orth_tol),
         np.array(res.ranks, dtype="<u4").tobytes(),
         np.array(jm.ranks(), dtype="<u4").tobytes(),
         np.zeros(4, dtype="<f8").tobytes(),
@@ -869,26 +944,28 @@ def test_version_1_file_refused(tmp_path, capsys):
     assert "unsupported version 1" in capsys.readouterr().err
 
 
-def test_version_2_file_refused(tmp_path, capsys):
+@pytest.mark.parametrize("version, n_diag", [(2, 3), (3, 2)])
+def test_version_2_and_3_files_refused(tmp_path, capsys, version, n_diag):
     """A file in the version 2 layout (three diagnostics, then Phi and the
-    frames) is refused as bad input, before its sizes are read."""
+    frames) or the version 3 layout (two diagnostics, then Phi and the
+    frames, no seeds) is refused as bad input, before its sizes are read."""
     lat = TruncationLattice(4, 8, 1)
     jm = z_e1_range(lat)
-    res = decompose_range(jm)
+    res = decompose_range(jm, [z_e1_seed(lat)])
     blob = b"".join([
-        _HEADER.pack(b"FSHD", 2, lat.n_lambda, lat.n_z, lat.k,
-                     lat.rank_tol, lat.orth_tol),
+        _OLD_HEADER.pack(b"FSHD", version, lat.n_lambda, lat.n_z, lat.k,
+                         lat.rank_tol, lat.orth_tol),
         np.array(res.ranks, dtype="<u4").tobytes(),
         np.array(jm.ranks(), dtype="<u4").tobytes(),
-        np.zeros(3, dtype="<f8").tobytes(),
+        np.zeros(n_diag, dtype="<f8").tobytes(),
         res.field.phi.astype("<c16").tobytes(),
         *(q.astype("<c16").tobytes() for q in jm.frames)])
     path = tmp_path / "old.fshd"
     path.write_bytes(blob)
-    with pytest.raises(ParseError, match="unsupported version 2"):
+    with pytest.raises(ParseError, match=f"unsupported version {version}"):
         load_decomposition(str(path))
     assert run_cli(["verify", str(path)]) == (3, "")
-    assert "unsupported version 2" in capsys.readouterr().err
+    assert f"unsupported version {version}" in capsys.readouterr().err
 
 
 def test_cli_lapack_failure_exits_2(tmp_path, monkeypatch):

@@ -8,20 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, ImagesDiffer,
-                        NotInvariant, NotPartialIsometry, SymbolField,
-                        TruncationLattice, connecting_isometry, decompose,
-                        decompose_range, RangeFunctionH, initial_space_base,
-                        range_from_generators, shat_closure,
-                        verify_decomposition)
+from fibershift import (CONNECTING_KEYS, DIAGNOSTIC_KEYS, FiberedField,
+                        ImagesDiffer, NotInvariant, NotPartialIsometry,
+                        SymbolField, TruncationLattice, closure_range,
+                        connecting_isometry, decompose, decompose_range,
+                        initial_space_base, shat_closure, verify_decomposition)
 from fibershift.factorization import DecompositionResult, verify_per_fiber
 from fibershift.fields import z_degree
 from fibershift.shifts import shifted_copies
 from fibershift.subspaces import DEGREE_TOL
 
 from helpers import (field_from_fibers, frame_projector, grid_seeds, haar_frame,
-                     haar_unitary, shift_matrix, unit_vector, with_frame,
-                     with_tilted_extra_direction, z_e1_range)
+                     haar_unitary, shift_matrix, symbol_seeds, z_e1_range,
+                     z_e1_seed)
 
 
 def _monomial_gens(lat, degree):
@@ -82,45 +81,84 @@ def test_result_stores_only_the_symbol():
     assert list(res.ranks) == [1] * 4
     assert not np.any(res.field.phi[:, :, 1])  # zero past the wandering rank
     with pytest.raises(ValueError, match="wandering rank"):
-        DecompositionResult(res.field, [3] * 4, {})
+        DecompositionResult(res.field, [3] * 4, {}, res.seeds)
+
+
+def _seed(lat: TruncationLattice, *terms: tuple[int, int, complex]) -> FiberedField:
+    """The seed sum of c z^degree e_(coord + 1) over ``terms``, on every fiber."""
+    data = np.zeros((lat.n_lambda, lat.n_z, lat.k), dtype=complex)
+    for degree, coord, c in terms:
+        data[:, degree, coord] += c
+    return FiberedField(lat, data)
+
+
+def _held_to(res: DecompositionResult, seeds) -> DecompositionResult:
+    """``res`` with its symbol held to other seeds."""
+    return DecompositionResult(res.field, res.ranks, {}, seeds)
+
+
+def _z_e1_decomposition(lat: TruncationLattice) -> DecompositionResult:
+    return decompose_range(z_e1_range(lat), [z_e1_seed(lat)])
 
 
 def test_verify_against_wrong_target():
+    """Phi = z checked against the seed z^2, whose H^2 span misses z: the
+    seed cannot generate the image (A_0 = <z, z^2> = 0 is singular and
+    reads inf). Phi = z^2 checked against the seeds z^2 and z: the seeds
+    generate the image, but z lies outside it, and containment reads its
+    whole unit norm."""
     lat = TruncationLattice(4, 8, 1)
-    res = decompose(_monomial_gens(lat, 1), lat)
-    wrong = range_from_generators(_monomial_gens(lat, 2), lat)
-    diags = verify_decomposition(res, wrong)
-    assert diags["image_defect"] > 0.1
+    res1 = decompose(_monomial_gens(lat, 1), lat)
+    res2 = decompose(_monomial_gens(lat, 2), lat)
+    assert verify_decomposition(_held_to(res1, [_seed(lat, (2, 0, 1.0))])) == {
+        "isometry_defect": 0.0, "image_defect": np.inf}
+    seeds = [_seed(lat, (2, 0, 1.0)), _seed(lat, (1, 0, 1.0))]
+    assert verify_decomposition(_held_to(res2, seeds)) == {
+        "isometry_defect": 0.0, "image_defect": 1.0}
 
 
-def test_cover_reads_an_extra_direction_linearly():
-    """An extra direction of J tilted delta into the band lies outside the
-    image there. The cover reads delta; the band projector distance it
-    replaces read delta**2, 1e-10 at delta = 1e-5, under orth_tol."""
+@pytest.mark.parametrize("degree", [0, 7], ids=["band", "top"])
+def test_seed_tilted_out_of_the_image_reads_linearly(degree):
+    """Phi = z e_1 held to z e_1 and to z^3 e_1 tilted by delta towards
+    z^degree e_2, outside Phi H^2: the image defect reads sin(delta), at
+    degree 0 and at the top degree n_z - 1 alike (the band cover it replaced
+    never read rows past the band; a band projector distance read delta**2,
+    1e-10 at delta = 1e-5, under orth_tol)."""
     lat = TruncationLattice(4, 8, 2)
-    jm = z_e1_range(lat)
-    res = decompose_range(jm)
-    assert res.diagnostics["image_defect"] == 0.0
+    res = _z_e1_decomposition(lat)
+    assert res.diagnostics == dict.fromkeys(DIAGNOSTIC_KEYS, 0.0)
     for delta in (1e-3, 1e-5, 1e-7):
-        diags = verify_decomposition(res, with_tilted_extra_direction(jm, delta))
-        assert diags["image_defect"] == pytest.approx(delta, rel=1e-6)
-    assert verify_decomposition(res, with_tilted_extra_direction(jm, 1e-5))[
-        "image_defect"] >= 1e-6
+        tilted = _seed(lat, (3, 0, np.cos(delta)), (degree, 1, np.sin(delta)))
+        diags = verify_decomposition(_held_to(res, [z_e1_seed(lat), tilted]))
+        assert diags["image_defect"] == pytest.approx(np.sin(delta), rel=1e-9)
+        assert diags["image_defect"] > 10 * lat.orth_tol or delta < 1e-6
 
 
-def test_cover_stays_linear_for_a_tilted_tail_direction():
-    """J's frame column z^(n_z - 1) e_1 lies past the band. Tilting it by
-    delta towards the band direction e_2 z^0 moves J off the image by
-    delta."""
+def test_image_defect_ignores_the_scale_of_a_seed():
+    """Each seed is scaled to unit norm per fiber, so multiplying one seed
+    by 1e6 leaves the image defect unchanged up to rounding, here on a
+    seed tilted 1e-3 out of the image."""
     lat = TruncationLattice(4, 8, 2)
-    jm = z_e1_range(lat)
-    res = decompose_range(jm)
-    q = jm.frames[0]
-    for delta in (1e-3, 1e-5, 1e-7):
-        tilted = np.array(q)
-        tilted[:, -1] = np.cos(delta) * q[:, -1] + np.sin(delta) * unit_vector(lat, 0, 1)
-        diags = verify_decomposition(res, with_frame(jm, 0, tilted))
-        assert diags["image_defect"] == pytest.approx(delta, rel=1e-6)
+    res = _z_e1_decomposition(lat)
+    tilted = _seed(lat, (3, 0, np.cos(1e-3)), (0, 1, np.sin(1e-3)))
+    base = verify_decomposition(_held_to(res, [z_e1_seed(lat), tilted]))
+    scaled = verify_decomposition(_held_to(res, [z_e1_seed(lat).scaled(1e6), tilted]))
+    assert scaled["image_defect"] == pytest.approx(base["image_defect"], rel=1e-12)
+    assert base["image_defect"] == pytest.approx(np.sin(1e-3), rel=1e-9)
+
+
+def test_seed_below_the_rank_cutoff_reads_as_zero():
+    """A seed that vanishes up to rounding at one fiber (1e-20 next to a
+    unit seed) is below the rank cutoff that built J, so J and Phi leave it
+    out there; verification reads it as zero instead of scaling its
+    direction up to a unit column outside the image."""
+    lat = TruncationLattice(2, 8, 2)
+    data = np.zeros((2, 8, 2), dtype=complex)
+    data[:, 0, 1] = [1e-20, 1.0]
+    seeds = [z_e1_seed(lat), FiberedField(lat, data)]
+    res = decompose_range(closure_range(seeds, lat), seeds)
+    assert list(res.ranks) == [1, 2]
+    assert max(res.diagnostics.values()) < 1e-15
 
 
 def _count_solver_calls(monkeypatch) -> list[tuple[str, tuple[int, ...]]]:
@@ -144,44 +182,38 @@ def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
     2-norm route ran one 16 x 16 eigenproblem per defect."""
     rng = np.random.default_rng(14)
     lat = TruncationLattice(1, 16, 2)
-    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, 1)), lat)
-    res = decompose_range(jm)
+    seeds = grid_seeds(rng, lat, 1)
+    res = decompose_range(closure_range(seeds, lat), seeds)
     assert int(res.ranks[0]) == 1
     calls = _count_solver_calls(monkeypatch)
-    per = verify_per_fiber(res, jm)
+    per = verify_per_fiber(res)
     assert calls == []
     assert max(float(v.max()) for v in per.values()) < lat.orth_tol
 
 
-def _dense_range(lat: TruncationLattice, frame: np.ndarray) -> RangeFunctionH:
-    return RangeFunctionH(lat, (frame,) * lat.n_lambda)
-
-
 def _corrupted(defect: str):
-    """A symbol and a target that the named defect alone must catch, with
-    the value that defect reads."""
+    """A decomposition held to seeds that the named defect alone must catch,
+    with the value that defect reads."""
     if defect == "isometry":
         # phi_1 = z e_1 scaled by 1 + 1e-6: G - I = 2.000001e-6 I on all n_z
         # shifts of phi_1 in H^2
         lat = TruncationLattice(4, 8, 2)
-        jm = z_e1_range(lat)
-        res = decompose_range(jm)
+        res = _z_e1_decomposition(lat)
         phi = np.array(res.field.phi) * (1.0 + 1e-6)
         expected = (2e-6 + 1e-12) * np.sqrt(lat.n_z)
-        return DecompositionResult(SymbolField(lat, phi), res.ranks, {}), jm, \
+        return DecompositionResult(SymbolField(lat, phi), res.ranks, {}, res.seeds), \
             "isometry_defect", expected
     if defect == "contain":
-        # W = H^2 e_1 against J = z H^2 e_1: the column e_1 lies outside J
+        # Phi = z e_1 held to z e_1 and e_2: the seed e_2 lies outside Phi H^2
         lat = TruncationLattice(4, 8, 2)
-        full = _dense_range(lat, np.column_stack(
-            [unit_vector(lat, d, 0) for d in range(lat.n_z)]))
-        return decompose_range(full), z_e1_range(lat), "image_defect", 1.0
-    if defect == "cover":
-        # J = z H^2 e_1 plus e_2 z^(n_z - 1) tilted 1e-5 towards e_2 z^0
+        seeds = [z_e1_seed(lat), _seed(lat, (0, 1, 1.0))]
+        return _held_to(_z_e1_decomposition(lat), seeds), "image_defect", 1.0
+    if defect == "generate":
+        # Phi = e_1 held to z e_1: the seed lies in Phi H^2 but generates only
+        # z H^2 e_1, and A_0 = <e_1, z e_1> = 0 is singular, which reads inf
         lat = TruncationLattice(4, 8, 2)
-        jm = z_e1_range(lat)
-        return decompose_range(jm), with_tilted_extra_direction(jm, 1e-5), \
-            "image_defect", 1e-5
+        res = decompose(shat_closure([_seed(lat, (0, 0, 1.0))]), lat)
+        return _held_to(res, [z_e1_seed(lat)]), "image_defect", np.inf
     # overlap: phi = (1 + z^40)/sqrt(2) has A_0 = 1 and A_40 = 1/2, which
     # sits 64 - 40 = 24 times above the diagonal of G and 24 times below:
     # ||G - I||_F^2 = 48/4 = 12. Its shifts inside the band 0 .. 23 are
@@ -189,19 +221,18 @@ def _corrupted(defect: str):
     lat = TruncationLattice(1, 64, 1)
     phi = np.zeros((1, lat.ambient, 1), dtype=complex)
     phi[0, [0, 40], 0] = 1.0 / np.sqrt(2.0)
-    res = DecompositionResult(SymbolField(lat, phi), [1], {})
-    jm = _dense_range(lat, np.eye(lat.ambient, dtype=complex))
-    return res, jm, "isometry_defect", np.sqrt(12.0)
+    res = DecompositionResult(SymbolField(lat, phi), [1], {}, symbol_seeds(lat, phi))
+    return res, "isometry_defect", np.sqrt(12.0)
 
 
-@pytest.mark.parametrize("defect", ["isometry", "contain", "cover", "overlap"])
+@pytest.mark.parametrize("defect", ["isometry", "contain", "generate", "overlap"])
 def test_each_defect_fails_on_its_own_corruption(defect):
     """Every check can fail: each corruption drives its defect past
     orth_tol, to the Frobenius norm worked out by hand."""
-    res, jm, key, expected = _corrupted(defect)
-    diags = verify_decomposition(res, jm)
+    res, key, expected = _corrupted(defect)
+    diags = verify_decomposition(res)
     assert diags[key] == pytest.approx(expected, rel=1e-6)
-    assert diags[key] > 10 * jm.lattice.orth_tol
+    assert diags[key] > 10 * res.lattice.orth_tol
 
 
 def _band_references(phi: np.ndarray, n_z: int, k: int) -> tuple[float, float]:
@@ -237,27 +268,126 @@ def test_isometry_defect_bounds_the_band_checks(n_z, k, data, scale, seed):
     phi[0, p * k:(p + 1) * k, :n] = haar_frame(rng, k, n)
     noise = rng.standard_normal((top * k, n)) + 1j * rng.standard_normal((top * k, n))
     phi[0, : top * k, :n] += scale * noise
-    res = DecompositionResult(SymbolField(lat, phi), [n], {})
-    new = float(verify_per_fiber(res, _dense_range(lat, np.eye(lat.ambient)))[
-        "isometry_defect"][0])
+    res = DecompositionResult(SymbolField(lat, phi), [n], {}, symbol_seeds(lat, phi))
+    new = float(verify_per_fiber(res)["isometry_defect"][0])
     band_gram, leak = _band_references(phi[0, :, :n], n_z, k)
     assert new >= band_gram - 1e-10
     assert np.sqrt(1.0 + new) * new >= leak - 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason="the cover never reads target rows above "
-                   "the band, so a wrong wandering dimension verifies")
 def test_verify_fails_a_wrong_wandering_dimension():
-    """Phi = z e_1 decomposes J = z H^2 e_1 at (1, 8, 2). J' = J + span(z^7 e_2)
-    is S-invariant with wandering dimension 2, so Phi does not factor it;
-    every defect still reads 0.0, as z^7 e_2 sits above the band."""
+    """Phi = z e_1 decomposes J = z H^2 e_1 at (1, 8, 2). J' = J + span(z^7 e_2),
+    spanned by the seeds z e_1 and z^7 e_2, is S-invariant with wandering
+    dimension 2, so Phi does not factor it. The band cover read 0.0 here, as
+    z^7 e_2 sits above the band; held to the seeds of J', containment reads
+    the whole unit seed z^7 e_2."""
     lat = TruncationLattice(1, 8, 2)
-    jm = z_e1_range(lat)
-    res = decompose_range(jm)
-    wider = with_frame(jm, 0, np.column_stack([jm.frames[0], unit_vector(lat, 7, 1)]))
+    res = _z_e1_decomposition(lat)
+    seeds = [z_e1_seed(lat), _seed(lat, (7, 1, 1.0))]
     assert list(res.ranks) == [1]
-    assert list(decompose_range(wider).ranks) == [2]
-    assert max(verify_decomposition(res, wider).values()) > lat.orth_tol
+    assert list(decompose_range(closure_range(seeds, lat), seeds).ranks) == [2]
+    diags = verify_decomposition(_held_to(res, seeds))
+    assert diags["isometry_defect"] == 0.0
+    assert diags["image_defect"] > 0.5
+
+
+def _h2_residual(res: DecompositionResult, seeds) -> float:
+    """max over fibers of ||G - Phi P_+(Phi* G)||_F with unit seed columns:
+    the distance of the seeds to Phi H^2 itself, not to its truncation."""
+    lat = res.lattice
+    out = 0.0
+    for m in range(lat.n_lambda):
+        phi = res.field.phi[m][:, :int(res.ranks[m])]
+        w = shifted_copies(phi, lat.n_z, lat.k, lat.n_z)
+        g = np.array([s.fiber(m).reshape(-1) for s in seeds]).T
+        g = g / np.linalg.norm(g, axis=0)
+        out = max(out, float(np.linalg.norm(g - w @ (w.conj().T @ g))))
+    return out
+
+
+def test_image_defect_certifies_the_truncation_of_a_rational_inner_factor():
+    """The seeds z e_1 + e_3/2 and e_2 - 4 z e_1 + z^3 e_3 span Theta H^2 with
+    Theta rational but not a polynomial, so no Phi of degree below n_z is
+    Theta, and the seeds keep a distance to Phi H^2 that closes
+    geometrically in n_z. They lie in Phi H^2 + z^n_z H^2, the subspace a
+    truncated decomposition stands for, so the image defect reads rounding
+    at every n_z."""
+    gaps = []
+    for n_z in (16, 32, 64):
+        lat = TruncationLattice(1, n_z, 3)
+        seeds = [_seed(lat, (1, 0, 1.0), (0, 2, 0.5)),
+                 _seed(lat, (0, 1, 1.0), (1, 0, -4.0), (3, 2, 1.0))]
+        res = decompose_range(closure_range(seeds, lat), seeds)
+        assert list(res.ranks) == [2]
+        assert max(res.diagnostics.values()) < 1e-13
+        gaps.append(_h2_residual(res, seeds))
+    assert gaps[0] > 1e-3
+    assert gaps[1] < 1e-2 * gaps[0] and gaps[2] < 1e-2 * gaps[1]
+
+
+def test_truncated_shifts_certify_like_the_seed():
+    """At (1, 8, 2) the seed s = (1, z)/sqrt(2) is inner, and its closure is
+    decomposed by Phi = s. In H^2 the truncated shifts of s generate more
+    than s does: S^7 s = z^7 e_1/sqrt(2) lost its z^8 e_2 term, and scaled
+    to unit norm its part outside s H^2 is z^7 e_1/2 mod z^8, of norm 1/2.
+    Mod z^8 both generate the same subspace, and held to either, the image
+    defect reads rounding."""
+    lat = TruncationLattice(1, 8, 2)
+    s = _seed(lat, (0, 0, 1 / np.sqrt(2)), (1, 1, 1 / np.sqrt(2)))
+    res = decompose_range(closure_range([s], lat), [s])
+    assert list(res.ranks) == [1]
+    assert max(res.diagnostics.values()) <= 1e-14
+    closure = decompose(shat_closure([s]), lat)
+    assert np.array_equal(closure.field.phi, res.field.phi)
+    assert max(closure.diagnostics.values()) <= 1e-14
+    assert _h2_residual(closure, shat_closure([s])) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_generation_is_read_mod_z_to_the_n_z():
+    """At (1, 8, 1) the seed 1 - 2z is invertible mod z^8, so its truncated
+    shifts span every series and Phi = 1 decomposes them. In H^2 the seed
+    spans only b H^2, b the Blaschke factor with zero 1/2; no check on the
+    first n_z coefficients can tell, and the image defect reads rounding."""
+    lat = TruncationLattice(1, 8, 1)
+    s = _seed(lat, (0, 0, 1.0), (1, 0, -2.0))
+    res = decompose_range(closure_range([s], lat), [s])
+    assert list(res.ranks) == [1]
+    assert np.abs(np.abs(res.field.phi[0, :, 0]) - np.eye(8)[0]).max() < 1e-12
+    assert max(res.diagnostics.values()) < 1e-14
+
+
+@pytest.mark.parametrize("delta, fails", [(0.0, True), (1e-12, True), (1e-3, False)])
+def test_generation_needs_a_full_rank_degree_0_block(delta, fails):
+    """Phi = I at (1, 8, 2), held to a seed v tilted off both axes: one seed
+    cannot generate two directions, so the image defect reads inf. Held to
+    v and z v + delta w (w orthogonal to v), A_0 = [v, delta w]: the seeds
+    generate everything mod z^8 exactly when delta is not below rank_tol,
+    and rounding in a singular A_0 does not pass for a generating one."""
+    lat = TruncationLattice(1, 8, 2)
+    c, t = np.cos(0.3), np.sin(0.3)
+    v = _seed(lat, (0, 0, c), (0, 1, t))
+    phi = np.zeros((1, lat.ambient, 2), dtype=complex)
+    phi[0, :2] = np.eye(2)
+    res = DecompositionResult(SymbolField(lat, phi), [2], {}, [v])
+    assert verify_decomposition(res)["image_defect"] == np.inf
+    zv = _seed(lat, (1, 0, c), (1, 1, t), (0, 0, -delta * t), (0, 1, delta * c))
+    diags = verify_decomposition(_held_to(res, [v, zv]))
+    assert diags["isometry_defect"] == 0.0
+    assert (diags["image_defect"] == np.inf) == fails
+    assert fails or diags["image_defect"] < 1e-15
+
+
+def test_image_defect_reads_a_singular_gram_as_inf():
+    """Phi = 1000 (e_1, z e_1) repeats a shifted column, so W* W is singular
+    and its entries of 1e6 swallow the ridge: the solve fails, and the image
+    defect reads inf instead of raising, while A_0 = 1000 I held to the seeds
+    e_1 and z e_1 has full rank."""
+    lat = TruncationLattice(1, 8, 2)
+    phi = np.zeros((1, lat.ambient, 2), dtype=complex)
+    phi[0, 0, 0] = phi[0, 2, 1] = 1e3
+    res = DecompositionResult(SymbolField(lat, phi), [2], {},
+                              [_seed(lat, (0, 0, 1.0)), z_e1_seed(lat)])
+    assert verify_per_fiber(res)["image_defect"].tolist() == [np.inf]
 
 
 @pytest.mark.parametrize("bad", [1e-3, np.nan])
@@ -266,13 +396,13 @@ def test_decomposition_refuses_mass_past_the_rank(bad):
     no mass off it: a symbol nonzero (or NaN, set behind SymbolField's
     check) past the wandering rank is refused."""
     lat = TruncationLattice(4, 8, 2)
-    res = decompose_range(z_e1_range(lat))
+    res = _z_e1_decomposition(lat)
     phi = np.array(res.field.phi)
     phi[2, 5, 1] = bad
     field = SymbolField(lat, np.zeros_like(phi))
     object.__setattr__(field, "phi", phi)
     with pytest.raises(ValueError, match="nonzero past the wandering rank at fiber 2"):
-        DecompositionResult(field, res.ranks, {})
+        DecompositionResult(field, res.ranks, {}, res.seeds)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -318,8 +448,8 @@ def test_connecting_field_is_the_constant_unitary(n_lambda, n_z, k, seed):
         phi1[m, :, :n] = haar_frame(rng, lat.ambient, n)
         phi2[m] = phi1[m] @ v
         vs.append(v)
-    res1 = DecompositionResult(SymbolField(lat, phi1), ranks, {})
-    res2 = DecompositionResult(SymbolField(lat, phi2), ranks, {})
+    res1 = DecompositionResult(SymbolField(lat, phi1), ranks, {}, symbol_seeds(lat, phi1))
+    res2 = DecompositionResult(SymbolField(lat, phi2), ranks, {}, symbol_seeds(lat, phi2))
     psi, worst = connecting_isometry(res1, res2)
     assert max(worst.values()) < 1e-13
     for m, v in enumerate(vs):
@@ -341,7 +471,7 @@ def test_connecting_isometry_rejects_factorization_off_the_images():
     phi2[m, 3 * lat.k: 4 * lat.k, 0] += 1e-6 * np.array([-block[1], block[0]]).conj() \
         / np.linalg.norm(block)
     assert np.abs(res1.field.phi[m][:, 0].conj() @ phi2[m, :, 0]) == pytest.approx(1.0, abs=1e-14)
-    res2 = DecompositionResult(SymbolField(lat, phi2), res1.ranks, {})
+    res2 = DecompositionResult(SymbolField(lat, phi2), res1.ranks, {}, res1.seeds)
     with pytest.raises(ImagesDiffer, match="images") as err:
         connecting_isometry(res1, res2)
     assert err.value.fiber == m
@@ -406,7 +536,7 @@ def test_initial_space_rejects_contraction():
 def test_initial_space_rejects_overlapping_shifts_by_rigidity_alone():
     """phi = (1 + z^40)/sqrt(2) has A_0 = 1, so the eigenvalue check passes;
     A_40 = 1/2 makes the rigidity defect sqrt(2 * 1/4) = 0.707."""
-    res, _, _, _ = _corrupted("overlap")
+    res, _, _ = _corrupted("overlap")
     phi = res.field.phi[0]
     assert np.abs(phi.conj().T @ phi - 1.0).max() < 1e-15
     with pytest.raises(NotPartialIsometry, match="rigidity defect 7.071e-01"):

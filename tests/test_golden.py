@@ -8,7 +8,8 @@ two numbers match when both are at most 1e-12 in magnitude or agree to 1e-9
 relative. The ``verify`` input digest must be the sha256 of the file this
 run wrote, and the ``.fshd`` header and both rank arrays must match byte for
 byte. Phi's bytes are not compared: at wandering rank >= 2 the kernel basis
-is fixed only up to rotation, so they vary across BLAS builds.
+is fixed only up to rotation, so they vary across BLAS builds. ``verify``
+must print decompose's diagnostics bit for bit.
 
 ``python tests/golden/regen.py`` rewrites the expected files; any
 regeneration goes with a CHANGES.md entry saying why the outputs moved.
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from fibershift import DIAGNOSTIC_KEYS
 from fibershift.fileio import _HEADER
 
 from helpers import run_cli
@@ -100,6 +102,11 @@ def test_token_comparison_can_fail():
     assert _mismatch("exit: 0\n", "exit: 0\nextra\n") is not None
 
 
+def _diagnostic_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines()
+            if line.startswith("  ") and line.split()[0] in DIAGNOSTIC_KEYS]
+
+
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_golden_reports(problem, tmp_path):
     texts, head = run_problem(problem, tmp_path / "out")
@@ -108,3 +115,6 @@ def test_golden_reports(problem, tmp_path):
         diff = _mismatch(expected, text)
         assert diff is None, f"{problem} {name}: {diff}"
     assert head == (EXPECTED / f"{problem}.fshd-head.hex").read_text().strip()
+    # verify re-derives the defects from the stored Phi and seeds, bit for bit
+    assert _diagnostic_lines(texts["verify"]) == _diagnostic_lines(texts["decompose"])
+    assert len(_diagnostic_lines(texts["verify"])) == 2

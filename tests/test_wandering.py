@@ -141,7 +141,8 @@ def test_rotation_out_of_j_is_not_invariant(k):
     degrees)."""
     rng = np.random.default_rng(41)
     lat = TruncationLattice(8, 8, k)
-    jm = range_from_generators(shat_closure(grid_seeds(rng, lat, k, vanish=False)), lat)
+    seeds = grid_seeds(rng, lat, k, vanish=False)
+    jm = range_from_generators(shat_closure(seeds), lat)
     assert is_S_invariant(jm)[0]
     q = np.array(jm.frames[0])
     t = 1e-6
@@ -152,7 +153,7 @@ def test_rotation_out_of_j_is_not_invariant(k):
     with pytest.raises(NotInvariant):
         wandering_range(bad)
     with pytest.raises(NotInvariant):
-        decompose_range(bad)
+        decompose_range(bad, seeds)
 
 
 def test_wandering_rank_above_k_names_the_fiber(monkeypatch):
