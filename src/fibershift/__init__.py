@@ -14,12 +14,11 @@ which reduce both shifts, are recognized and built from their bases.
 
 from .beurling import (InnerField, ScalarH2, inner_from_invariant,
                        inner_quotient, phi_representation, range_of_phi)
-from .errors import (BandExceeded, BaseNotConstant, BoundsError,
-                     CoordinateOverflow, DegreeOverflow, FibershiftError,
-                     ImagesDiffer, NotInner, NotInvariant, NotOrthogonal,
-                     NotPartialIsometry, NotUnimodular, ParseError,
-                     RangesDiffer, RankTooLarge, ToleranceAmbiguity,
-                     WanderingRankNotOne)
+from .errors import (BaseNotConstant, BoundsError, CoordinateOverflow,
+                     DegreeOverflow, FibershiftError, ImagesDiffer, NotInner,
+                     NotInvariant, NotPartialIsometry, NotUnimodular,
+                     ParseError, RangesDiffer, RankTooLarge,
+                     ToleranceAmbiguity, WanderingRankNotOne)
 from .factorization import (CONNECTING_KEYS, DIAGNOSTIC_KEYS,
                             DecompositionResult, SymbolField,
                             connecting_isometry, decompose, decompose_range,
@@ -31,12 +30,10 @@ from .fileio import (ProblemFile, Report, load_decomposition, load_problem,
 from .full_hardy import full_hardy_from_base, is_full_hardy, project_pointwise
 from .lattice import TruncationLattice
 from .ranges import (RangeFunctionH, RangeFunctionK, closure_range,
-                     complement_range, direct_sum_ranges,
-                     range_from_generators, spectrum)
+                     complement_range, range_from_generators)
 from .shifts import apply_S_hat, is_S_invariant, shat_closure
 from .subspaces import orthonormal_frame, subspace_distance
-from .wandering import (reconstruct_from_wandering, wandering_range,
-                        wandering_ranks)
+from .wandering import wandering_range, wandering_ranks
 
 __version__ = "0.1.0"
 
@@ -45,10 +42,8 @@ __all__ = [
     "z_degree",
     "RangeFunctionH", "RangeFunctionK",
     "range_from_generators", "closure_range", "complement_range",
-    "direct_sum_ranges",
-    "spectrum",
     "apply_S_hat", "shat_closure", "is_S_invariant",
-    "wandering_range", "wandering_ranks", "reconstruct_from_wandering",
+    "wandering_range", "wandering_ranks",
     "project_pointwise", "full_hardy_from_base", "is_full_hardy",
     "DecompositionResult", "SymbolField", "decompose", "decompose_range",
     "verify_decomposition", "connecting_isometry",
@@ -59,8 +54,8 @@ __all__ = [
     "load_decomposition", "save_decomposition", "render_text", "render_csv",
     "orthonormal_frame", "subspace_distance",
     "FibershiftError", "DegreeOverflow", "CoordinateOverflow",
-    "ToleranceAmbiguity", "NotOrthogonal", "NotInvariant", "RankTooLarge",
-    "BandExceeded", "BaseNotConstant", "WanderingRankNotOne", "NotInner",
+    "ToleranceAmbiguity", "NotInvariant", "RankTooLarge",
+    "BaseNotConstant", "WanderingRankNotOne", "NotInner",
     "NotUnimodular", "RangesDiffer", "ImagesDiffer", "NotPartialIsometry",
     "ParseError", "BoundsError",
 ]

@@ -4,8 +4,10 @@ For k = 1 every fiber subspace story collapses to classical Hardy space
 material: a shift-invariant subspace is generated by a single inner
 function, a decomposition is described by one field of inner functions
 phi(lambda), and two describing fields differ by a unimodular constant per
-fiber. Coefficients live on degrees 0..n_z-1; boundary modulus checks run
-on an oversampled circle grid to avoid aliasing.
+fiber. Coefficients live on degrees 0..n_z-1. Innerness is the k = 1 case
+of rigidity: ``inner_defect`` is the ``rigidity_defect`` of h against P = 1,
+the exact RMS of |h|^2 - 1 on the circle, read off the products of h with
+its shifts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
-from .factorization import constant_unitary
+from .factorization import constant_unitary, rigidity_defect
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH, _span, closure_range
@@ -43,25 +45,11 @@ class ScalarH2:
     def n_z(self) -> int:
         return self.coeffs.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def boundary_values(self, grid_size: int | None = None) -> np.ndarray:
-        """h evaluated at grid_size-th roots of unity (default 4*n_z).
-
-        Sum_j c_j z_t^j at z_t = exp(2 pi i t/N) is N times the inverse DFT
-        of the zero-padded coefficient vector.
-        """
-        n = 4 * self.n_z if grid_size is None else int(grid_size)
-        if n < 2 * self.n_z:
-            raise ValueError("grid must oversample: need at least 2*n_z points")
-        padded = np.zeros(n, dtype=complex)
-        padded[: self.n_z] = self.coeffs
-        return np.fft.ifft(padded) * n
-
     def inner_defect(self) -> float:
-        """Worst deviation of the boundary modulus from 1."""
-        return float(np.max(np.abs(np.abs(self.boundary_values()) - 1.0)))
+        """R = (mean over the circle of (|h|^2 - 1)^2)^(1/2), the k = 1
+        ``rigidity_defect``; the boundary modulus strays from 1 by at most
+        sqrt(2 n_z - 1) R."""
+        return rigidity_defect(self.coeffs[:, None], np.eye(1), self.n_z, 1)
 
 
 def inner_from_invariant(gens: list[ScalarH2],
@@ -74,9 +62,8 @@ def inner_from_invariant(gens: list[ScalarH2],
     remains is the invariant subspace generated by the inner part alone. Its
     ``wandering_range`` must be one dimensional (WanderingRankNotOne
     otherwise); the canonical unit wandering vector is the inner function.
-    The returned defect is the worst boundary-modulus deviation on a 4*n_z
-    grid; it carries the geometric truncation tail of non-polynomial inner
-    functions.
+    The returned defect is its ``inner_defect``; it carries the geometric
+    truncation tail of non-polynomial inner functions.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -129,11 +116,10 @@ class InnerField:
         defects = self.inner_defects()
         worst_m = int(np.argmax(defects))
         if not defects[worst_m] <= self.inner_tol:
-            raise NotInner(f"boundary modulus deviates by "
-                           f"{defects[worst_m]:.3e}", fiber=worst_m)
+            raise NotInner(f"inner defect {defects[worst_m]:.3e}", fiber=worst_m)
 
     def inner_defects(self) -> np.ndarray:
-        """Per-fiber boundary defects (zero fibers report 0)."""
+        """Per-fiber ``inner_defect`` (zero fibers report 0)."""
         return np.array([f.inner_defect() if m in self.support else 0.0
                          for m, f in enumerate(self.fibers)])
 

@@ -34,20 +34,12 @@ class ToleranceAmbiguity(FibershiftError):
     """
 
 
-class NotOrthogonal(FibershiftError):
-    """Summands expected to be orthogonal are not, beyond orth_tol."""
-
-
 class NotInvariant(FibershiftError):
     """A range function expected to be shift invariant leaks outside itself."""
 
 
 class RankTooLarge(FibershiftError):
     """A wandering rank exceeds the fiber coordinate dimension k."""
-
-
-class BandExceeded(FibershiftError):
-    """A requested shift depth would leave the reliable degree band."""
 
 
 class BaseNotConstant(FibershiftError):
@@ -64,7 +56,7 @@ class WanderingRankNotOne(FibershiftError):
 
 
 class NotInner(FibershiftError):
-    """Boundary modulus of an extracted function strays from 1."""
+    """An extracted function's inner defect exceeds inner_tol."""
 
 
 class NotUnimodular(FibershiftError):

@@ -188,6 +188,20 @@ def _gram_defect(cols: np.ndarray, shifts: np.ndarray, p: np.ndarray,
     return float(np.sqrt(np.sum(np.abs(a) ** 2, axis=(0, 2)) @ weights))
 
 
+def rigidity_defect(phi: np.ndarray, p: np.ndarray, n_z: int, k: int) -> float:
+    """R = (mean over the circle of ||Phi(zeta)* Phi(zeta) - P||_F^2)^(1/2)
+    for a symbol Phi below degree n_z. Phi* Phi is the trigonometric
+    polynomial with coefficients A_d = Phi* S^d Phi and their adjoints, so
+    by Parseval R^2 = ||A_0 - P||_F^2 + 2 sum_{d >= 1} ||A_d||_F^2 exactly.
+    At k = 1 with P = 1, R is the RMS of |h|^2 - 1, and since |h|^2 - 1 has
+    degree below n_z, max_zeta ||h(zeta)| - 1| <= sqrt(2 n_z - 1) R.
+    Entries that overflow give an inf or NaN R, without a warning."""
+    weights = np.full(n_z, 2.0)
+    weights[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gram_defect(phi, shifted_copies(phi, n_z, k, n_z), p, weights)
+
+
 def _rank_below(a0: np.ndarray, tol: float) -> bool:
     """Whether the n x s matrix a0 may have rank below n at tol: fewer
     columns than rows, or 1 / ||R^-1||_F <= tol for the triangular R of a0*
@@ -304,10 +318,7 @@ def initial_space_base(field: SymbolField) -> RangeFunctionK:
 
     - A_0 = Phi* Phi (k x k) must have every eigenvalue within orth_tol of
       0 or 1; P projects onto its unit eigenvectors, which span the base.
-    - The rigidity defect R = sqrt(mean_t ||Phi(zeta_t)* Phi(zeta_t) - P||_F^2)
-      over the circle must be at most orth_tol. Phi* Phi is a trigonometric
-      polynomial in the blocks A_d = Phi* S^d Phi that verification reads,
-      so R^2 = ||A_0 - P||_F^2 + 2 sum_{d >= 1} ||A_d||_F^2 exactly.
+    - The ``rigidity_defect`` R of Phi against P must be at most orth_tol.
 
     Either failure raises NotPartialIsometry naming the fiber; a NaN R
     fails too. Columns of Phi are never truncated here, so a decomposition
@@ -316,9 +327,7 @@ def initial_space_base(field: SymbolField) -> RangeFunctionK:
     eigenproblem.
     """
     lat = field.lattice
-    n_z, k, tol = lat.n_z, lat.k, lat.orth_tol
-    weights = np.full(n_z, 2.0)
-    weights[0] = 1.0
+    tol = lat.orth_tol
     frames = []
     for m in range(lat.n_lambda):
         phi = field.phi[m]
@@ -331,8 +340,7 @@ def initial_space_base(field: SymbolField) -> RangeFunctionK:
             raise NotPartialIsometry(
                 f"eigenvalue {float(w[bad][0]):.6f} of Phi* Phi away from 0 and 1", fiber=m)
         base = v[:, unit]
-        rigidity = _gram_defect(phi, shifted_copies(phi, n_z, k, n_z),
-                                base @ base.conj().T, weights)
+        rigidity = rigidity_defect(phi, base @ base.conj().T, lat.n_z, lat.k)
         if not rigidity <= tol:
             raise NotPartialIsometry(
                 f"rigidity defect {rigidity:.3e}: Phi* Phi is not constant", fiber=m)

@@ -51,23 +51,6 @@ class FiberedField:
         """All fibers flattened, shape (n_lambda, n_z*k)."""
         return self.data.reshape(self.lattice.n_lambda, self.lattice.ambient)
 
-    def norm(self) -> float:
-        """Discrete L2 norm: sqrt of the grid average of squared fiber norms."""
-        return float(np.sqrt(np.mean(np.abs(self.data) ** 2) * self.lattice.n_z * self.lattice.k))
-
-    def __add__(self, other: "FiberedField") -> "FiberedField":
-        if other.lattice != self.lattice:
-            raise ValueError("lattice mismatch")
-        return FiberedField(self.lattice, self.data + other.data)
-
-    def __sub__(self, other: "FiberedField") -> "FiberedField":
-        if other.lattice != self.lattice:
-            raise ValueError("lattice mismatch")
-        return FiberedField(self.lattice, self.data - other.data)
-
-    def scaled(self, c: complex) -> "FiberedField":
-        return FiberedField(self.lattice, c * self.data)
-
 
 @dataclass(frozen=True)
 class LaurentPolyField:

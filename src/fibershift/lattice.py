@@ -43,11 +43,6 @@ class TruncationLattice:
         """Dimension n_z * k of one flattened fiber."""
         return self.n_z * self.k
 
-    def lambdas(self) -> np.ndarray:
-        """All grid points as a complex vector."""
-        m = np.arange(self.n_lambda)
-        return np.exp(2j * np.pi * m / self.n_lambda)
-
     def lambda_power(self, p: int) -> np.ndarray:
         """lambda_m ** p for every m, with the exponent reduced on the grid.
 

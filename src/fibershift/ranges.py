@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthogonal
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
 from .shifts import closure_counts, shifted_copies
@@ -156,38 +155,3 @@ def complement_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     frames = tuple(canonical_columns(complement_frame(q)) for q in range_fn.frames)
     return RangeFunctionH(range_fn.lattice, frames)
 
-
-def direct_sum_ranges(parts: list[RangeFunctionH]) -> RangeFunctionH:
-    """Fiberwise orthogonal direct sum.
-
-    Raises NotOrthogonal when any two summand fibers have a cross inner
-    product above orth_tol.
-    """
-    if not parts:
-        raise ValueError("at least one summand required")
-    lat = parts[0].lattice
-    for p in parts:
-        if p.lattice != lat:
-            raise ValueError("summand lattice mismatch")
-    frames = []
-    for m in range(lat.n_lambda):
-        blocks = [p.frames[m] for p in parts]
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                if blocks[a].shape[1] and blocks[b].shape[1]:
-                    cross = np.abs(blocks[a].conj().T @ blocks[b]).max()
-                    if cross > lat.orth_tol:
-                        raise NotOrthogonal(
-                            f"summands {a} and {b} overlap ({cross:.3e})", fiber=m)
-        stacked = np.concatenate(blocks, axis=1)
-        total = sum(b.shape[1] for b in blocks)
-        q = orthonormal_frame(stacked, lat.rank_tol, fiber=m)
-        if q.shape[1] != total:
-            raise NotOrthogonal("summands are not independent", fiber=m)
-        frames.append(q)
-    return RangeFunctionH(lat, tuple(frames))
-
-
-def spectrum(range_fn) -> list[int]:
-    """Sorted grid indices where the fiber subspace is nonzero."""
-    return np.flatnonzero(range_fn.ranks()).tolist()

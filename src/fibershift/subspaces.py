@@ -15,7 +15,9 @@ from .errors import ToleranceAmbiguity
 # Coefficients at or below this magnitude are treated as zero when reading
 # effective z-degrees off numerical frames. Frames produced by SVD carry
 # ~1e-16 junk in every entry; a fixed floor well above that and well below
-# every working tolerance keeps band bookkeeping stable.
+# every working tolerance keeps band bookkeeping stable. No library code
+# reads it now: only the acceptance gate, which bounds its band with
+# ``z_degree``, and the test that rebuilds the band checks for reference.
 DEGREE_TOL = 1e-12
 
 # First entry used for column phase normalization must exceed this.

@@ -4,9 +4,9 @@ For an invariant fiber subspace J the wandering part is J minus its shifted
 image, computed in the coordinates of J's own frame (one small matrix C*,
 which also gives the shift leak, one SVD and one rank decision per fiber),
 so it lies in J by construction. Its dimension never exceeds k (RankTooLarge
-names the fiber otherwise), the shifted copies of its frame are orthogonal
-while they stay inside the reliable band, and stacking those copies
-reconstructs the original subspace.
+names the fiber otherwise). The truncated shift is nilpotent, so J is the
+span of the n_z shifted copies of the wandering frame; ``decompose`` stores
+that frame as the symbol Phi and verification holds Phi H^2 to the seeds.
 
 The frame field phi_i is the i-th column of the ``wandering_range``
 frames, stored as ``Phi[:, :, i]``; the partition of the circle by
@@ -23,15 +23,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (BandExceeded, FibershiftError, NotInvariant, RankTooLarge,
-                     ToleranceAmbiguity)
-from .fields import z_degree
+from .errors import FibershiftError, NotInvariant, RankTooLarge, ToleranceAmbiguity
 from .lattice import TruncationLattice
-from .ranges import RangeFunctionH, direct_sum_ranges
-from .shifts import (compressed_shift_adjoint, leak_verdict, shift_leak,
-                     shift_leaks, shifted_copies)
-from .subspaces import (DEGREE_TOL, canonical_columns, rank_decision, robust_svd,
-                        singular_values)
+from .ranges import RangeFunctionH
+from .shifts import compressed_shift_adjoint, leak_verdict, shift_leak, shift_leaks
+from .subspaces import canonical_columns, rank_decision, robust_svd, singular_values
 
 
 def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
@@ -128,25 +124,3 @@ def wandering_ranks(frames: Iterable[np.ndarray], lattice: TruncationLattice
     return (np.array(ranks, dtype=int), float(np.max(leaks)),
             None if parts is None else np.array(parts, dtype=int))
 
-
-def reconstruct_from_wandering(wandering: RangeFunctionH, depth: int) -> RangeFunctionH:
-    """Direct sum of the wandering frames shifted 0..depth times.
-
-    The depth must keep every shifted copy inside the reliable band:
-    depth <= n_z - 1 - (max effective degree over all wandering columns),
-    otherwise BandExceeded is raised. Orthogonality of the shifted copies is
-    checked (NotOrthogonal on failure).
-    """
-    lat = wandering.lattice
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    max_deg = max((z_degree(q.reshape(lat.n_z, -1), DEGREE_TOL)
-                   for q in wandering.frames if q.shape[1]), default=-1)
-    if depth > lat.n_z - 1 - max_deg:
-        raise BandExceeded(
-            f"depth {depth} exceeds band limit {lat.n_z - 1 - max_deg}")
-    stacks = [shifted_copies(q, lat.n_z, lat.k, depth + 1) for q in wandering.frames]
-    ranks = wandering.ranks()
-    layers = [RangeFunctionH(lat, tuple(s[:, d * r:(d + 1) * r] for s, r in zip(stacks, ranks)))
-              for d in range(depth + 1)]
-    return direct_sum_ranges(layers)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import fibershift.beurling as beurling
-from fibershift import (InnerField, NotInner, NotUnimodular, RangesDiffer,
-                        RankTooLarge, ScalarH2, TruncationLattice,
-                        WanderingRankNotOne,
-                        decompose, inner_from_invariant, inner_quotient,
-                        phi_representation, range_of_phi, shat_closure,
-                        subspace_distance)
+from fibershift import (InnerField, NotInner, NotPartialIsometry,
+                        NotUnimodular, RangesDiffer, RankTooLarge, ScalarH2,
+                        SymbolField, TruncationLattice, WanderingRankNotOne,
+                        decompose, initial_space_base, inner_from_invariant,
+                        inner_quotient, phi_representation, range_of_phi,
+                        shat_closure, subspace_distance)
 from fibershift.shifts import shifted_copies
 from fibershift.subspaces import orthonormal_frame
 
@@ -25,16 +25,54 @@ def _scalar(coeff_list, n_z):
 def test_scalar_container():
     h = _scalar([0, 0, 1], 8)
     assert h.n_z == 8
-    assert h.norm() == 1.0
-    assert h.inner_defect() < 1e-14
-    vals = h.boundary_values(16)
-    assert np.abs(vals[0] - 1.0) < 1e-14  # z = 1 evaluates to 1
-    with pytest.raises(ValueError):
-        h.boundary_values(8)  # under the 2*n_z oversampling floor
+    assert h.inner_defect() == 0.0
     with pytest.raises(ValueError):
         ScalarH2(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ScalarH2(np.zeros(0))
+
+
+@pytest.mark.parametrize("n_z", [8, 64])
+def test_inner_defect_is_the_rms_of_modulus_squared_minus_one(n_z):
+    """h = (1 + z^(n_z - 1)) / sqrt(2) has |h|^2 - 1 = cos((n_z - 1) t), so
+    R = 1/sqrt(2); a sampled max of ||h| - 1| read 1.0 here. |h|^2 - 1 has
+    degree below n_z, so 2 n_z - 1 equispaced samples give its RMS exactly,
+    and its max stays within sqrt(2 n_z - 1) R."""
+    h = _scalar([1.0] + [0.0] * (n_z - 2) + [1.0], n_z).coeffs / np.sqrt(2)
+    r = ScalarH2(h).inner_defect()
+    assert abs(r - 2 ** -0.5) < 1e-15
+    zeta = np.exp(2j * np.pi * np.arange(2 * n_z - 1) / (2 * n_z - 1))
+    f = np.abs(np.polyval(h[::-1], zeta)) ** 2 - 1.0
+    assert abs(np.sqrt(np.mean(f ** 2)) - r) < 1e-14
+    assert np.abs(f).max() <= np.sqrt(2 * n_z - 1) * r
+
+
+_Z = np.eye(16, dtype=complex)
+
+
+@pytest.mark.parametrize("h, inner", [
+    pytest.param(_Z[3], True, id="z^3"),
+    pytest.param(blaschke_coeffs(0.1, 16), True, id="blaschke-0.1"),
+    pytest.param(blaschke_coeffs(0.5, 16), False, id="blaschke-0.5"),
+    pytest.param((_Z[0] + _Z[-1]) / np.sqrt(2), False, id="overlap"),
+    pytest.param((1 + 1e-9) * _Z[1], True, id="z-times-1+1e-9"),
+    pytest.param((1 + 1e-8) * _Z[1], False, id="z-times-1+1e-8"),
+    pytest.param(0.5 * _Z[1], False, id="z-over-2")])
+def test_inner_is_rigidity_at_k_1(h, inner):
+    """Innerness is defined once: with ||h||^2 away from 0, initial_space_base
+    on Phi = h passes exactly when inner_defect <= orth_tol, and a rigidity
+    refusal reports the same R. The Blaschke factor of 1/2 truncated at
+    n_z = 16 carries a tail of 2^-16 and fails both."""
+    lat = TruncationLattice(1, 16, 1)
+    r = ScalarH2(h).inner_defect()
+    assert (r <= lat.orth_tol) == inner
+    field = SymbolField(lat, h[None, :, None])
+    if inner:
+        assert initial_space_base(field).ranks().tolist() == [1]
+    else:
+        with pytest.raises(NotPartialIsometry) as err:
+            initial_space_base(field)
+        assert "eigenvalue" in str(err.value) or f"rigidity defect {r:.3e}" in str(err.value)
 
 
 def test_monomial_inner_exact():
@@ -127,18 +165,17 @@ def test_inner_field_validation():
 
 def test_inner_field_fails_a_nan_defect():
     """Non-finite coefficients are refused outright; finite ones whose
-    boundary values overflow give a NaN defect, which fails the check (a
-    worst-so-far comparison used to skip it)."""
+    products overflow give an inf or NaN defect, which fails the check (a
+    worst-so-far comparison used to skip it), with no overflow warning."""
     lat = TruncationLattice(2, 8, 1)
     z1 = np.zeros(8, dtype=complex)
     z1[1] = 1.0
     with pytest.raises(ValueError, match="finite"):
         ScalarH2(np.where(np.arange(8) == 3, np.nan, z1))
     huge = np.full(8, 1.7e308, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(ScalarH2(huge).inner_defect())
-        with pytest.raises(NotInner) as exc:
-            _const_field(lat, (z1, huge), {0, 1})
+    assert not np.isfinite(ScalarH2(huge).inner_defect())
+    with pytest.raises(NotInner) as exc:
+        _const_field(lat, (z1, huge), {0, 1})
     assert exc.value.fiber == 1
 
 

@@ -6,11 +6,14 @@ which must return ``(res, jm)`` with J's frames; they find the ``.fshd``
 path as the third positional argument of ``save_decomposition``; they run
 ``decompose`` on ``shat_closure`` of the generators; and they parse every
 ``DIAGNOSTIC_KEYS`` line of decompose, verify and beurling reports, and
-``phi_range_distance`` in beurling's. A change that breaks one of these
-fails every benchmark pass.
+``phi_range_distance`` in beurling's. They import seven builders from
+``tests/helpers.py`` and every name they read off the package. A change
+that breaks one of these fails every benchmark pass.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +21,51 @@ import fibershift as fs
 from fibershift.fileio import load_problem, problem_fields
 from fibershift.shifts import shifted_copies
 
+import helpers
 from helpers import brute_projector, laurent_seeds, run_cli, write_problem
+
+# the builders bench/workloads.py imports from helpers, with their parameters
+BENCH_HELPERS = {
+    "blaschke_coeffs": ["a", "n_z"],
+    "brute_projector": ["cols", "rcond"],
+    "haar_frame": ["rng", "dim", "r"],
+    "haar_unitary": ["rng", "n"],
+    "laurent_seeds": ["rng", "lat", "r", "vanish"],
+    "run_cli": ["argv"],
+    "write_problem": ["path", "lat", "polys"],
+}
+
+
+def test_exports_resolve_once():
+    """Every name in ``__all__`` is bound on the package and listed once, and
+    a star import runs, so a deleted function leaves no stale export."""
+    names = fs.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(fs, n)] == []
+    scope: dict = {}
+    exec("from fibershift import *", scope)
+    assert set(names) <= set(scope)
+
+
+def test_bench_helpers_are_pinned():
+    """The seven helpers the benchmark imports exist with their parameters,
+    and the desk recipe draws the same seeds: the benchmark's problems are
+    built from them."""
+    source = (Path(__file__).parents[1] / "bench" / "workloads.py").read_text()
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "helpers"
+                for alias in node.names}
+    assert imported == set(BENCH_HELPERS)
+    for name, params in BENCH_HELPERS.items():
+        assert list(inspect.signature(getattr(helpers, name)).parameters) == params
+    (poly,) = laurent_seeds(np.random.default_rng(7), fs.TruncationLattice(4, 8, 2), 1)
+    expected = [(1, 0, 1, -0.159789806726 - 0.029293013951j),
+                (1, 0, 2, 0.003746186865 + 0.100207920579j),
+                (1, 1, 1, 0.002302286433 - 0.850936490016j),
+                (1, 1, 2, -0.513061124731 + 0.112561413137j)]
+    assert [t[:3] for t in poly.terms] == [t[:3] for t in expected]
+    assert np.allclose([t[3] for t in poly.terms], [t[3] for t in expected],
+                       rtol=0, atol=1e-11)
 
 
 def _diagnostics(report: str) -> dict[str, float]:
