@@ -2,22 +2,22 @@
 
 For k = 1 every fiber subspace story collapses to classical Hardy space
 material: a shift-invariant subspace is generated by a single inner
-function, a decomposition is described by one field of inner functions
-phi(lambda), and two describing fields differ by a unimodular constant per
-fiber. Coefficients live on degrees 0..n_z-1. Innerness is the k = 1 case
-of rigidity: ``inner_defect`` is the ``rigidity_defect`` of h against P = 1,
-the exact RMS of |h|^2 - 1 on the circle, read off the products of h with
-its shifts.
+function, a decomposition is described by its symbol, a field of inner
+functions phi(lambda) (``InnerField``, a ``SymbolField``), and two
+describing fields differ by a unimodular constant per fiber, the k = 1
+connecting field. Innerness is the k = 1 case of rigidity: ``inner_defect``
+is the ``rigidity_defect`` of h against P = 1, the exact RMS of |h|^2 - 1
+on the circle, read off the products of h with its shifts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
-from .factorization import constant_unitary, rigidity_defect
+from .factorization import SymbolField, constant_unitary, rigidity_defect
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH, _span, closure_range
@@ -83,64 +83,58 @@ def inner_from_invariant(gens: list[ScalarH2],
 
 
 @dataclass(frozen=True)
-class InnerField:
-    """A field of scalar inner functions over the lambda grid.
-
-    Fibers off the support are exactly zero; fibers on the support must be
-    inner within ``inner_tol`` (NotInner otherwise, reporting the worst
-    fiber). The describing field of a k = 1 decomposition has this form.
+class InnerField(SymbolField):
+    """A field of scalar inner functions over the lambda grid, held as the
+    k = 1 symbol ``phi`` of shape (n_lambda, n_z, 1) stacked from ``fibers``:
+    the describing field of a k = 1 decomposition is its symbol Phi. Fibers
+    off the support must be exactly zero; each supported fiber's
+    ``rigidity_defect`` against P = 1 is computed once, here, and a defect
+    above ``inner_tol`` raises NotInner at the worst fiber.
     """
 
-    lattice: TruncationLattice
+    phi: np.ndarray = field(init=False, repr=False)
     fibers: tuple[ScalarH2, ...]
     support: frozenset[int]
     inner_tol: float = INNER_TOL_DEFAULT
 
     def __post_init__(self):
-        if self.lattice.k != 1:
+        lat = self.lattice
+        if lat.k != 1:
             raise ValueError("inner fields require k = 1")
         if not 0.0 < self.inner_tol < 1.0:
             raise ValueError("inner_tol must lie in (0, 1)")
-        if len(self.fibers) != self.lattice.n_lambda:
-            raise ValueError("one fiber per grid point required")
-        if any(f.n_z != self.lattice.n_z for f in self.fibers):
-            raise ValueError("fiber length must equal n_z")
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        object.__setattr__(self, "support", frozenset(int(m) for m in self.support))
-        if not self.support <= set(range(self.lattice.n_lambda)):
+        support = frozenset(int(m) for m in self.support)
+        if not support <= set(range(lat.n_lambda)):
             raise ValueError("support indices out of range")
-        for m, f in enumerate(self.fibers):
-            if m not in self.support and np.any(f.coeffs != 0):
+        object.__setattr__(self, "fibers", tuple(self.fibers))
+        object.__setattr__(self, "support", support)
+        # one fiber of length n_z per grid point: the symbol's shape check
+        object.__setattr__(self, "phi", np.stack([f.coeffs for f in self.fibers])[:, :, None])
+        super().__post_init__()
+        defects = np.zeros(lat.n_lambda)
+        for m, phi in enumerate(self.phi):
+            if m in support:
+                defects[m] = rigidity_defect(phi, np.eye(1), lat.n_z, 1)
+            elif np.any(phi != 0):
                 raise ValueError(f"fiber {m} off the support is not zero")
+        object.__setattr__(self, "_defects", frozen_array(defects, dtype=float))
         # argmax lands on the first NaN, which the negated test then fails
-        defects = self.inner_defects()
         worst_m = int(np.argmax(defects))
         if not defects[worst_m] <= self.inner_tol:
             raise NotInner(f"inner defect {defects[worst_m]:.3e}", fiber=worst_m)
 
     def inner_defects(self) -> np.ndarray:
-        """Per-fiber ``inner_defect`` (zero fibers report 0)."""
-        return np.array([f.inner_defect() if m in self.support else 0.0
-                         for m, f in enumerate(self.fibers)])
-
-    def coeff_matrix(self) -> np.ndarray:
-        return np.stack([f.coeffs for f in self.fibers])
+        """The per-fiber defects kept from construction (0 off the support)."""
+        return self._defects
 
 
 def phi_representation(res, inner_tol: float = INNER_TOL_DEFAULT) -> InnerField:
-    """The describing inner field of a k = 1 decomposition.
-
-    phi(lambda_m) is the image of the constant function 1 under the fiber
-    operator, which is the symbol Phi(lambda_m) itself. Supported exactly on
-    the fibers of wandering rank 1; the InnerField constructor enforces the
-    inner invariant on every supported fiber.
-    """
-    lat = res.lattice
-    if lat.k != 1:
-        raise ValueError("phi representation requires a k = 1 decomposition")
-    supp = frozenset(np.flatnonzero(res.ranks))
+    """The describing inner field of a k = 1 decomposition: phi(lambda_m) is
+    the image of the constant function 1 under the fiber operator, which is
+    the symbol Phi(lambda_m) itself. Supported exactly on the fibers of
+    wandering rank 1, since Phi vanishes past the rank."""
     fibers = tuple(ScalarH2(phi[:, 0]) for phi in res.field.phi)
-    return InnerField(lat, fibers, supp, inner_tol)
+    return InnerField(res.lattice, fibers, frozenset(np.flatnonzero(res.ranks)), inner_tol)
 
 
 def range_of_phi(phi: InnerField) -> RangeFunctionH:
@@ -149,7 +143,7 @@ def range_of_phi(phi: InnerField) -> RangeFunctionH:
     built like the closure of a seed. Off the support phi is exactly zero,
     so those fibers span nothing."""
     lat = phi.lattice
-    return _span([FiberedField(lat, phi.coeff_matrix()[:, :, None])], [lat.n_z], lat)
+    return _span([FiberedField(lat, phi.phi)], [lat.n_z], lat)
 
 
 def inner_quotient(phi1: InnerField, phi2: InnerField,
@@ -157,31 +151,33 @@ def inner_quotient(phi1: InnerField, phi2: InnerField,
     """The unimodular constant field relating two describing fields of the
     same subspace: psi with phi1(lambda_m) = psi(lambda_m) phi2(lambda_m).
 
-    This is the k = 1 connecting field: per supported fiber the constant is
-    ``constant_unitary(phi2, phi1)``. It must be unimodular within inner_tol
-    and reproduce phi1 within orth_tol (NotUnimodular otherwise, or
-    RangesDiffer when the supports or the range functions differ).
+    This is the k = 1 connecting field: per supported fiber the constant
+    c = ``constant_unitary(phi2, phi1)`` sits at degree 0 of the symbol.
+    Each c is held to the inner defect of the result, ||c|^2 - 1| <=
+    inner_tol, and must reproduce phi1 within orth_tol (NotUnimodular
+    otherwise, or RangesDiffer when the supports or the range functions
+    differ).
     """
     lat = phi1.lattice
     if phi2.lattice != lat:
         raise ValueError("lattice mismatch")
     if phi1.support != phi2.support:
         raise RangesDiffer("supports differ")
-    fibers = []
-    for m in range(lat.n_lambda):
-        coeffs = np.zeros(lat.n_z, dtype=complex)
-        if m in phi1.support:
-            u, _, resid = constant_unitary(phi2.fibers[m].coeffs[:, None],
-                                           phi1.fibers[m].coeffs[:, None])
-            c = coeffs[0] = u[0, 0]
-            off_circle = abs(abs(c) - 1.0) > inner_tol
-            if off_circle or resid > lat.orth_tol:
-                r1, r2 = range_of_phi(phi1), range_of_phi(phi2)
-                for j in range(lat.n_lambda):
-                    if subspace_distance(r1.frames[j], r2.frames[j]) > 10.0 * lat.orth_tol:
-                        raise RangesDiffer("range functions differ", fiber=j)
-                raise NotUnimodular(
-                    f"quotient modulus {abs(c):.6f}" if off_circle
-                    else "fibers are not unimodular multiples", fiber=m)
-        fibers.append(ScalarH2(coeffs))
-    return InnerField(lat, tuple(fibers), phi1.support, inner_tol)
+    coeffs = np.zeros((lat.n_lambda, lat.n_z), dtype=complex)
+    resid = np.zeros(lat.n_lambda)
+    for m in phi1.support:
+        u, _, resid[m] = constant_unitary(phi2.phi[m], phi1.phi[m])
+        coeffs[m, 0] = u[0, 0]
+    try:
+        psi = InnerField(lat, tuple(map(ScalarH2, coeffs)), phi1.support, inner_tol)
+    except NotInner as exc:
+        m, msg = exc.fiber, f"quotient modulus {abs(coeffs[exc.fiber, 0]):.6f}"
+    else:
+        if not np.any(resid > lat.orth_tol):
+            return psi
+        m, msg = int(np.argmax(resid > lat.orth_tol)), "fibers are not unimodular multiples"
+    r1, r2 = range_of_phi(phi1), range_of_phi(phi2)
+    for j in range(lat.n_lambda):
+        if subspace_distance(r1.frames[j], r2.frames[j]) > 10.0 * lat.orth_tol:
+            raise RangesDiffer("range functions differ", fiber=j)
+    raise NotUnimodular(msg, fiber=m)

@@ -40,13 +40,15 @@ def _unit_interval(text: str) -> float:
     return float(text)
 
 
-def _problem_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--rank-tol", type=float, default=None,
-                    help="override the rank cutoff from the problem file")
-    sp.add_argument("--orth-tol", type=float, default=None,
-                    help="override the orthogonality tolerance")
-    sp.add_argument("--inner-tol", type=_unit_interval, default=None,
-                    help="override the inner-modulus tolerance")
+def _problem_flags(sp: argparse.ArgumentParser, tols: tuple[str, ...]) -> None:
+    """A command offers the overrides of the tolerances it decides at; any
+    other is a usage error, since it would only change a printed number."""
+    sp.set_defaults(orth_tol=None, inner_tol=None)
+    for tol, kind, what in (("rank", float, "the rank cutoff from the problem file"),
+                            ("orth", float, "the orthogonality tolerance"),
+                            ("inner", _unit_interval, "the inner-modulus tolerance")):
+        if tol in tols:
+            sp.add_argument(f"--{tol}-tol", type=kind, default=None, help=f"override {what}")
 
 
 def _output_flags(sp: argparse.ArgumentParser) -> None:
@@ -70,15 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fibershift",
         description="shift-invariant subspace analysis on a truncation lattice")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (
-            ("analyze", "ranks, spectrum, invariance, wandering partition"),
-            ("decompose", "factor through a full Hardy space and persist"),
-            ("beurling", "scalar inner extraction (k = 1 problems)"),
-            ("spectrum", "fibers with nonzero range"),
+    for name, doc, tols in (
+            ("analyze", "ranks, spectrum, invariance, wandering partition", ("rank", "orth")),
+            ("decompose", "factor through a full Hardy space and persist", ("rank", "orth")),
+            ("beurling", "scalar inner extraction (k = 1 problems)", ("rank", "orth", "inner")),
+            ("spectrum", "fibers with nonzero range", ("rank",)),
     ):
         sp = sub.add_parser(name, help=doc)
         sp.add_argument("path", help="problem file")
-        _problem_flags(sp)
+        _problem_flags(sp, tols)
         _output_flags(sp)
     # a persisted result carries its own tolerances
     sp = sub.add_parser("verify", help="re-check a persisted decomposition")

@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fibershift.beurling as beurling
-from fibershift import (InnerField, NotInner, NotPartialIsometry,
+import fibershift.factorization as factorization
+from fibershift import (DecompositionResult, FiberedField, InnerField,
+                        NotInner, NotInvariant, NotPartialIsometry,
                         NotUnimodular, RangesDiffer, RankTooLarge, ScalarH2,
-                        SymbolField, TruncationLattice, WanderingRankNotOne,
-                        decompose, initial_space_base, inner_from_invariant,
-                        inner_quotient, phi_representation, range_of_phi,
-                        shat_closure, subspace_distance)
+                        SymbolField, ToleranceAmbiguity, TruncationLattice,
+                        WanderingRankNotOne, closure_range, decompose,
+                        decompose_range, initial_space_base,
+                        inner_from_invariant, inner_quotient,
+                        phi_representation, range_of_phi, shat_closure,
+                        subspace_distance)
+from fibershift.factorization import constant_unitary, verify_per_fiber
 from fibershift.shifts import shifted_copies
 from fibershift.subspaces import orthonormal_frame
 
-from helpers import blaschke_coeffs, field_from_fibers, grid_seeds
+from helpers import (blaschke_coeffs, field_from_fibers, grid_seeds,
+                     laurent_seeds, run_cli, write_problem)
 
 
 def _scalar(coeff_list, n_z):
@@ -144,8 +152,7 @@ def test_inner_field_validation():
     z1 = np.zeros(8, dtype=complex)
     z1[1] = 1.0
     field = _const_field(lat, (z1, np.zeros(8)), {0})
-    assert field.inner_defects()[1] == 0.0
-    assert field.coeff_matrix().shape == (2, 8)
+    assert field.inner_defects().tolist() == [0.0, 0.0]
     # non-inner fiber on the support
     bad = np.zeros(8, dtype=complex)
     bad[0] = bad[1] = 2 ** -0.5
@@ -156,11 +163,41 @@ def test_inner_field_validation():
         _const_field(lat, (z1, z1), {0})
     with pytest.raises(ValueError):
         _const_field(TruncationLattice(2, 8, 2), (z1, np.zeros(8)), {0})
+    # one fiber of length n_z per grid point, read by the symbol's shape check
+    with pytest.raises(ValueError, match="shape"):
+        _const_field(lat, (z1,), {0})
+    with pytest.raises(ValueError, match="shape"):
+        _const_field(lat, (z1[:4], z1[:4]), {0})
+    with pytest.raises(ValueError, match="out of range"):
+        _const_field(lat, (z1, np.zeros(8)), {0, 2})
     # |phi| = 2 on the circle is a defect of 1.0, which no tolerance in
     # (0, 1) passes
     for tol in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match="inner_tol"):
             _const_field(lat, (2 * z1, np.zeros(8)), {0}, inner_tol=tol)
+
+
+def test_inner_field_is_the_k_1_symbol():
+    """An inner field is a ``SymbolField``: its fibers stacked into phi of
+    shape (n_lambda, n_z, 1), its defects kept from construction, and
+    ``op(m)`` the multiplication by phi(lambda_m)."""
+    lat = TruncationLattice(3, 8, 1)
+    phi = np.zeros((3, 8), dtype=complex)
+    phi[0, 2] = 1j
+    phi[2] = blaschke_coeffs(0.01, 8)
+    field = _const_field(lat, phi, [2, np.int64(0)])
+    assert isinstance(field, SymbolField)
+    assert not hasattr(field, "coeff_matrix")
+    assert field.support == frozenset({0, 2})
+    assert all(type(m) is int for m in field.support)
+    assert field.phi.shape == (3, 8, 1) and not field.phi.flags.writeable
+    assert field.phi[:, :, 0].tolist() == phi.tolist()
+    assert [f.coeffs.tolist() for f in field.fibers] == phi.tolist()
+    assert field.inner_defects() is field.inner_defects()
+    assert not field.inner_defects().flags.writeable
+    assert field.inner_defects().dtype == float
+    assert field.inner_defects()[2] == field.fibers[2].inner_defect() > 0.0
+    assert np.array_equal(field.op(0), np.eye(8, k=-2) * 1j)
 
 
 def test_inner_field_fails_a_nan_defect():
@@ -239,10 +276,26 @@ def test_inner_quotient_recovers_phase():
     phi1 = _const_field(lat, tuple(w * z1 for w in phases), {0, 1, 2})
     phi2 = _const_field(lat, (z1,) * 3, {0, 1, 2})
     psi = inner_quotient(phi1, phi2)
+    assert isinstance(psi, InnerField)
     assert psi.support == phi1.support
     for m in range(3):
         assert abs(psi.fibers[m].coeffs[0] - phases[m]) < 1e-12
         assert np.abs(psi.fibers[m].coeffs[1:]).max() == 0.0
+        assert np.array_equal(psi.op(m), psi.phi[m, 0, 0] * np.eye(8))
+
+
+def test_inner_quotient_holds_c_to_the_inner_defect():
+    """Each constant is judged by the rigidity defect its quotient field is
+    held to, ||c|^2 - 1| = 1.5e-6 here, and the failure is NotUnimodular,
+    whatever tolerance the two describing fields were built with."""
+    lat = TruncationLattice(1, 8, 1)
+    z1 = np.eye(8, dtype=complex)[1]
+    phi1 = _const_field(lat, ((1 + 0.75e-6) * z1,), {0}, inner_tol=1e-5)
+    phi2 = _const_field(lat, (z1,), {0})
+    with pytest.raises(NotUnimodular, match=r"quotient modulus 1\.000001 \(fiber 0\)"):
+        inner_quotient(phi1, phi2)
+    psi = inner_quotient(phi1, phi2, inner_tol=1e-5)
+    assert psi.inner_defects()[0] == phi1.inner_defects()[0] <= 1e-5
 
 
 def test_inner_quotient_builds_ranges_only_on_failure(monkeypatch):
@@ -296,3 +349,88 @@ def test_inner_quotient_rejects_outer_ratio():
     phi2 = _const_field(lat, (h2,) * 2, {0, 1}, inner_tol=0.2)
     with pytest.raises(NotUnimodular):
         inner_quotient(phi1, phi2)
+
+
+def _recipe_seed(rng, lat):
+    """A k = 1 seed z^p prod (z - rho lambda^e) with 1-2 roots inside the
+    disk (|rho| in [0.1, 0.4]) and 0-2 outside (|rho| in [2.5, 4]), and per
+    fiber its inner factor z^p prod b_{rho lambda_m^e}, truncated at n_z."""
+    p = int(rng.integers(0, 3))
+    seed = np.zeros((lat.n_lambda, lat.n_z), dtype=complex)
+    seed[:, p] = 1.0
+    theta = seed.copy()
+    n_in, n_out = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+    for i, (lo, hi) in enumerate(((0.1, 0.4),) * n_in + ((2.5, 4.0),) * n_out):
+        rho = (lo + (hi - lo) * rng.random()) * np.exp(2j * np.pi * rng.random())
+        for m, a in enumerate(rho * lat.lambda_power(int(rng.integers(-2, 3)))):
+            seed[m] = np.convolve(seed[m], [-a, 1.0])[:lat.n_z]
+            if i < n_in:
+                theta[m] = np.convolve(theta[m], blaschke_coeffs(a, lat.n_z))[:lat.n_z]
+    return FiberedField(lat, seed[:, :, None]), theta
+
+
+@pytest.mark.parametrize("n_z", [32, 64])
+def test_phi_is_the_inner_factor_of_the_seed(n_z):
+    """Beurling's theorem on a recipe with known roots: the shifts of the
+    seed span theta H^2, theta its inner factor, and phi is theta up to a
+    unimodular constant per fiber, compared through ``constant_unitary`` as
+    ``connecting_isometry`` compares symbols. n_z >= 32 keeps
+    |rho|^n_z <= 2e-13 four decades below the rank cutoff, so the closure
+    drops every inner root's direction; at n_z = 16 a root near |rho| = 0.4
+    sits at the edge of the guard band."""
+    lat = TruncationLattice(8, n_z, 1)
+    worst = 0.0
+    for rng_seed in range(20):
+        seed, theta = _recipe_seed(np.random.default_rng(rng_seed), lat)
+        phi = phi_representation(decompose_range(closure_range([seed], lat), [seed]))
+        assert phi.support == frozenset(range(lat.n_lambda))
+        for m in range(lat.n_lambda):
+            _, iso, fact = constant_unitary(theta[m][:, None], phi.phi[m])
+            worst = max(worst, iso, fact)
+    assert worst <= 10 * lat.orth_tol, worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_lambda=st.integers(1, 8), n_z=st.sampled_from([16, 32, 64]),
+       noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_inner_defect_is_bounded_by_the_isometry_defect(n_lambda, n_z, noise, seed):
+    """Per fiber, over the same A_d = phi* S^d phi,
+    R^2 = |A_0 - 1|^2 + 2 sum_{d>=1} |A_d|^2 and
+    ||G_W - I||_F^2 = n_z |A_0 - 1|^2 + 2 sum_{d>=1} (n_z - d) |A_d|^2, so the
+    inner defect never exceeds the isometry defect, and with
+    inner_tol >= orth_tol NotInner fires only where verify fails. Checked
+    on k = 1 decompositions of random seeds, their symbols perturbed on the
+    support."""
+    lat = TruncationLattice(n_lambda, n_z, 1)
+    rng = np.random.default_rng(seed)
+    try:
+        seeds = grid_seeds(rng, lat, 1)
+        res = decompose_range(closure_range(seeds, lat), seeds)
+    except (ToleranceAmbiguity, NotInvariant):
+        assume(False)
+    shape = res.field.phi.shape
+    kick = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noisy = res.field.phi + noise * (res.ranks[:, None, None] > 0) * kick
+    res = DecompositionResult(SymbolField(lat, noisy), res.ranks, res.diagnostics, res.seeds)
+    inner = phi_representation(res, inner_tol=0.5).inner_defects()
+    assert np.all(inner <= verify_per_fiber(res)["isometry_defect"])
+
+
+def test_beurling_computes_each_inner_defect_once(tmp_path, monkeypatch):
+    """A beurling run validates the inner field and prints its defects from
+    one rigidity defect per supported fiber: 64 at (64, 64, 1)."""
+    calls = []
+    real = factorization.rigidity_defect
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (beurling, factorization):
+        monkeypatch.setattr(module, "rigidity_defect", counting)
+    lat = TruncationLattice(64, 64, 1)
+    path = str(tmp_path / "p.txt")
+    write_problem(path, lat, laurent_seeds(np.random.default_rng(3), lat, 1, vanish=False))
+    code, out = run_cli(["beurling", path])
+    assert code == 0 and "max inner defect" in out
+    assert len(calls) == 64

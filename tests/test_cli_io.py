@@ -1056,7 +1056,7 @@ def test_cli_report_that_cannot_be_written_is_bad_input(tmp_path, capsys, fmt, n
     (["decompose", "problem.txt", "--threads", "8"], 3),
     ([], 3),
     (["--help"], 0),
-    (["analyze", "problem.txt", "--inner-tol", "-1"], 3),
+    (["beurling", "problem.txt", "--inner-tol", "-1"], 3),
     (["beurling", "problem.txt", "--inner-tol", "nan"], 3),
     (["verify", "out", "--inner-tol", "1"], 3),
     # a persisted result carries its own tolerances: verify takes none
@@ -1065,9 +1065,15 @@ def test_cli_report_that_cannot_be_written_is_bad_input(tmp_path, capsys, fmt, n
     (["verify", "out", "--inner-tol", "0.5"], 3),
     (["verify", "out", "--seed", "9"], 3),
     (["spectrum", "problem.txt", "--seed", "7"], 3),
+    # a tolerance a command decides nothing at would only change a printed number
+    (["analyze", "p", "--inner-tol", "1e-3"], 3),
+    (["decompose", "p", "--inner-tol", "1e-3"], 3),
+    (["spectrum", "p", "--inner-tol", "1e-3"], 3),
+    (["spectrum", "p", "--orth-tol", "1e-6"], 3),
 ], ids=["unknown-flag", "no-command", "help", "inner-tol-negative",
         "inner-tol-nan", "inner-tol-one", "verify-orth-tol", "verify-rank-tol",
-        "verify-inner-tol", "verify-seed", "spectrum-seed"])
+        "verify-inner-tol", "verify-seed", "spectrum-seed", "analyze-inner-tol",
+        "decompose-inner-tol", "spectrum-inner-tol", "spectrum-orth-tol"])
 def test_cli_usage_exit_codes(argv, code):
     # argparse exits 2 on usage errors; 2 is reserved for failed invariants
     with pytest.raises(SystemExit) as exc:

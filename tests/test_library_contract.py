@@ -6,7 +6,10 @@ which must return ``(res, jm)`` with J's frames; they find the ``.fshd``
 path as the third positional argument of ``save_decomposition``; they run
 ``decompose`` on ``shat_closure`` of the generators; and they parse every
 ``DIAGNOSTIC_KEYS`` line of decompose, verify and beurling reports, and
-``phi_range_distance`` in beurling's. They import seven builders from
+``phi_range_distance`` in beurling's. They read the scalar layer's
+``support`` and ``fibers`` off describing fields and quotients, and
+``inner_from_invariant``'s ``(h, defect)``, and build a corrupted quotient
+as ``InnerField(lattice, fibers, support)``. They import seven builders from
 ``tests/helpers.py`` and every name they read off the package. A change
 that breaks one of these fails every benchmark pass.
 """
@@ -22,7 +25,8 @@ from fibershift.fileio import load_problem, problem_fields
 from fibershift.shifts import shifted_copies
 
 import helpers
-from helpers import brute_projector, laurent_seeds, run_cli, write_problem
+from helpers import (blaschke_coeffs, brute_projector, laurent_seeds, run_cli,
+                     write_problem)
 
 # the builders bench/workloads.py imports from helpers, with their parameters
 BENCH_HELPERS = {
@@ -142,3 +146,38 @@ def test_reports_print_every_diagnostic(tmp_path):
     code, out = run_cli(["beurling", _problem(tmp_path, 1)])
     assert code == 0
     assert set(_diagnostics(out)) == {*fs.DIAGNOSTIC_KEYS, "phi_range_distance"}
+
+
+def test_scalar_surface_the_benchmark_reads():
+    """``quotient_ops`` reads ``support``, a frozenset, and
+    ``fibers[m].coeffs`` off ``phi_representation`` of two decompositions
+    and off their ``inner_quotient``, whose fiber holds the constant at
+    degree 0 and zeros above; ``blaschke_ops`` reads
+    ``inner_from_invariant([ScalarH2])`` as ``(h, float)`` with ``h.coeffs``.
+    The benchmark's own tests rotate the quotient's constants and rebuild it
+    positionally from its lattice, fibers and support."""
+    lat = fs.TruncationLattice(4, 32, 1)
+    seeds = [fs.eval_field(p, lat) for p in laurent_seeds(np.random.default_rng(5), lat, 1)]
+    phase = 1.5 * np.exp(1j * np.arange(lat.n_lambda))[:, None, None]
+    remix = [fs.FiberedField(lat, phase * g.data) for g in seeds]
+    phi1 = fs.phi_representation(fs.decompose(fs.shat_closure(seeds), lat))
+    phi2 = fs.phi_representation(fs.decompose(fs.shat_closure(remix), lat))
+    psi = fs.inner_quotient(phi1, phi2)
+    for field in (phi1, phi2, psi):
+        assert type(field.support) is frozenset
+        assert len(field.fibers) == lat.n_lambda
+    assert phi1.support == phi2.support == psi.support != frozenset()
+    for m in sorted(phi1.support):
+        c1, c2 = phi1.fibers[m].coeffs, phi2.fibers[m].coeffs
+        c = np.vdot(c2, c1)
+        q = psi.fibers[m].coeffs
+        assert q.shape == (lat.n_z,) and abs(q[0] - c) <= 1e-12 and not np.any(q[1:])
+        assert np.abs(c1 - c * c2).max() <= lat.orth_tol
+    rotated = tuple(fs.ScalarH2(f.coeffs * np.exp(1e-3j)) for f in psi.fibers)
+    noisy = fs.InnerField(psi.lattice, rotated, psi.support)
+    assert noisy.support == psi.support
+    assert np.allclose(noisy.fibers[min(psi.support)].coeffs[0],
+                       psi.fibers[min(psi.support)].coeffs[0] * np.exp(1e-3j))
+    h, defect = fs.inner_from_invariant([fs.ScalarH2(blaschke_coeffs(0.3, 32))])
+    assert isinstance(h, fs.ScalarH2) and type(defect) is float
+    assert h.coeffs.shape == (32,)
