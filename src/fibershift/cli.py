@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .beurling import INNER_TOL_DEFAULT, phi_representation, range_of_phi
+from .beurling import INNER_TOL_DEFAULT, phi_range_frames, phi_representation
 from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
@@ -145,15 +145,17 @@ def cmd_decompose(args) -> Report:
 
 
 def cmd_beurling(args) -> Report:
+    """Decompose a k = 1 problem and compare, fiber by fiber, the span of
+    phi's n_z shifts with J's frame as that span is made: the range of phi
+    (``range_of_phi``'s frames, bit for bit) is never held beside J."""
     pf, lat, inner_tol, seeds, notes = _load(args)
     if lat.k != 1:
         raise ValueError("beurling requires a k = 1 problem")
     jm = closure_range(seeds, lat)
     res = decompose_range(jm, seeds)
     phi = phi_representation(res, inner_tol)
-    rphi = range_of_phi(phi)
-    dist = max(subspace_distance(rphi.frames[m], jm.frames[m])
-               for m in range(lat.n_lambda))
+    dist = max(subspace_distance(q, jm.frames[m])
+               for m, q in enumerate(phi_range_frames(phi)))
     return Report(command="beurling", version=__version__, digest=pf.digest,
                   lattice=lat, inner_tol=inner_tol, notes=notes,
                   ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),

@@ -120,10 +120,11 @@ def decompose(gens: list[FiberedField], lattice: TruncationLattice) -> Decomposi
     The span must already be invariant under the fiber shift (NotInvariant
     otherwise). Steps: build the range function, take its wandering part
     (RankTooLarge above k), store the wandering frames as the first columns
-    of the symbol Phi, and verify Phi against ``gens``, the generators it is
-    held to and the result carries. Seeds go through
-    ``decompose_range(closure_range(seeds, lattice), seeds)``, which holds
-    Phi to the seeds alone.
+    of the symbol Phi, and verify Phi against ``gens``, the generators the
+    result carries. On ``shat_closure(seeds)`` verification drops the
+    shifts and holds Phi to the seeds alone, so Phi, ranks and diagnostics
+    are those of ``decompose_range(closure_range(seeds, lattice), seeds)``,
+    which spans the seeds one fiber at a time without the closure.
     """
     return decompose_range(range_from_generators(gens, lattice), gens)
 
@@ -148,7 +149,16 @@ def verify_decomposition(res: DecompositionResult) -> dict[str, float]:
     Per fiber, W = shifted_copies of phi_1 .. phi_n (the columns of F on
     the full Hardy space over the base) and G holds the seeds, each scaled
     to unit norm; a seed at or below rank_tol times the fiber's largest is
-    left out, as the rank decision that built J leaves it out.
+    left out, as the rank decision that built J leaves it out. First, every
+    seed that is bitwise the truncated shift of the seed before it is
+    dropped, so a ``shat_closure`` is held to the seeds it was made from,
+    with the defects of ``decompose_range(closure_range(seeds), seeds)``.
+    The drop loses no failure: the truncated span of W is exactly
+    S-invariant (S maps each truncated shift of phi_i to the next, and the
+    last to zero), so dist(S g, span W) <= dist(g, span W), the shifts of
+    a seed inside the truncated image stay inside it and add nothing to
+    A_0, and the Frobenius sum over a seed and its n_z - 1 shifts, taken
+    at the seed's scale, is at most sqrt(n_z) times the seed's own term.
 
     isometry_defect : ||G_W - I||_F for the Gram matrix G_W of the n_z
         shifts of phi_1 .. phi_n in H^2, not truncated. G_W is block
@@ -215,6 +225,11 @@ def _rank_below(a0: np.ndarray, tol: float) -> bool:
     return not tol * np.linalg.norm(r_inv) < 1.0
 
 
+def _is_shift_of(g: np.ndarray, prev: np.ndarray) -> bool:
+    """Whether field data ``g`` is bitwise the truncated shift S ``prev``."""
+    return not np.any(g[:, 0]) and np.array_equal(g[:, 1:], prev[:, :-1])
+
+
 def verify_per_fiber(res: DecompositionResult) -> dict[str, np.ndarray]:
     """Per-fiber defect arrays behind ``verify_decomposition``."""
     lat = res.lattice
@@ -223,7 +238,9 @@ def verify_per_fiber(res: DecompositionResult) -> dict[str, np.ndarray]:
     weights = 2.0 * (n_z - np.arange(n_z))
     weights[0] = n_z
     iso, image = np.zeros((2, lat.n_lambda))
-    flats = [g.flat() for g in res.seeds]
+    seeds = res.seeds
+    flats = [g.flat() for i, g in enumerate(seeds)
+             if not (i and _is_shift_of(g.data, seeds[i - 1].data))]
     # entries near 1e+200 overflow to inf or NaN defects, which gates fail
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(lat.n_lambda):

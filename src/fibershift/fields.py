@@ -30,7 +30,10 @@ class FiberedField:
     """A map from grid points to truncated fibers.
 
     ``data`` has shape (n_lambda, n_z, k); entry [m, j, i] is the coefficient
-    of z^j in coordinate i+1 of the fiber at lambda_m.
+    of z^j in coordinate i+1 of the fiber at lambda_m. It is stored read-only
+    by ``frozen_array``: a view of read-only memory (a ``shat_closure``
+    shift) is kept as a view, any other view is copied, and ``flat()`` is a
+    view of ``data`` either way.
     """
 
     lattice: TruncationLattice

@@ -311,8 +311,8 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
     tolerances, ranks out of range, a short file and trailing bytes raise
     ParseError before any field is read. Each array is then read straight
     into memory of its own, which the result keeps without a copy; a
-    non-finite seed, or a Phi that ``DecompositionResult`` refuses, raises
-    ParseError too.
+    non-finite seed, a Phi that ``DecompositionResult`` refuses, or a range
+    frame that is not orthonormal raises ParseError too.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -358,6 +358,7 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
     try:
         res = DecompositionResult(SymbolField(lat, phi), ranks_jr, diagnostics,
                                   tuple(FiberedField(lat, g) for g in seeds))
+        jm = RangeFunctionH(lat, jm_frames)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return res, RangeFunctionH(lat, jm_frames)
+    return res, jm

@@ -56,10 +56,17 @@ class TruncationLattice:
 
 
 def frozen_array(a: np.ndarray, dtype=complex) -> np.ndarray:
-    """A read-only C-contiguous array of ``dtype`` holding ``a``. Only an
-    array that owns its memory is frozen in place (the caller's array turns
-    read-only); a view is copied, so writes to its base cannot reach it."""
-    out = np.ascontiguousarray(a, dtype=dtype)
+    """A read-only array of ``dtype`` holding ``a``. An array that owns its
+    memory is made C-contiguous and frozen in place (the caller's array
+    turns read-only). A view of read-only memory, whose base owns that
+    memory and cannot be written, is kept as it is, so fields cut from one
+    frozen buffer share it. Any other view is copied, so writes to its base
+    cannot reach it."""
+    out = np.asarray(a, dtype=dtype)
+    base = out.base
+    if isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable:
+        return out
+    out = np.ascontiguousarray(out)
     if not out.flags.owndata:
         out = out.copy()
     out.setflags(write=False)

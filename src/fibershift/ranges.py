@@ -135,10 +135,12 @@ def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> Rang
 
 
 def closure_frames(seeds: list[FiberedField], lattice: TruncationLattice):
-    """The frames of ``closure_range(seeds, lattice)``, checked alike, made
-    one fiber at a time as they are read, so a reader need not hold J."""
-    frames = _span_frames(seeds, closure_counts(seeds), lattice)
-    return (checked_frame(q, lattice.ambient, m) for m, q in enumerate(frames))
+    """The frames of ``closure_range(seeds, lattice)``, made one fiber at a
+    time as they are read, so a reader need not hold J. They are not
+    re-checked: each is the orthonormal frame its own SVD just made, while
+    ``RangeFunctionH`` checks every frame it is given, those read from a
+    file included."""
+    return _span_frames(seeds, closure_counts(seeds), lattice)
 
 
 def closure_ranks(seeds: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:

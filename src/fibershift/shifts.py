@@ -52,14 +52,20 @@ def shat_closure(gens: list[FiberedField]) -> list[FiberedField]:
 
     The fiber shift is nilpotent of order n_z, so the closure is finite; a
     range function built from the closure is shift invariant by construction.
-    ``ranges.closure_range`` spans the same columns without these fields.
+    Each generator is written once, behind n_z zero degrees, into a
+    read-only buffer of shape (n_lambda, 2 n_z, k), and its j-th shift is
+    the view of that buffer starting j degrees before the generator: bit
+    for bit ``apply_S_hat`` applied j times, at the cost of two copies of
+    the generator rather than one per shift. ``ranges.closure_range`` spans
+    the same columns without these fields.
     """
     out: list[FiberedField] = []
     for g, count in zip(gens, closure_counts(gens)):
-        f = g
-        for _ in range(count):
-            out.append(f)
-            f = apply_S_hat(f)
+        n_z = g.lattice.n_z
+        buf = np.zeros((g.lattice.n_lambda, 2 * n_z, g.lattice.k), dtype=complex)
+        buf[:, n_z:] = g.data
+        buf.setflags(write=False)
+        out += [FiberedField(g.lattice, buf[:, n_z - j: 2 * n_z - j]) for j in range(count)]
     return out
 
 

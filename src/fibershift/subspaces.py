@@ -124,7 +124,7 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     tied = np.diff(sv[order]) == 0
     if not tied.any():
         return np.take(q, order, axis=1)
-    # only columns in a run of tied values move, in one lexsort over them.
+    # only columns in a run of tied values move, in a lexsort over them.
     # Its keys run least to most significant: the last is the run (numbered
     # in sorted order), then row 0's real and imaginary parts, row 1's, and
     # so on. The stable sort left each run in index order, which lexsort
@@ -137,7 +137,15 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     keys[0:-1:2] = block.imag
     keys[1:-1:2] = block.real
     keys[-1] = np.cumsum(np.concatenate(([True], ~tied)))[pos]
-    order[pos] = cols[np.lexsort(keys)]
+    # lexsort sets up one iterator of about 3 kB per key, 180 kB for a
+    # 32-row frame. The run and row 0 usually order every column already:
+    # when no two columns agree on those three keys, the later keys cannot
+    # move any, so all of them are sorted on only when two columns do
+    lead = np.lexsort(keys[-3:])
+    head = keys[-3:, lead]
+    if not np.all(np.any(head[:, 1:] != head[:, :-1], axis=0)):
+        lead = np.lexsort(keys)
+    order[pos] = cols[lead]
     return np.take(q, order, axis=1)
 
 
@@ -178,7 +186,7 @@ def orthonormal_frame(columns: np.ndarray, rank_tol: float,
         raise ValueError("columns must be a 2-d array")
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = robust_svd(a)
+    u, s = robust_svd(a)[:2]     # vh is freed before the columns are sorted
     rank = rank_decision(s, rank_tol, fiber)
     return canonical_columns(u[:, :rank], s[:rank])
 

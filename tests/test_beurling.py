@@ -16,6 +16,7 @@ from fibershift import (DecompositionResult, FiberedField, InnerField,
                         inner_from_invariant, inner_quotient,
                         phi_representation, range_of_phi, shat_closure,
                         subspace_distance)
+from fibershift.beurling import phi_range_frames
 from fibershift.factorization import constant_unitary, verify_per_fiber
 from fibershift.shifts import shifted_copies
 from fibershift.subspaces import orthonormal_frame
@@ -248,15 +249,16 @@ def _range_of_phi_per_fiber(phi):
 def test_range_of_phi_matches_the_per_fiber_span(n, seed, support):
     """``range_of_phi`` spans phi's shifts with the closure's span kernel,
     and its frames are bit for bit those of the per-fiber loop, the empty
-    frames off the support included."""
+    frames off the support included; so are the frames ``phi_range_frames``
+    yields one at a time, which ``beurling`` compares with J."""
     lat = TruncationLattice(n, n, 1)
     seeds = grid_seeds(np.random.default_rng(seed), lat, 1)
     phi = phi_representation(decompose(shat_closure(seeds), lat))
     assert len(phi.support) == support
-    frames = range_of_phi(phi).frames
     expected = _range_of_phi_per_fiber(phi)
-    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
-               for a, b in zip(frames, expected, strict=True))
+    for frames in (range_of_phi(phi).frames, phi_range_frames(phi)):
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(frames, expected, strict=True))
 
 
 def test_phi_representation_needs_scalar_fibers():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from fibershift import (DIAGNOSTIC_KEYS, DecompositionResult,
-                        TruncationLattice, decompose_range,
+                        TruncationLattice, closure_range, decompose_range,
                         range_from_generators, shat_closure)
 from fibershift.cli import build_parser, cmd_analyze, cmd_spectrum
 from fibershift.errors import BoundsError, ParseError
@@ -351,6 +352,22 @@ def test_analyze_holds_one_frame_at_a_time(tmp_path, flags, code):
     assert peak < sum(q.nbytes for q in jm.frames)
 
 
+def test_beurling_never_holds_the_range_of_phi_beside_j(tmp_path):
+    """beurling compares each fiber's span of phi's shifts with J's frame as
+    that span is made, so at (32, 32, 1) its peak stays below 1.5 times
+    J's frame bytes (1.45 here). Holding the range of phi beside J read 2.8."""
+    lat = TruncationLattice(32, 32, 1)
+    path = str(tmp_path / "p.txt")
+    write_problem(path, lat, laurent_seeds(np.random.default_rng(3), lat, 1, vanish=False))
+    jm = closure_range(problem_fields(load_problem(path)), lat)
+    frames = sum(q.nbytes for q in jm.frames)
+    del jm
+    expect = run_cli(["beurling", path])       # imports and caches warmed up
+    got, peak = _traced_peak(lambda: run_cli(["beurling", path]))
+    assert got == expect and got[0] == 0
+    assert peak < 1.5 * frames
+
+
 def test_render_text_layout():
     lat = TruncationLattice(2, 4, 1)
     report = Report(command="analyze", version="0.1.0", digest="ab" * 32,
@@ -672,10 +689,11 @@ def test_cli_checks_invariance_once(tmp_path, monkeypatch, command):
     assert calls == [(8, 8)] * 4    # n_lambda fibers, each of rank n_z
 
 
-@pytest.mark.parametrize("command", ["analyze", "decompose"])
+@pytest.mark.parametrize("command", ["decompose", "beurling"])
 def test_cli_checks_every_frame_orthonormal(tmp_path, monkeypatch, capsys, command):
-    """analyze reads the closure frames one at a time and decompose holds
-    them in a range function; both check each frame the same way."""
+    """decompose and beurling hold the closure frames in a range function,
+    which checks each frame it is given. analyze reads each frame straight
+    from the SVD that made it and does not check it again."""
     import fibershift.ranges
     real = fibershift.ranges.orthonormal_frame
 
@@ -754,7 +772,19 @@ def _nudge(path, lat: TruncationLattice, m: int, row: int, col: int,
     assert np.argwhere(after != before).tolist() == [[m, row, col]]
 
 
-def test_cli_verify_catches_perturbed_symbol(tmp_path):
+def _hold_to(outdir, held: str) -> None:
+    """With ``held == "closure"``, rewrite the persisted result with the
+    closure of its seeds in their place."""
+    if held == "closure":
+        fshd = str(outdir / "decomposition.fshd")
+        res, jm = load_decomposition(fshd)
+        save_decomposition(DecompositionResult(res.field, res.ranks, res.diagnostics,
+                                               shat_closure(list(res.seeds))), jm, fshd)
+        assert len(load_decomposition(fshd)[0].seeds) > len(res.seeds)
+
+
+@pytest.mark.parametrize("held", ["seeds", "closure"])
+def test_cli_verify_catches_perturbed_symbol(tmp_path, held):
     """Moving the z^3 coefficient of phi_1 at fiber 0 by 1e-3 on disk makes
     the shifted copies of phi_1 overlap: the isometry defect reads it."""
     path = _write(tmp_path, CONSTANT_PROBLEM)
@@ -762,6 +792,7 @@ def test_cli_verify_catches_perturbed_symbol(tmp_path):
     code, out = run_cli(["decompose", path, "--out", str(outdir)])
     assert code == 0
     assert _diagnostic(out, "isometry_defect") == 0.0
+    _hold_to(outdir, held)
     lat = TruncationLattice(4, 8, 1)
     _nudge(outdir / "decomposition.fshd", lat, 0, 3, 0, 1e-3)
     code, vout = run_cli(["verify", str(outdir)])
@@ -808,13 +839,15 @@ def test_cli_verify_refuses_non_finite_symbol(tmp_path, capsys, row, col, delta)
     assert "phi must be finite" in capsys.readouterr().err
 
 
-def test_cli_verify_fails_an_overflowing_symbol(tmp_path):
+@pytest.mark.parametrize("held", ["seeds", "closure"])
+def test_cli_verify_fails_an_overflowing_symbol(tmp_path, held):
     """A finite entry near 1e200 inside the wandering rank overflows the
     products of verification. The report shows the non-finite defects, the
     gates read them as failures, and numpy warns about nothing."""
     path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
     outdir = tmp_path / "result"
     assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    _hold_to(outdir, held)
     lat = TruncationLattice(4, 8, 2)
     _nudge(outdir / "decomposition.fshd", lat, 1, 0, 0, 1e200)
     with warnings.catch_warnings():
@@ -838,7 +871,32 @@ def test_cli_verify_refuses_a_non_orthonormal_target(tmp_path, capsys):
     save_decomposition(res, jm, fshd)
     capsys.readouterr()
     assert run_cli(["verify", fshd]) == (3, "")
-    assert "frame 1 is not orthonormal" in capsys.readouterr().err
+    assert f"ParseError: {fshd}: frame 1 is not orthonormal" in capsys.readouterr().err
+
+
+def test_corrupted_range_frame_is_a_parse_error(tmp_path, capsys):
+    """One float of the last range frame of a (2, 8, 2) file scaled by 2 on
+    disk: ``load_decomposition`` raises the ParseError that names the path,
+    as for every other corruption, so callers that catch ParseError see it,
+    and verify exits 3."""
+    path = _write(tmp_path, TWO_COORDINATE_PROBLEM.replace("n_lambda: 4", "n_lambda: 2"))
+    outdir = tmp_path / "result"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    fshd = outdir / "decomposition.fshd"
+    _, jm = load_decomposition(str(fshd))
+    assert jm.rank(1) > 0
+    raw = bytearray(fshd.read_bytes())
+    # the last frame closes the file; scale its last nonzero float by 2
+    last = np.frombuffer(bytes(raw[-jm.frames[1].nbytes:]), dtype="<f8")
+    offset = len(raw) - 8 * (last.size - int(np.flatnonzero(last)[-1]))
+    value = np.frombuffer(bytes(raw[offset:offset + 8]), dtype="<f8")[0]
+    raw[offset:offset + 8] = np.array([2.0 * value], dtype="<f8").tobytes()
+    fshd.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(fshd))}: frame 1 is not orthonormal"):
+        load_decomposition(str(fshd))
+    capsys.readouterr()
+    assert run_cli(["verify", str(outdir)]) == (3, "")
+    assert capsys.readouterr().err.startswith(f"ParseError: {fshd}: frame 1")
 
 
 def _seed_offset(lat: TruncationLattice, i: int, m: int, degree: int, coord: int) -> int:
@@ -863,13 +921,15 @@ def _set_seed(path, lat: TruncationLattice, m: int, degree: int, coord: int,
     assert np.argwhere(after != before).tolist() == [[m, degree, coord]]
 
 
-def test_cli_verify_catches_a_seed_tilted_out_of_the_image(tmp_path):
+@pytest.mark.parametrize("held", ["seeds", "closure"])
+def test_cli_verify_catches_a_seed_tilted_out_of_the_image(tmp_path, held):
     """The stored seed e_1 tilted by delta towards z^7 e_2, outside
     Phi H^2 = H^2 e_1, at one fiber: verify exits 2 and the image defect
     reads delta (the band cover it replaced never read degree 7)."""
     path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
     outdir = tmp_path / "result"
     assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    _hold_to(outdir, held)
     lat = TruncationLattice(4, 8, 2)
     fshd = outdir / "decomposition.fshd"
     _set_seed(fshd, lat, 2, 7, 1, 1e-5)
@@ -879,7 +939,8 @@ def test_cli_verify_catches_a_seed_tilted_out_of_the_image(tmp_path):
     assert _diagnostic(out, "isometry_defect") == 0.0
 
 
-def test_cli_verify_fails_an_extra_symbol_column(tmp_path):
+@pytest.mark.parametrize("held", ["seeds", "closure"])
+def test_cli_verify_fails_an_extra_symbol_column(tmp_path, held):
     """A file whose Phi gains the unit column e_2 at fiber 1, with that
     fiber's wandering rank raised to 2, is still rigid: the isometry defect
     stays 0. The seed e_1 does not generate e_2, so A_0 is singular and the
@@ -887,6 +948,7 @@ def test_cli_verify_fails_an_extra_symbol_column(tmp_path):
     path = _write(tmp_path, TWO_COORDINATE_PROBLEM)
     outdir = tmp_path / "result"
     assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    _hold_to(outdir, held)
     lat = TruncationLattice(4, 8, 2)
     fshd = outdir / "decomposition.fshd"
     raw = bytearray(fshd.read_bytes())

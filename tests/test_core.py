@@ -74,6 +74,25 @@ def test_field_copies_a_view():
     assert block.flags.writeable
 
 
+def test_field_keeps_a_view_of_read_only_memory():
+    """A view whose base owns read-only memory is kept as it is, strided or
+    not, and ``flat()`` stays a view of it; a read-only view of writable
+    memory is still copied, since the base can be written."""
+    lat = TruncationLattice(2, 3, 2)
+    buf = np.arange(24, dtype=complex).reshape(2, 6, 2).copy()
+    buf.setflags(write=False)
+    f = FiberedField(lat, buf[:, 2:5])
+    assert f.data.base is buf and not f.data.flags.c_contiguous
+    assert np.shares_memory(f.flat(), buf)
+    assert f.flat().tolist() == buf[:, 2:5].reshape(2, 6).tolist()
+    block = np.zeros((2, 6, 2), dtype=complex)
+    view = block[:, 2:5]
+    view.setflags(write=False)
+    g = FiberedField(lat, view)
+    block[:] = 1.0
+    assert not np.any(g.data) and g.data.flags.owndata
+
+
 def test_canonical_frames_are_stored_without_copy():
     rng = np.random.default_rng(3)
     q = canonical_columns(np.asfortranarray(haar_frame(rng, 6, 3)))

@@ -131,24 +131,26 @@ def _z_e1_decomposition(lat: TruncationLattice) -> DecompositionResult:
     return decompose_range(z_e1_range(lat), [z_e1_seed(lat)])
 
 
-def test_verify_against_wrong_target():
+@pytest.mark.parametrize("held", [list, shat_closure], ids=["seeds", "closure"])
+def test_verify_against_wrong_target(held):
     """Phi = z checked against the seed z^2, whose H^2 span misses z: the
     seed cannot generate the image (A_0 = <z, z^2> = 0 is singular and
     reads inf). Phi = z^2 checked against the seeds z^2 and z: the seeds
     generate the image, but z lies outside it, and containment reads its
-    whole unit norm."""
+    whole unit norm. Held to the seeds' closure, both read the same."""
     lat = TruncationLattice(4, 8, 1)
     res1 = decompose(_monomial_gens(lat, 1), lat)
     res2 = decompose(_monomial_gens(lat, 2), lat)
-    assert verify_decomposition(_held_to(res1, [_seed(lat, (2, 0, 1.0))])) == {
+    assert verify_decomposition(_held_to(res1, held([_seed(lat, (2, 0, 1.0))]))) == {
         "isometry_defect": 0.0, "image_defect": np.inf}
     seeds = [_seed(lat, (2, 0, 1.0)), _seed(lat, (1, 0, 1.0))]
-    assert verify_decomposition(_held_to(res2, seeds)) == {
+    assert verify_decomposition(_held_to(res2, held(seeds))) == {
         "isometry_defect": 0.0, "image_defect": 1.0}
 
 
 @pytest.mark.parametrize("degree", [0, 7], ids=["band", "top"])
-def test_seed_tilted_out_of_the_image_reads_linearly(degree):
+@pytest.mark.parametrize("held", [list, shat_closure], ids=["seeds", "closure"])
+def test_seed_tilted_out_of_the_image_reads_linearly(degree, held):
     """Phi = z e_1 held to z e_1 and to z^3 e_1 tilted by delta towards
     z^degree e_2, outside Phi H^2: the image defect reads sin(delta), at
     degree 0 and at the top degree n_z - 1 alike (the band cover it replaced
@@ -159,7 +161,7 @@ def test_seed_tilted_out_of_the_image_reads_linearly(degree):
     assert res.diagnostics == dict.fromkeys(DIAGNOSTIC_KEYS, 0.0)
     for delta in (1e-3, 1e-5, 1e-7):
         tilted = _seed(lat, (3, 0, np.cos(delta)), (degree, 1, np.sin(delta)))
-        diags = verify_decomposition(_held_to(res, [z_e1_seed(lat), tilted]))
+        diags = verify_decomposition(_held_to(res, held([z_e1_seed(lat), tilted])))
         assert diags["image_defect"] == pytest.approx(np.sin(delta), rel=1e-9)
         assert diags["image_defect"] > 10 * lat.orth_tol or delta < 1e-6
 
@@ -222,9 +224,9 @@ def test_verify_runs_no_svd_and_no_ambient_eigenproblem(monkeypatch):
     assert max(float(v.max()) for v in per.values()) < lat.orth_tol
 
 
-def _corrupted(defect: str):
-    """A decomposition held to seeds that the named defect alone must catch,
-    with the value that defect reads."""
+def _corrupted(defect: str, held=list):
+    """A decomposition held to seeds that the named defect alone must catch
+    (or to what ``held`` makes of them), with the value that defect reads."""
     if defect == "isometry":
         # phi_1 = z e_1 scaled by 1 + 1e-6: G - I = 2.000001e-6 I on all n_z
         # shifts of phi_1 in H^2
@@ -232,19 +234,19 @@ def _corrupted(defect: str):
         res = _z_e1_decomposition(lat)
         phi = np.array(res.field.phi) * (1.0 + 1e-6)
         expected = (2e-6 + 1e-12) * np.sqrt(lat.n_z)
-        return DecompositionResult(SymbolField(lat, phi), res.ranks, {}, res.seeds), \
-            "isometry_defect", expected
+        return DecompositionResult(SymbolField(lat, phi), res.ranks, {},
+                                   held(res.seeds)), "isometry_defect", expected
     if defect == "contain":
         # Phi = z e_1 held to z e_1 and e_2: the seed e_2 lies outside Phi H^2
         lat = TruncationLattice(4, 8, 2)
         seeds = [z_e1_seed(lat), _seed(lat, (0, 1, 1.0))]
-        return _held_to(_z_e1_decomposition(lat), seeds), "image_defect", 1.0
+        return _held_to(_z_e1_decomposition(lat), held(seeds)), "image_defect", 1.0
     if defect == "generate":
         # Phi = e_1 held to z e_1: the seed lies in Phi H^2 but generates only
         # z H^2 e_1, and A_0 = <e_1, z e_1> = 0 is singular, which reads inf
         lat = TruncationLattice(4, 8, 2)
         res = decompose(shat_closure([_seed(lat, (0, 0, 1.0))]), lat)
-        return _held_to(res, [z_e1_seed(lat)]), "image_defect", np.inf
+        return _held_to(res, held([z_e1_seed(lat)])), "image_defect", np.inf
     # overlap: phi = (1 + z^40)/sqrt(2) has A_0 = 1 and A_40 = 1/2, which
     # sits 64 - 40 = 24 times above the diagonal of G and 24 times below:
     # ||G - I||_F^2 = 48/4 = 12. Its shifts inside the band 0 .. 23 are
@@ -252,15 +254,17 @@ def _corrupted(defect: str):
     lat = TruncationLattice(1, 64, 1)
     phi = np.zeros((1, lat.ambient, 1), dtype=complex)
     phi[0, [0, 40], 0] = 1.0 / np.sqrt(2.0)
-    res = DecompositionResult(SymbolField(lat, phi), [1], {}, symbol_seeds(lat, phi))
+    res = DecompositionResult(SymbolField(lat, phi), [1], {}, held(symbol_seeds(lat, phi)))
     return res, "isometry_defect", np.sqrt(12.0)
 
 
 @pytest.mark.parametrize("defect", ["isometry", "contain", "generate", "overlap"])
-def test_each_defect_fails_on_its_own_corruption(defect):
+@pytest.mark.parametrize("held", [list, shat_closure], ids=["seeds", "closure"])
+def test_each_defect_fails_on_its_own_corruption(defect, held):
     """Every check can fail: each corruption drives its defect past
-    orth_tol, to the Frobenius norm worked out by hand."""
-    res, key, expected = _corrupted(defect)
+    orth_tol, to the Frobenius norm worked out by hand, held to its seeds
+    or to their closure."""
+    res, key, expected = _corrupted(defect, held)
     diags = verify_decomposition(res)
     assert diags[key] == pytest.approx(expected, rel=1e-6)
     assert diags[key] > 10 * res.lattice.orth_tol
@@ -306,7 +310,8 @@ def test_isometry_defect_bounds_the_band_checks(n_z, k, data, scale, seed):
     assert np.sqrt(1.0 + new) * new >= leak - 1e-10
 
 
-def test_verify_fails_a_wrong_wandering_dimension():
+@pytest.mark.parametrize("held", [list, shat_closure], ids=["seeds", "closure"])
+def test_verify_fails_a_wrong_wandering_dimension(held):
     """Phi = z e_1 decomposes J = z H^2 e_1 at (1, 8, 2). J' = J + span(z^7 e_2),
     spanned by the seeds z e_1 and z^7 e_2, is S-invariant with wandering
     dimension 2, so Phi does not factor it. The band cover read 0.0 here, as
@@ -317,7 +322,7 @@ def test_verify_fails_a_wrong_wandering_dimension():
     seeds = [z_e1_seed(lat), _seed(lat, (7, 1, 1.0))]
     assert list(res.ranks) == [1]
     assert list(decompose_range(closure_range(seeds, lat), seeds).ranks) == [2]
-    diags = verify_decomposition(_held_to(res, seeds))
+    diags = verify_decomposition(_held_to(res, held(seeds)))
     assert diags["isometry_defect"] == 0.0
     assert diags["image_defect"] > 0.5
 
@@ -374,6 +379,25 @@ def test_truncated_shifts_certify_like_the_seed():
     assert _h2_residual(closure, shat_closure([s])) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape, r", [((16, 32, 2), 1), ((16, 32, 3), 3), ((8, 64, 1), 1)])
+def test_decompose_of_a_closure_verifies_against_its_seeds(shape, r):
+    """Verification drops each generator that is bitwise the truncated
+    shift of the one before it, so ``decompose`` on a closure returns the
+    Phi, ranks and diagnostics of the seeds, byte for byte, and carries the
+    closure. Holding Phi to every shift read the image defect 1.3e-15
+    against the seeds' 2.0e-16 at (16, 32, 2)."""
+    lat = TruncationLattice(*shape)
+    seeds = grid_seeds(np.random.default_rng(20), lat, r)
+    gens = shat_closure(seeds)
+    res = decompose(gens, lat)
+    ref = decompose_range(closure_range(seeds, lat), seeds)
+    assert res.field.phi.tobytes() == ref.field.phi.tobytes()
+    assert res.ranks.tobytes() == ref.ranks.tobytes()
+    assert np.array([res.diagnostics[key] for key in DIAGNOSTIC_KEYS]).tobytes() \
+        == np.array([ref.diagnostics[key] for key in DIAGNOSTIC_KEYS]).tobytes()
+    assert res.seeds == tuple(gens) and len(gens) > len(seeds)
+
+
 def test_generation_is_read_mod_z_to_the_n_z():
     """At (1, 8, 1) the seed 1 - 2z is invertible mod z^8, so its truncated
     shifts span every series and Phi = 1 decomposes them. In H^2 the seed
@@ -421,7 +445,8 @@ def test_verify_fails_phi_one_against_a_hidden_zero(n_z):
 
 
 @pytest.mark.parametrize("delta, fails", [(0.0, True), (1e-12, True), (1e-3, False)])
-def test_generation_needs_a_full_rank_degree_0_block(delta, fails):
+@pytest.mark.parametrize("held", [list, shat_closure], ids=["seeds", "closure"])
+def test_generation_needs_a_full_rank_degree_0_block(delta, fails, held):
     """Phi = I at (1, 8, 2), held to a seed v tilted off both axes: one seed
     cannot generate two directions, so the image defect reads inf. Held to
     v and z v + delta w (w orthogonal to v), A_0 = [v, delta w]: the seeds
@@ -432,25 +457,27 @@ def test_generation_needs_a_full_rank_degree_0_block(delta, fails):
     v = _seed(lat, (0, 0, c), (0, 1, t))
     phi = np.zeros((1, lat.ambient, 2), dtype=complex)
     phi[0, :2] = np.eye(2)
-    res = DecompositionResult(SymbolField(lat, phi), [2], {}, [v])
+    res = DecompositionResult(SymbolField(lat, phi), [2], {}, held([v]))
     assert verify_decomposition(res)["image_defect"] == np.inf
     zv = _seed(lat, (1, 0, c), (1, 1, t), (0, 0, -delta * t), (0, 1, delta * c))
-    diags = verify_decomposition(_held_to(res, [v, zv]))
+    diags = verify_decomposition(_held_to(res, held([v, zv])))
     assert diags["isometry_defect"] == 0.0
     assert (diags["image_defect"] == np.inf) == fails
     assert fails or diags["image_defect"] < 1e-15
 
 
-def test_image_defect_reads_a_singular_gram_as_inf():
+@pytest.mark.parametrize("held", [list, shat_closure], ids=["seeds", "closure"])
+def test_image_defect_reads_a_singular_gram_as_inf(held):
     """Phi = 1000 (e_1, z e_1) repeats a shifted column, so W* W is singular
     and its entries of 1e6 swallow the ridge: the solve fails, and the image
-    defect reads inf instead of raising, while A_0 = 1000 I held to the seeds
-    e_1 and z e_1 has full rank."""
+    defect reads inf instead of raising, while A_0 held to the seeds z e_1
+    and e_1 (in this order, so neither is the shift of the one before it)
+    has full rank."""
     lat = TruncationLattice(1, 8, 2)
     phi = np.zeros((1, lat.ambient, 2), dtype=complex)
     phi[0, 0, 0] = phi[0, 2, 1] = 1e3
     res = DecompositionResult(SymbolField(lat, phi), [2], {},
-                              [_seed(lat, (0, 0, 1.0)), z_e1_seed(lat)])
+                              held([z_e1_seed(lat), _seed(lat, (0, 0, 1.0))]))
     assert verify_per_fiber(res)["image_defect"].tolist() == [np.inf]
 
 

@@ -160,9 +160,9 @@ def test_closure_stacks_are_the_closure_fields(case, counts):
 
 def test_closure_range_holds_one_fiber_at_a_time():
     """Spanning the closure allocates J's frames and one fiber's matrix at a
-    time: the peak stays below twice the frames' bytes (1.2 times here).
+    time: the peak stays below twice the frames' bytes (1.1 times here).
     ``range_from_generators(shat_closure(seeds), lat)``, which holds the
-    closure as fields, reads 2.2."""
+    closure as fields of one buffer per seed, reads 1.2."""
     lat = TruncationLattice(32, 32, 3)
     seeds = grid_seeds(np.random.default_rng(25), lat, 3)
     tracemalloc.start()
