@@ -24,8 +24,6 @@ from .ranges import RangeFunctionH, _span_frames, closure_range
 from .subspaces import subspace_distance
 from .wandering import wandering_range
 
-INNER_TOL_DEFAULT = 1e-6
-
 
 @dataclass(frozen=True)
 class ScalarH2:
@@ -52,8 +50,7 @@ class ScalarH2:
         return rigidity_defect(self.coeffs[:, None], np.eye(1), self.n_z, 1)
 
 
-def inner_from_invariant(gens: list[ScalarH2],
-                         rank_tol: float = 1e-9) -> tuple[ScalarH2, float]:
+def inner_from_invariant(gens: list[ScalarH2]) -> tuple[ScalarH2, float]:
     """Extract the inner generator of the invariant span of ``gens``.
 
     ``closure_range`` on the lattice (1, n_z, 1) spans all shifts of the
@@ -70,9 +67,9 @@ def inner_from_invariant(gens: list[ScalarH2],
     n_z = gens[0].n_z
     if any(g.n_z != n_z for g in gens):
         raise ValueError("generators disagree on n_z")
-    # the wandering step refuses a leak past half the cutoff, so a gate at
-    # the cutoff (or orth_tol's default) turns no pass into NotInvariant
-    lat = TruncationLattice(1, n_z, 1, rank_tol=rank_tol, orth_tol=max(rank_tol, 1e-8))
+    # the wandering step refuses a leak past half the rank cutoff, so the
+    # default orth_tol, above the default rank_tol, turns no pass into NotInvariant
+    lat = TruncationLattice(1, n_z, 1)
     seeds = [FiberedField(lat, g.coeffs[None, :, None]) for g in gens]
     wander = wandering_range(closure_range(seeds, lat)).frames[0]
     if wander.shape[1] != 1:
@@ -89,20 +86,17 @@ class InnerField(SymbolField):
     the describing field of a k = 1 decomposition is its symbol Phi. Fibers
     off the support must be exactly zero; each supported fiber's
     ``rigidity_defect`` against P = 1 is computed once, here, and a defect
-    above ``inner_tol`` raises NotInner at the worst fiber.
+    above the lattice's ``inner_tol`` raises NotInner at the worst fiber.
     """
 
     phi: np.ndarray = field(init=False, repr=False)
     fibers: tuple[ScalarH2, ...]
     support: frozenset[int]
-    inner_tol: float = INNER_TOL_DEFAULT
 
     def __post_init__(self):
         lat = self.lattice
         if lat.k != 1:
             raise ValueError("inner fields require k = 1")
-        if not 0.0 < self.inner_tol < 1.0:
-            raise ValueError("inner_tol must lie in (0, 1)")
         support = frozenset(int(m) for m in self.support)
         if not support <= set(range(lat.n_lambda)):
             raise ValueError("support indices out of range")
@@ -120,7 +114,7 @@ class InnerField(SymbolField):
         object.__setattr__(self, "_defects", frozen_array(defects, dtype=float))
         # argmax lands on the first NaN, which the negated test then fails
         worst_m = int(np.argmax(defects))
-        if not defects[worst_m] <= self.inner_tol:
+        if not defects[worst_m] <= lat.inner_tol:
             raise NotInner(f"inner defect {defects[worst_m]:.3e}", fiber=worst_m)
 
     def inner_defects(self) -> np.ndarray:
@@ -128,13 +122,13 @@ class InnerField(SymbolField):
         return self._defects
 
 
-def phi_representation(res, inner_tol: float = INNER_TOL_DEFAULT) -> InnerField:
+def phi_representation(res) -> InnerField:
     """The describing inner field of a k = 1 decomposition: phi(lambda_m) is
     the image of the constant function 1 under the fiber operator, which is
     the symbol Phi(lambda_m) itself. Supported exactly on the fibers of
     wandering rank 1, since Phi vanishes past the rank."""
     fibers = tuple(ScalarH2(phi[:, 0]) for phi in res.field.phi)
-    return InnerField(res.lattice, fibers, frozenset(np.flatnonzero(res.ranks)), inner_tol)
+    return InnerField(res.lattice, fibers, frozenset(np.flatnonzero(res.ranks)))
 
 
 def range_of_phi(phi: InnerField) -> RangeFunctionH:
@@ -152,8 +146,7 @@ def phi_range_frames(phi: InnerField):
     return _span_frames([FiberedField(lat, phi.phi)], [lat.n_z], lat)
 
 
-def inner_quotient(phi1: InnerField, phi2: InnerField,
-                   inner_tol: float = INNER_TOL_DEFAULT) -> InnerField:
+def inner_quotient(phi1: InnerField, phi2: InnerField) -> InnerField:
     """The unimodular constant field relating two describing fields of the
     same subspace: psi with phi1(lambda_m) = psi(lambda_m) phi2(lambda_m).
 
@@ -175,7 +168,7 @@ def inner_quotient(phi1: InnerField, phi2: InnerField,
         u, _, resid[m] = constant_unitary(phi2.phi[m], phi1.phi[m])
         coeffs[m, 0] = u[0, 0]
     try:
-        psi = InnerField(lat, tuple(map(ScalarH2, coeffs)), phi1.support, inner_tol)
+        psi = InnerField(lat, tuple(map(ScalarH2, coeffs)), phi1.support)
     except NotInner as exc:
         m, msg = exc.fiber, f"quotient modulus {abs(coeffs[exc.fiber, 0]):.6f}"
     else:

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .beurling import INNER_TOL_DEFAULT, phi_range_frames, phi_representation
+from .beurling import phi_range_frames, phi_representation
 from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
@@ -34,21 +34,14 @@ from .subspaces import subspace_distance
 from .wandering import wandering_ranks
 
 
-def _unit_interval(text: str) -> float:
-    if not 0.0 < float(text) < 1.0:
-        raise argparse.ArgumentTypeError(f"{text} does not lie in (0, 1)")
-    return float(text)
-
-
 def _problem_flags(sp: argparse.ArgumentParser, tols: tuple[str, ...]) -> None:
     """A command offers the overrides of the tolerances it decides at; any
     other is a usage error, since it would only change a printed number."""
-    sp.set_defaults(orth_tol=None, inner_tol=None)
-    for tol, kind, what in (("rank", float, "the rank cutoff from the problem file"),
-                            ("orth", float, "the orthogonality tolerance"),
-                            ("inner", _unit_interval, "the inner-modulus tolerance")):
+    for tol, what in (("rank", "the rank cutoff from the problem file"),
+                      ("orth", "the orthogonality tolerance"),
+                      ("inner", "the inner-modulus tolerance")):
         if tol in tols:
-            sp.add_argument(f"--{tol}-tol", type=kind, default=None, help=f"override {what}")
+            sp.add_argument(f"--{tol}-tol", type=float, default=None, help=f"override {what}")
 
 
 def _output_flags(sp: argparse.ArgumentParser) -> None:
@@ -91,20 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> tuple:
     pf = load_problem(args.path)
-    lat = pf.lattice
-    overrides = {}
-    if args.rank_tol is not None:
-        overrides["rank_tol"] = args.rank_tol
-    if args.orth_tol is not None:
-        overrides["orth_tol"] = args.orth_tol
-    if overrides:
-        lat = dataclasses.replace(lat, **overrides)
-        pf = dataclasses.replace(pf, lattice=lat)
-    inner_tol = args.inner_tol if args.inner_tol is not None else pf.inner_tol
+    # an out-of-range override fails the lattice's own check: bad input
+    overrides = {name: v for name in ("rank_tol", "orth_tol", "inner_tol")
+                 if (v := getattr(args, name, None)) is not None}
+    pf = dataclasses.replace(pf, lattice=dataclasses.replace(pf.lattice, **overrides))
     seeds = problem_fields(pf)
     notes = (f"shat-closure: applied ({len(seeds)} -> {sum(closure_counts(seeds))} "
              "generators)",)
-    return pf, lat, inner_tol, seeds, notes
+    return pf, pf.lattice, seeds, notes
 
 
 def _ranks(ranks) -> tuple[int, ...]:
@@ -112,25 +99,25 @@ def _ranks(ranks) -> tuple[int, ...]:
 
 
 def cmd_analyze(args) -> Report:
-    pf, lat, inner_tol, seeds, notes = _load(args)
+    pf, lat, seeds, notes = _load(args)
     # each closure frame goes to the wandering step as it is made, and is
     # dropped once its rank and leak are read
     ranks_jm, leak, ranks_jr = wandering_ranks(closure_frames(seeds, lat), lat)
     return Report(command="analyze", version=__version__, digest=pf.digest,
-                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  lattice=lat, notes=notes,
                   s_leak=leak, ranks_jm=_ranks(ranks_jm),
                   ranks_jr=None if ranks_jr is None else _ranks(ranks_jr))
 
 
 def cmd_spectrum(args) -> Report:
-    pf, lat, inner_tol, seeds, notes = _load(args)
+    pf, lat, seeds, notes = _load(args)
     return Report(command="spectrum", version=__version__, digest=pf.digest,
-                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  lattice=lat, notes=notes,
                   ranks_jm=_ranks(closure_ranks(seeds, lat)))
 
 
 def cmd_decompose(args) -> Report:
-    pf, lat, inner_tol, seeds, notes = _load(args)
+    pf, lat, seeds, notes = _load(args)
     jm = closure_range(seeds, lat)
     res = decompose_range(jm, seeds)
     if args.out:
@@ -138,7 +125,7 @@ def cmd_decompose(args) -> Report:
         notes += ("persisted: decomposition.fshd",)
     _, leak = is_S_invariant(jm)
     return Report(command="decompose", version=__version__, digest=pf.digest,
-                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  lattice=lat, notes=notes,
                   s_leak=leak, ranks_jm=_ranks(jm.ranks()),
                   ranks_jr=_ranks(res.ranks),
                   diagnostics=tuple(sorted(res.diagnostics.items())))
@@ -148,16 +135,16 @@ def cmd_beurling(args) -> Report:
     """Decompose a k = 1 problem and compare, fiber by fiber, the span of
     phi's n_z shifts with J's frame as that span is made: the range of phi
     (``range_of_phi``'s frames, bit for bit) is never held beside J."""
-    pf, lat, inner_tol, seeds, notes = _load(args)
+    pf, lat, seeds, notes = _load(args)
     if lat.k != 1:
         raise ValueError("beurling requires a k = 1 problem")
     jm = closure_range(seeds, lat)
     res = decompose_range(jm, seeds)
-    phi = phi_representation(res, inner_tol)
+    phi = phi_representation(res)
     dist = max(subspace_distance(q, jm.frames[m])
                for m, q in enumerate(phi_range_frames(phi)))
     return Report(command="beurling", version=__version__, digest=pf.digest,
-                  lattice=lat, inner_tol=inner_tol, notes=notes,
+                  lattice=lat, notes=notes,
                   ranks_jm=_ranks(jm.ranks()), ranks_jr=_ranks(res.ranks),
                   diagnostics=(*sorted(res.diagnostics.items()),
                                ("phi_range_distance", dist)),
@@ -178,7 +165,7 @@ def cmd_verify(args) -> Report:
     res, _ = load_decomposition(path)
     diagnostics = verify_decomposition(res)
     return Report(command="verify", version=__version__, digest=digest,
-                  lattice=res.lattice, inner_tol=INNER_TOL_DEFAULT,
+                  lattice=res.lattice,
                   ranks_jr=_ranks(res.ranks),
                   diagnostics=tuple(sorted(diagnostics.items())))
 

@@ -20,10 +20,10 @@ Degrees j run over 0..n_z-1 and coordinates i over 1..k (BoundsError
 otherwise); the lambda exponent m may be any integer since powers wrap on
 the grid.
 
-Persisted decompositions (``.fshd``, version 4) are little-endian binary:
+Persisted decompositions (``.fshd``, version 5) are little-endian binary:
 
-    magic ``FSHD``, version 4, n_lambda, n_z, k    (4 bytes, 4 x uint32)
-    rank_tol, orth_tol, seed count s               (2 x float64, uint32)
+    magic ``FSHD``, version 5, n_lambda, n_z, k    (4 bytes, 4 x uint32)
+    rank_tol, orth_tol, inner_tol, seed count s    (3 x float64, uint32)
     wandering rank per fiber                       (n_lambda x uint32)
     range rank per fiber                           (n_lambda x uint32)
     the two diagnostics, DIAGNOSTIC_KEYS order     (2 x float64, NaN if unmeasured)
@@ -35,11 +35,11 @@ F and the base are derived from Phi and the wandering ranks; Phi must vanish
 past each fiber's wandering rank, and the seeds must be finite. ``verify``
 holds Phi to the seeds; the range frames are read back for library callers
 only, and nothing checks them against the seeds. Files of version 1 (the
-dense F), 2 (three diagnostics) and 3 (no seeds) are refused. Both
-directions go array by array: save writes each array through the buffer
-protocol, and load checks the sizes against the file's size first, then
-reads each array into memory that the result keeps, so neither holds a copy
-of the file.
+dense F), 2 (three diagnostics), 3 (no seeds) and 4 (no inner_tol) are
+refused. Both directions go array by array: save writes each array through
+the buffer protocol, and load checks the sizes against the file's size
+first, then reads each array into memory that the result keeps, so neither
+holds a copy of the file.
 """
 
 from __future__ import annotations
@@ -59,19 +59,23 @@ from .ranges import RangeFunctionH
 
 SCHEMA = "fibershift-problem/1"
 MAGIC = b"FSHD"
-BINARY_VERSION = 4
+BINARY_VERSION = 5
 
-_HEADER = struct.Struct("<4sIIIIddI")
+_HEADER = struct.Struct("<4sIIIIdddI")
 
 
 @dataclass(frozen=True)
 class ProblemFile:
     schema: str
     lattice: TruncationLattice
-    inner_tol: float
     generators: tuple[LaurentPolyField, ...]
     labels: tuple[str, ...]
     digest: str
+
+    @property
+    def inner_tol(self) -> float:
+        """The lattice's inner_tol, read as ``pf.inner_tol`` by older callers."""
+        return self.lattice.inner_tol
 
 
 def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
@@ -160,13 +164,9 @@ def load_problem(path: str) -> ProblemFile:
     try:
         lattice = TruncationLattice(
             n_lambda=header["n_lambda"], n_z=header["n_z"], k=header["k"],
-            rank_tol=header.get("rank_tol", 1e-9),
-            orth_tol=header.get("orth_tol", 1e-8))
+            **{key: header[key] for key in float_keys if key in header})
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    inner_tol = header.get("inner_tol", 1e-6)
-    if not 0.0 < inner_tol < 1.0:
-        raise ParseError("inner_tol must lie in (0, 1)")
 
     for label, terms in zip(labels, gens):
         for m, j, i, _ in terms:
@@ -180,7 +180,7 @@ def load_problem(path: str) -> ProblemFile:
                     f"coordinate outside 1..{lattice.k}")
 
     polys = tuple(LaurentPolyField(tuple(terms)) for terms in gens)
-    return ProblemFile(header["schema"], lattice, inner_tol, polys, tuple(labels), digest)
+    return ProblemFile(header["schema"], lattice, polys, tuple(labels), digest)
 
 
 def problem_fields(pf: ProblemFile) -> list[FiberedField]:
@@ -205,7 +205,6 @@ class Report:
     version: str
     digest: str
     lattice: TruncationLattice
-    inner_tol: float
     notes: tuple[str, ...] = ()
     s_leak: float | None = None
     ranks_jm: tuple[int, ...] = ()
@@ -225,7 +224,7 @@ class Report:
                  for key, v in self.diagnostics]
         if self.s_leak is not None:
             gates.append((self.s_leak, tol))
-        gates += [(d, self.inner_tol) for d in self.inner_defects or ()]
+        gates += [(d, self.lattice.inner_tol) for d in self.inner_defects or ()]
         return 0 if all(v <= bound for v, bound in gates) else 2
 
 
@@ -241,7 +240,7 @@ def render_text(report: Report) -> str:
         f"input: sha256:{report.digest}",
         f"lattice: n_lambda={lat.n_lambda} n_z={lat.n_z} k={lat.k}",
         "tolerances: rank_tol={} orth_tol={} inner_tol={}".format(
-            _fmt(lat.rank_tol), _fmt(lat.orth_tol), _fmt(report.inner_tol)),
+            _fmt(lat.rank_tol), _fmt(lat.orth_tol), _fmt(lat.inner_tol)),
     ]
     for note in report.notes:
         lines.append(f"note: {note}")
@@ -274,11 +273,13 @@ def render_text(report: Report) -> str:
 
 
 def render_csv(report: Report) -> str:
+    """One row per fiber; a column the command did not measure is empty."""
     lines = ["fiber,rank_jm,rank_jr,class,inner_defect"]
-    for m, r in enumerate(report.ranks_jm):
+    for m in range(report.lattice.n_lambda):
+        jm = str(report.ranks_jm[m]) if report.ranks_jm else ""
         jr = "" if report.ranks_jr is None else str(report.ranks_jr[m])
         defect = "" if report.inner_defects is None else _fmt(report.inner_defects[m])
-        lines.append(f"{m},{r},{jr},{jr},{defect}")
+        lines.append(f"{m},{jm},{jr},{jr},{defect}")
     return "\n".join(lines) + "\n"
 
 
@@ -296,7 +297,7 @@ def save_decomposition(res: DecompositionResult, jm: RangeFunctionH,
     diag = [res.diagnostics.get(key, np.nan) for key in DIAGNOSTIC_KEYS]
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, BINARY_VERSION, lat.n_lambda, lat.n_z, lat.k,
-                              lat.rank_tol, lat.orth_tol, len(res.seeds)))
+                              lat.rank_tol, lat.orth_tol, lat.inner_tol, len(res.seeds)))
         for arr, dtype in ((res.ranks, "<u4"), (jm.ranks(), "<u4"), (diag, "<f8"),
                            (res.field.phi, "<c16"),
                            *((g.data, "<c16") for g in res.seeds),
@@ -326,12 +327,11 @@ def load_decomposition(path: str) -> tuple[DecompositionResult, RangeFunctionH]:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size or head[:4] != MAGIC:
             raise ParseError(f"{path}: not a decomposition file")
-        magic, version, n_lambda, n_z, k, rank_tol, orth_tol, n_seeds = _HEADER.unpack(head)
+        magic, version, n_lambda, n_z, k, *tols, n_seeds = _HEADER.unpack(head)
         if version != BINARY_VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
         try:
-            lat = TruncationLattice(n_lambda=n_lambda, n_z=n_z, k=k,
-                                    rank_tol=rank_tol, orth_tol=orth_tol)
+            lat = TruncationLattice(n_lambda, n_z, k, *tols)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
         amb = lat.ambient

@@ -24,6 +24,7 @@ class TruncationLattice:
     k : dimension of the fiber coordinate space
     rank_tol : relative singular value cutoff for rank decisions
     orth_tol : residual tolerance for orthogonality and membership checks
+    inner_tol : bound on the inner defect of a k = 1 inner function
     """
 
     n_lambda: int
@@ -31,11 +32,12 @@ class TruncationLattice:
     k: int
     rank_tol: float = 1e-9
     orth_tol: float = 1e-8
+    inner_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n_lambda < 1 or self.n_z < 1 or self.k < 1:
             raise ValueError("lattice sizes must be positive")
-        if not (0.0 < self.rank_tol < 1.0) or not (0.0 < self.orth_tol < 1.0):
+        if not all(0.0 < tol < 1.0 for tol in (self.rank_tol, self.orth_tol, self.inner_tol)):
             raise ValueError("tolerances must lie in (0, 1)")
 
     @property

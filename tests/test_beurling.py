@@ -143,9 +143,9 @@ def test_zero_generator_rejected():
         inner_from_invariant([_scalar([1], 8), _scalar([1], 4)])
 
 
-def _const_field(lat, coeffs_by_fiber, support, **kw):
+def _const_field(lat, coeffs_by_fiber, support):
     fibers = tuple(ScalarH2(c) for c in coeffs_by_fiber)
-    return InnerField(lat, fibers, support, **kw)
+    return InnerField(lat, fibers, support)
 
 
 def test_inner_field_validation():
@@ -171,11 +171,10 @@ def test_inner_field_validation():
         _const_field(lat, (z1[:4], z1[:4]), {0})
     with pytest.raises(ValueError, match="out of range"):
         _const_field(lat, (z1, np.zeros(8)), {0, 2})
-    # |phi| = 2 on the circle is a defect of 1.0, which no tolerance in
-    # (0, 1) passes
-    for tol in (0.0, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="inner_tol"):
-            _const_field(lat, (2 * z1, np.zeros(8)), {0}, inner_tol=tol)
+    # |phi| = 2 on the circle is a defect of 1.0, which no inner_tol in
+    # (0, 1), the lattice's range, passes
+    with pytest.raises(NotInner):
+        _const_field(TruncationLattice(2, 8, 1, inner_tol=0.999), (2 * z1, np.zeros(8)), {0})
 
 
 def test_inner_field_is_the_k_1_symbol():
@@ -288,15 +287,16 @@ def test_inner_quotient_recovers_phase():
 
 def test_inner_quotient_holds_c_to_the_inner_defect():
     """Each constant is judged by the rigidity defect its quotient field is
-    held to, ||c|^2 - 1| = 1.5e-6 here, and the failure is NotUnimodular,
-    whatever tolerance the two describing fields were built with."""
-    lat = TruncationLattice(1, 8, 1)
+    held to, at the lattice's inner_tol, and the failure is NotUnimodular
+    even where both describing fields pass: for phi1 = phi2 = a z with
+    |a|^2 - 1 = 0.8e-6, c = a^2 has ||c|^2 - 1| = 1.6e-6 > 1e-6."""
     z1 = np.eye(8, dtype=complex)[1]
-    phi1 = _const_field(lat, ((1 + 0.75e-6) * z1,), {0}, inner_tol=1e-5)
-    phi2 = _const_field(lat, (z1,), {0})
+    phi = _const_field(TruncationLattice(1, 8, 1), ((1 + 0.4e-6) * z1,), {0})
     with pytest.raises(NotUnimodular, match=r"quotient modulus 1\.000001 \(fiber 0\)"):
-        inner_quotient(phi1, phi2)
-    psi = inner_quotient(phi1, phi2, inner_tol=1e-5)
+        inner_quotient(phi, phi)
+    lat = TruncationLattice(1, 8, 1, inner_tol=1e-5)
+    phi1 = _const_field(lat, ((1 + 0.75e-6) * z1,), {0})
+    psi = inner_quotient(phi1, _const_field(lat, (z1,), {0}))
     assert psi.inner_defects()[0] == phi1.inner_defects()[0] <= 1e-5
 
 
@@ -341,14 +341,14 @@ def test_inner_quotient_rejects_outer_ratio():
     # h2 = z(1 + 0.1 z)/sqrt(1.01) spans the same subspace as z but is not
     # a unimodular multiple; the loose construction tolerance lets the
     # field exist so the quotient itself must reject it
-    lat = TruncationLattice(2, 16, 1)
+    lat = TruncationLattice(2, 16, 1, inner_tol=0.2)
     z1 = np.zeros(16, dtype=complex)
     z1[1] = 1.0
     h2 = np.zeros(16, dtype=complex)
     h2[1], h2[2] = 1.0, 0.1
     h2 /= np.linalg.norm(h2)
     phi1 = _const_field(lat, (z1,) * 2, {0, 1})
-    phi2 = _const_field(lat, (h2,) * 2, {0, 1}, inner_tol=0.2)
+    phi2 = _const_field(lat, (h2,) * 2, {0, 1})
     with pytest.raises(NotUnimodular):
         inner_quotient(phi1, phi2)
 
@@ -403,7 +403,7 @@ def test_inner_defect_is_bounded_by_the_isometry_defect(n_lambda, n_z, noise, se
     inner_tol >= orth_tol NotInner fires only where verify fails. Checked
     on k = 1 decompositions of random seeds, their symbols perturbed on the
     support."""
-    lat = TruncationLattice(n_lambda, n_z, 1)
+    lat = TruncationLattice(n_lambda, n_z, 1, inner_tol=0.5)
     rng = np.random.default_rng(seed)
     try:
         seeds = grid_seeds(rng, lat, 1)
@@ -414,7 +414,7 @@ def test_inner_defect_is_bounded_by_the_isometry_defect(n_lambda, n_z, noise, se
     kick = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     noisy = res.field.phi + noise * (res.ranks[:, None, None] > 0) * kick
     res = DecompositionResult(SymbolField(lat, noisy), res.ranks, res.diagnostics, res.seeds)
-    inner = phi_representation(res, inner_tol=0.5).inner_defects()
+    inner = phi_representation(res).inner_defects()
     assert np.all(inner <= verify_per_fiber(res)["isometry_defect"])
 
 

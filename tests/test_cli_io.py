@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from fibershift import (DIAGNOSTIC_KEYS, DecompositionResult,
-                        TruncationLattice, closure_range, decompose_range,
-                        range_from_generators, shat_closure)
+                        TruncationLattice, closure_range, connecting_isometry,
+                        decompose, decompose_range, range_from_generators,
+                        shat_closure)
 from fibershift.cli import build_parser, cmd_analyze, cmd_spectrum
 from fibershift.errors import BoundsError, ParseError
 from fibershift.factorization import verify_decomposition
@@ -55,7 +56,8 @@ def test_load_problem_golden(tmp_path):
     assert (pf.lattice.n_lambda, pf.lattice.n_z, pf.lattice.k) == (4, 8, 2)
     assert pf.lattice.rank_tol == 1e-9          # default
     assert pf.lattice.orth_tol == 1e-7          # from the file
-    assert pf.inner_tol == 1e-6                 # default
+    assert pf.lattice.inner_tol == 1e-6         # default
+    assert pf.inner_tol == pf.lattice.inner_tol
     assert pf.labels == ("first", "g2")
     assert pf.generators[0].terms == ((0, 1, 1, 1.0 + 0.0j),
                                       (-3, 2, 2, 0.5 - 0.25j))
@@ -81,7 +83,7 @@ BAD_PROBLEMS = (
      "generator: g\nterm: 0 0 1 1 0\n", "positive"),
 ) + tuple(
     ("schema: fibershift-problem/1\nn_lambda: 4\nn_z: 8\nk: 1\n"
-     f"inner_tol: {value}\ngenerator: g\nterm: 0 0 1 1 0\n", "inner_tol must lie")
+     f"inner_tol: {value}\ngenerator: g\nterm: 0 0 1 1 0\n", "tolerances must lie")
     for value in ("0", "1", "-1", "nan"))
 
 
@@ -213,10 +215,12 @@ def test_load_decomposition_checks_layout(tmp_path, edit, needle):
         load_decomposition(str(path))
 
 
-@pytest.mark.parametrize("field, value", [(2, 0), (5, 0.0), (5, float("nan"))])
+@pytest.mark.parametrize("field, value", [(2, 0), (5, 0.0), (5, float("nan")),
+                                          (7, 1.0), (7, float("nan"))])
 def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
-    """n_lambda = 0, rank_tol = 0 or NaN in the header is bad input, as in a
-    problem file: ParseError, and `verify` exits 3."""
+    """n_lambda = 0, rank_tol = 0 or NaN, or inner_tol = 1 or NaN in the
+    header is bad input, as in a problem file: ParseError, and `verify`
+    exits 3."""
     rng = np.random.default_rng(64)
     lat = TruncationLattice(2, 8, 1)
     seeds = grid_seeds(rng, lat, 1)
@@ -259,7 +263,7 @@ def test_load_decomposition_refuses_huge_header_before_allocating(tmp_path):
     of rank arrays the header asks for are allocated."""
     path = tmp_path / "huge.fshd"
     path.write_bytes(_HEADER.pack(b"FSHD", BINARY_VERSION, 2**20, 2**20, 4, 1e-9, 1e-8,
-                                  2**32 - 1)
+                                  1e-6, 2**32 - 1)
                      + bytes(100 - _HEADER.size))
 
     def load():
@@ -371,7 +375,7 @@ def test_beurling_never_holds_the_range_of_phi_beside_j(tmp_path):
 def test_render_text_layout():
     lat = TruncationLattice(2, 4, 1)
     report = Report(command="analyze", version="0.1.0", digest="ab" * 32,
-                    lattice=lat, inner_tol=1e-6,
+                    lattice=lat,
                     notes=("shat-closure: applied (1 -> 3 generators)",),
                     s_leak=0.25, ranks_jm=(3, 0),
                     diagnostics=(("isometry_defect", 1e-15),))
@@ -389,7 +393,7 @@ def test_render_text_layout():
 def test_render_csv_layout():
     lat = TruncationLattice(2, 4, 1)
     report = Report(command="beurling", version="0.1.0", digest="cd" * 32,
-                    lattice=lat, inner_tol=1e-6, ranks_jm=(4, 0),
+                    lattice=lat, ranks_jm=(4, 0),
                     ranks_jr=(1, 0), inner_defects=(0.0, 0.0))
     csv = render_csv(report)
     lines = csv.splitlines()
@@ -453,7 +457,7 @@ def test_cli_zero_subspace_round_trip(tmp_path):
 def _partition_lines(ranks_jr) -> list[str]:
     lat = TruncationLattice(len(ranks_jr), 4, 2)
     report = Report(command="verify", version="0.1.0", digest="ef" * 32,
-                    lattice=lat, inner_tol=1e-6, ranks_jm=(4,) * len(ranks_jr),
+                    lattice=lat, ranks_jm=(4,) * len(ranks_jr),
                     ranks_jr=tuple(ranks_jr))
     return [line for line in render_text(report).splitlines()
             if line.startswith("partition: ")]
@@ -470,7 +474,7 @@ def test_partition_counts_list_only_dimensions_that_occur():
 def _gated(**fields) -> Report:
     """A report at orth_tol 1e-8 and inner_tol 1e-6 with the given measurements."""
     return Report(command="gate", version="0.1.0", digest="00" * 32,
-                  lattice=TruncationLattice(2, 4, 1), inner_tol=1e-6,
+                  lattice=TruncationLattice(2, 4, 1),
                   ranks_jm=(4, 0), **fields)
 
 
@@ -1030,6 +1034,70 @@ def test_version_2_and_3_files_refused(tmp_path, capsys, version, n_diag):
     assert f"unsupported version {version}" in capsys.readouterr().err
 
 
+def test_version_4_file_refused(tmp_path, capsys):
+    """A file in the version 4 layout (no inner_tol in the header, the rest
+    as now) is refused as bad input."""
+    lat = TruncationLattice(4, 8, 1)
+    res = decompose_range(z_e1_range(lat), [z_e1_seed(lat)])
+    path = tmp_path / "d.fshd"
+    save_decomposition(res, z_e1_range(lat), str(path))
+    raw = path.read_bytes()
+    path.write_bytes(struct.pack("<4sIIIIddI", b"FSHD", 4, lat.n_lambda, lat.n_z, lat.k,
+                                 lat.rank_tol, lat.orth_tol, 1) + raw[_HEADER.size:])
+    with pytest.raises(ParseError, match="unsupported version 4"):
+        load_decomposition(str(path))
+    assert run_cli(["verify", str(path)]) == (3, "")
+    assert "unsupported version 4" in capsys.readouterr().err
+
+
+INNER_TOL_PROBLEM = CONSTANT_PROBLEM.replace("k: 1\n", "k: 1\ninner_tol: 1e-5\n")
+
+
+def test_fshd_keeps_the_problems_inner_tol(tmp_path):
+    """A decomposition persisted from a problem with inner_tol 1e-5 loads on
+    the problem's own lattice: verify prints that inner_tol, and the loaded
+    result connects to a fresh one without a lattice mismatch."""
+    path = _write(tmp_path, INNER_TOL_PROBLEM)
+    pf = load_problem(path)
+    assert pf.lattice.inner_tol == 1e-5
+    outdir = tmp_path / "out"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    code, out = run_cli(["verify", str(outdir)])
+    assert code == 0
+    assert "tolerances: rank_tol=1e-09 orth_tol=1e-08 inner_tol=1e-05\n" in out
+    loaded, _ = load_decomposition(str(outdir / "decomposition.fshd"))
+    assert loaded.lattice == pf.lattice
+    seeds = problem_fields(pf)
+    _, defects = connecting_isometry(loaded, decompose(shat_closure(seeds), pf.lattice))
+    assert max(defects.values()) <= 10 * pf.lattice.orth_tol
+
+
+@pytest.mark.parametrize("flag", ["--rank-tol", "--orth-tol", "--inner-tol"])
+@pytest.mark.parametrize("value", ["0", "1", "-1", "nan"])
+def test_cli_tolerance_out_of_range_exits_3(tmp_path, capsys, flag, value):
+    """A tolerance override outside (0, 1) fails the lattice's own check:
+    bad input, one line on stderr and nothing on stdout."""
+    path = _write(tmp_path, CONSTANT_PROBLEM)
+    capsys.readouterr()
+    assert run_cli(["beurling", path, flag, value]) == (3, "")
+    assert capsys.readouterr().err == "ValueError: tolerances must lie in (0, 1)\n"
+
+
+def test_cli_verify_csv_has_one_row_per_fiber(tmp_path):
+    """verify measures no range ranks: its CSV leaves rank_jm empty and
+    carries each fiber's wandering rank."""
+    lat = TruncationLattice(4, 8, 2)
+    path = str(tmp_path / "p.txt")
+    write_problem(path, lat, laurent_seeds(np.random.default_rng(5), lat, 2))
+    outdir = tmp_path / "out"
+    assert run_cli(["decompose", path, "--out", str(outdir)])[0] == 0
+    res, _ = load_decomposition(str(outdir / "decomposition.fshd"))
+    code, out = run_cli(["verify", str(outdir), "--format", "csv"])
+    assert code == 0
+    assert out.splitlines() == ["fiber,rank_jm,rank_jr,class,inner_defect"] + [
+        f"{m},,{r},{r}," for m, r in enumerate(res.ranks)]
+
+
 def test_cli_lapack_failure_exits_2(tmp_path, monkeypatch):
     """LinAlgError is a ValueError subclass but not bad input."""
     def fail(*args, **kwargs):
@@ -1118,8 +1186,6 @@ def test_cli_report_that_cannot_be_written_is_bad_input(tmp_path, capsys, fmt, n
     (["decompose", "problem.txt", "--threads", "8"], 3),
     ([], 3),
     (["--help"], 0),
-    (["beurling", "problem.txt", "--inner-tol", "-1"], 3),
-    (["beurling", "problem.txt", "--inner-tol", "nan"], 3),
     (["verify", "out", "--inner-tol", "1"], 3),
     # a persisted result carries its own tolerances: verify takes none
     (["verify", "out", "--orth-tol", "1e-300"], 3),
@@ -1132,10 +1198,9 @@ def test_cli_report_that_cannot_be_written_is_bad_input(tmp_path, capsys, fmt, n
     (["decompose", "p", "--inner-tol", "1e-3"], 3),
     (["spectrum", "p", "--inner-tol", "1e-3"], 3),
     (["spectrum", "p", "--orth-tol", "1e-6"], 3),
-], ids=["unknown-flag", "no-command", "help", "inner-tol-negative",
-        "inner-tol-nan", "inner-tol-one", "verify-orth-tol", "verify-rank-tol",
-        "verify-inner-tol", "verify-seed", "spectrum-seed", "analyze-inner-tol",
-        "decompose-inner-tol", "spectrum-inner-tol", "spectrum-orth-tol"])
+], ids=["unknown-flag", "no-command", "help", "inner-tol-one", "verify-orth-tol",
+        "verify-rank-tol", "verify-inner-tol", "verify-seed", "spectrum-seed",
+        "analyze-inner-tol", "decompose-inner-tol", "spectrum-inner-tol", "spectrum-orth-tol"])
 def test_cli_usage_exit_codes(argv, code):
     # argparse exits 2 on usage errors; 2 is reserved for failed invariants
     with pytest.raises(SystemExit) as exc:

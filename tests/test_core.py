@@ -24,9 +24,12 @@ def test_lattice_validation():
         TruncationLattice(4, 4, 1, rank_tol=0.0)
     with pytest.raises(ValueError):
         TruncationLattice(4, 4, 1, orth_tol=2.0)
+    for tol in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerances must lie"):
+            TruncationLattice(4, 4, 1, inner_tol=tol)
     lat = TruncationLattice(8, 4, 3)
     assert lat.ambient == 12
-    assert lat.rank_tol == 1e-9 and lat.orth_tol == 1e-8
+    assert (lat.rank_tol, lat.orth_tol, lat.inner_tol) == (1e-9, 1e-8, 1e-6)
 
 
 def test_lattice_grid_points():
