@@ -20,8 +20,8 @@ from .errors import NotInner, NotUnimodular, RangesDiffer, WanderingRankNotOne
 from .factorization import SymbolField, constant_unitary, rigidity_defect
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH, _span_frames, closure_range
-from .subspaces import subspace_distance
+from .ranges import RangeFunctionH, closure_range
+from .subspaces import orthonormal_frame, subspace_distance
 from .wandering import wandering_range
 
 
@@ -133,17 +133,17 @@ def phi_representation(res) -> InnerField:
 
 def range_of_phi(phi: InnerField) -> RangeFunctionH:
     """The range function of the subspace phi multiplies out of the full
-    Hardy space: per fiber, the span of all n_z shifts of phi(lambda_m),
-    built like the closure of a seed. Off the support phi is exactly zero,
-    so those fibers span nothing."""
+    Hardy space: per fiber, the range of F(lambda_m), whose columns are all
+    n_z shifts of phi(lambda_m). Off the support phi is exactly zero, so
+    those fibers span nothing."""
     return RangeFunctionH(phi.lattice, tuple(phi_range_frames(phi)))
 
 
 def phi_range_frames(phi: InnerField):
     """The frames of ``range_of_phi(phi)``, bit for bit, made one fiber at
     a time as they are read, so a reader need not hold the range of phi."""
-    lat = phi.lattice
-    return _span_frames([FiberedField(lat, phi.phi)], [lat.n_z], lat)
+    for m in range(phi.lattice.n_lambda):
+        yield orthonormal_frame(phi.op(m), phi.lattice.rank_tol, fiber=m)
 
 
 def inner_quotient(phi1: InnerField, phi2: InnerField) -> InnerField:

@@ -28,8 +28,8 @@ from .errors import BoundsError, FibershiftError, ParseError
 from .factorization import decompose_range, verify_decomposition
 from .fileio import (Report, load_decomposition, load_problem, problem_fields,
                      render_csv, render_text, save_decomposition)
-from .ranges import closure_frames, closure_range, closure_ranks
-from .shifts import closure_counts, is_S_invariant
+from .ranges import closure_range, generator_frames, generator_ranks
+from .shifts import closure_counts, is_S_invariant, shat_closure
 from .subspaces import subspace_distance
 from .wandering import wandering_ranks
 
@@ -102,7 +102,7 @@ def cmd_analyze(args) -> Report:
     pf, lat, seeds, notes = _load(args)
     # each closure frame goes to the wandering step as it is made, and is
     # dropped once its rank and leak are read
-    ranks_jm, leak, ranks_jr = wandering_ranks(closure_frames(seeds, lat), lat)
+    ranks_jm, leak, ranks_jr = wandering_ranks(generator_frames(shat_closure(seeds), lat), lat)
     return Report(command="analyze", version=__version__, digest=pf.digest,
                   lattice=lat, notes=notes,
                   s_leak=leak, ranks_jm=_ranks(ranks_jm),
@@ -113,7 +113,7 @@ def cmd_spectrum(args) -> Report:
     pf, lat, seeds, notes = _load(args)
     return Report(command="spectrum", version=__version__, digest=pf.digest,
                   lattice=lat, notes=notes,
-                  ranks_jm=_ranks(closure_ranks(seeds, lat)))
+                  ranks_jm=_ranks(generator_ranks(shat_closure(seeds), lat)))
 
 
 def cmd_decompose(args) -> Report:

@@ -124,7 +124,7 @@ def decompose(gens: list[FiberedField], lattice: TruncationLattice) -> Decomposi
     result carries. On ``shat_closure(seeds)`` verification drops the
     shifts and holds Phi to the seeds alone, so Phi, ranks and diagnostics
     are those of ``decompose_range(closure_range(seeds, lattice), seeds)``,
-    which spans the seeds one fiber at a time without the closure.
+    which spans the same closure the same way.
     """
     return decompose_range(range_from_generators(gens, lattice), gens)
 
@@ -152,7 +152,8 @@ def verify_decomposition(res: DecompositionResult) -> dict[str, float]:
     left out, as the rank decision that built J leaves it out. First, every
     seed that is bitwise the truncated shift of the seed before it is
     dropped, so a ``shat_closure`` is held to the seeds it was made from,
-    with the defects of ``decompose_range(closure_range(seeds), seeds)``.
+    with the defects of ``decompose_range(closure_range(seeds), seeds)``,
+    which spans the same closure and is handed the seeds alone.
     The drop loses no failure: the truncated span of W is exactly
     S-invariant (S maps each truncated shift of phi_i to the next, and the
     last to zero), so dist(S g, span W) <= dist(g, span W), the shifts of

@@ -37,8 +37,9 @@ class TruncationLattice:
     def __post_init__(self):
         if self.n_lambda < 1 or self.n_z < 1 or self.k < 1:
             raise ValueError("lattice sizes must be positive")
-        if not all(0.0 < tol < 1.0 for tol in (self.rank_tol, self.orth_tol, self.inner_tol)):
-            raise ValueError("tolerances must lie in (0, 1)")
+        for name in ("rank_tol", "orth_tol", "inner_tol"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
 
     @property
     def ambient(self) -> int:

@@ -4,6 +4,10 @@ A range function assigns to every grid point an orthonormal frame (each
 entry of Q* Q - I within 1e-10). Two ambient sizes occur: frames inside the
 truncated fiber Hardy space (dimension n_z*k, ``RangeFunctionH``) and
 frames inside the coordinate space C^k alone (``RangeFunctionK``).
+
+Every span is one per-fiber loop over the generators' fibers side by side
+(``range_from_generators``, ``generator_frames``, ``generator_ranks``); a
+shift closure is spanned as the generator list ``shat_closure`` makes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .shifts import closure_counts, shifted_copies
+from .shifts import shat_closure
 from .subspaces import (
     canonical_columns,
     complement_frame,
@@ -83,73 +87,45 @@ class RangeFunctionK(_RangeFunction):
         self._check(self.lattice.k)
 
 
-def _fiber_stacks(gens: list[FiberedField], counts: list[int],
-                  lattice: TruncationLattice):
-    """Per fiber m, the matrix whose columns are g(lambda_m), S g(lambda_m),
-    ..., S^(count-1) g(lambda_m) for each generator g in turn.
-
-    Each matrix is built when its fiber is reached, from the generators
-    alone, so no stack over all fibers is ever held. No generators give
-    zero columns: the zero subspace, of rank 0 on every fiber.
-    """
-    for g in gens:
-        if g.lattice != lattice:
-            raise ValueError("generator lattice mismatch")
+def _fiber_stacks(gens: list[FiberedField], lattice: TruncationLattice):
+    """Per fiber m, the generators' fibers g(lambda_m) side by side, built
+    when that fiber is reached (no stack over all fibers is held) and
+    Fortran-ordered, as LAPACK reads it. No generators give zero columns."""
+    if any(g.lattice != lattice for g in gens):
+        raise ValueError("generator lattice mismatch")
     flats = [g.flat() for g in gens]
-    # shifted_copies is degree-major (column j*r + i is generator i shifted
-    # j times); these columns put it generator by generator
-    take = [j * len(gens) + i for i, c in enumerate(counts) for j in range(c)]
-    depth = max(counts, default=0)
-    fiber = np.zeros((lattice.ambient, len(gens)), dtype=complex)
     for m in range(lattice.n_lambda):
-        for i, f in enumerate(flats):
-            fiber[:, i] = f[m]
-        yield shifted_copies(fiber, lattice.n_z, lattice.k, depth)[:, take]
-
-
-def _span_frames(gens, counts, lattice):
-    for m, stack in enumerate(_fiber_stacks(gens, counts, lattice)):
-        yield orthonormal_frame(stack, lattice.rank_tol, fiber=m)
-
-
-def _span(gens, counts, lattice) -> RangeFunctionH:
-    return RangeFunctionH(lattice, tuple(_span_frames(gens, counts, lattice)))
+        yield np.array([f[m] for f in flats], dtype=complex).reshape(
+            len(flats), lattice.ambient).T
 
 
 def range_from_generators(gens: list[FiberedField],
                           lattice: TruncationLattice) -> RangeFunctionH:
-    """Pointwise span of the generators' fibers.
+    """Pointwise span of the generators' fibers: per fiber, a canonical
+    orthonormal frame of the generator vectors stacked as columns. Raises
+    ToleranceAmbiguity when a rank decision falls inside the guard band."""
+    return RangeFunctionH(lattice, tuple(generator_frames(gens, lattice)))
 
-    Per fiber, the generator vectors are stacked as columns and reduced to a
-    canonical orthonormal frame. Raises ToleranceAmbiguity when a rank
-    decision falls inside the guard band.
-    """
-    return _span(gens, [1] * len(gens), lattice)
+
+def generator_frames(gens: list[FiberedField], lattice: TruncationLattice):
+    """The frames of ``range_from_generators(gens, lattice)``, made one
+    fiber at a time as they are read. Each is the orthonormal frame its own
+    SVD just made, so unlike a ``RangeFunctionH``'s it is not re-checked."""
+    for m, stack in enumerate(_fiber_stacks(gens, lattice)):
+        yield orthonormal_frame(stack, lattice.rank_tol, fiber=m)
+
+
+def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
+    """Per-fiber ranks of ``range_from_generators(gens, lattice)`` without
+    frames: each fiber costs one SVD without singular vectors, and the rank
+    decision, guard band included, is the one the frames make."""
+    return np.array([rank_decision(singular_values(stack), lattice.rank_tol, fiber=m)
+                     for m, stack in enumerate(_fiber_stacks(gens, lattice))], dtype=int)
 
 
 def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> RangeFunctionH:
-    """``range_from_generators(shat_closure(seeds), lattice)``, frame for
-    frame, without building the closure: each fiber's columns are the seeds'
-    shifted copies, made when that fiber's SVD needs them."""
-    return _span(seeds, closure_counts(seeds), lattice)
-
-
-def closure_frames(seeds: list[FiberedField], lattice: TruncationLattice):
-    """The frames of ``closure_range(seeds, lattice)``, made one fiber at a
-    time as they are read, so a reader need not hold J. They are not
-    re-checked: each is the orthonormal frame its own SVD just made, while
-    ``RangeFunctionH`` checks every frame it is given, those read from a
-    file included."""
-    return _span_frames(seeds, closure_counts(seeds), lattice)
-
-
-def closure_ranks(seeds: list[FiberedField], lattice: TruncationLattice) -> np.ndarray:
-    """Per-fiber ranks of ``closure_range(seeds, lattice)`` without frames
-    or the closure: each fiber costs one SVD without singular vectors, and
-    the rank decision, guard band included, is the one the frames make."""
-    stacks = _fiber_stacks(seeds, closure_counts(seeds), lattice)
-    return np.array([rank_decision(singular_values(stack), lattice.rank_tol, fiber=m)
-                     for m, stack in enumerate(stacks)], dtype=int)
+    """``range_from_generators(shat_closure(seeds), lattice)``."""
+    return range_from_generators(shat_closure(seeds), lattice)
 
 
 def complement_range(range_fn: RangeFunctionH) -> RangeFunctionH:

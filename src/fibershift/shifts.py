@@ -56,8 +56,8 @@ def shat_closure(gens: list[FiberedField]) -> list[FiberedField]:
     read-only buffer of shape (n_lambda, 2 n_z, k), and its j-th shift is
     the view of that buffer starting j degrees before the generator: bit
     for bit ``apply_S_hat`` applied j times, at the cost of two copies of
-    the generator rather than one per shift. ``ranges.closure_range`` spans
-    the same columns without these fields.
+    the generator rather than one per shift. Every span of the closure
+    (``ranges.closure_range`` and the CLI's) is a span of these fields.
     """
     out: list[FiberedField] = []
     for g, count in zip(gens, closure_counts(gens)):

@@ -245,11 +245,13 @@ def _range_of_phi_per_fiber(phi):
 
 
 @pytest.mark.parametrize("n, seed, support", [(16, 5, 16), (16, 12, 8), (64, 5, 64)])
-def test_range_of_phi_matches_the_per_fiber_span(n, seed, support):
-    """``range_of_phi`` spans phi's shifts with the closure's span kernel,
-    and its frames are bit for bit those of the per-fiber loop, the empty
-    frames off the support included; so are the frames ``phi_range_frames``
-    yields one at a time, which ``beurling`` compares with J."""
+def test_range_of_phi_matches_the_per_fiber_span(monkeypatch, n, seed, support):
+    """``range_of_phi`` spans the columns of F(lambda_m), and its frames are
+    bit for bit those of the per-fiber loop, the empty frames off the
+    support included; so are the frames ``phi_range_frames`` yields one at
+    a time, which ``beurling`` compares with J. For phi = z h, whose lowest
+    degree is 1 on every fiber, a closure of phi keeps only n_z - 1 shifts,
+    while each frame still spans all n_z columns of ``phi.op(m)``."""
     lat = TruncationLattice(n, n, 1)
     seeds = grid_seeds(np.random.default_rng(seed), lat, 1)
     phi = phi_representation(decompose(shat_closure(seeds), lat))
@@ -258,6 +260,20 @@ def test_range_of_phi_matches_the_per_fiber_span(n, seed, support):
     for frames in (range_of_phi(phi).frames, phi_range_frames(phi)):
         assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
                    for a, b in zip(frames, expected, strict=True))
+    zh = InnerField(lat, tuple(ScalarH2(np.concatenate(([0.0], f.coeffs[:-1])))
+                               for f in phi.fibers), phi.support)
+    assert len(shat_closure([FiberedField(lat, zh.phi)])) == n - 1
+    spanned = []
+
+    def recording(stack, *args, **kwargs):
+        spanned.append((stack.shape, stack.tobytes()))
+        return orthonormal_frame(stack, *args, **kwargs)
+
+    monkeypatch.setattr(beurling, "orthonormal_frame", recording)
+    frames = list(phi_range_frames(zh))
+    assert spanned == [((n, n), zh.op(m).tobytes()) for m in range(n)]
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(frames, _range_of_phi_per_fiber(zh), strict=True))
 
 
 def test_phi_representation_needs_scalar_fibers():

@@ -83,7 +83,9 @@ BAD_PROBLEMS = (
      "generator: g\nterm: 0 0 1 1 0\n", "positive"),
 ) + tuple(
     ("schema: fibershift-problem/1\nn_lambda: 4\nn_z: 8\nk: 1\n"
-     f"inner_tol: {value}\ngenerator: g\nterm: 0 0 1 1 0\n", "tolerances must lie")
+     f"{key}: {value}\ngenerator: g\nterm: 0 0 1 1 0\n",
+     rf"^{key} must lie in \(0, 1\), got {float(value)}$")
+    for key in ("rank_tol", "orth_tol", "inner_tol")
     for value in ("0", "1", "-1", "nan"))
 
 
@@ -215,12 +217,17 @@ def test_load_decomposition_checks_layout(tmp_path, edit, needle):
         load_decomposition(str(path))
 
 
-@pytest.mark.parametrize("field, value", [(2, 0), (5, 0.0), (5, float("nan")),
-                                          (7, 1.0), (7, float("nan"))])
-def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
-    """n_lambda = 0, rank_tol = 0 or NaN, or inner_tol = 1 or NaN in the
-    header is bad input, as in a problem file: ParseError, and `verify`
-    exits 3."""
+@pytest.mark.parametrize("field, value, needle", [
+    (2, 0, "lattice sizes must be positive"),
+    (5, 0.0, r"rank_tol must lie in \(0, 1\), got 0.0"),
+    (5, float("nan"), r"rank_tol must lie in \(0, 1\), got nan"),
+    (6, 2.0, r"orth_tol must lie in \(0, 1\), got 2.0"),
+    (7, 1.0, r"inner_tol must lie in \(0, 1\), got 1.0"),
+    (7, float("nan"), r"inner_tol must lie in \(0, 1\), got nan")])
+def test_load_decomposition_rejects_bad_header(tmp_path, capsys, field, value, needle):
+    """n_lambda = 0, rank_tol = 0 or NaN, orth_tol = 2, or inner_tol = 1 or
+    NaN in the header is bad input, as in a problem file: ParseError naming
+    the field, and `verify` exits 3 with that message."""
     rng = np.random.default_rng(64)
     lat = TruncationLattice(2, 8, 1)
     seeds = grid_seeds(rng, lat, 1)
@@ -231,9 +238,12 @@ def test_load_decomposition_rejects_bad_header(tmp_path, field, value):
     header = list(_HEADER.unpack_from(raw))
     header[field] = value
     path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size:])
-    with pytest.raises(ParseError, match="sizes must be positive|tolerances must lie"):
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {needle}$"):
         load_decomposition(str(path))
-    assert run_cli(["verify", str(path)])[0] == 3
+    capsys.readouterr()
+    assert run_cli(["verify", str(path)]) == (3, "")
+    assert re.fullmatch(rf"ParseError: {re.escape(str(path))}: {needle}\n",
+                        capsys.readouterr().err)
 
 
 def test_save_decomposition_refuses_lattice_mismatch(tmp_path):
@@ -1076,11 +1086,14 @@ def test_fshd_keeps_the_problems_inner_tol(tmp_path):
 @pytest.mark.parametrize("value", ["0", "1", "-1", "nan"])
 def test_cli_tolerance_out_of_range_exits_3(tmp_path, capsys, flag, value):
     """A tolerance override outside (0, 1) fails the lattice's own check:
-    bad input, one line on stderr and nothing on stdout."""
+    bad input, one line on stderr naming the tolerance and its value, and
+    nothing on stdout."""
     path = _write(tmp_path, CONSTANT_PROBLEM)
     capsys.readouterr()
     assert run_cli(["beurling", path, flag, value]) == (3, "")
-    assert capsys.readouterr().err == "ValueError: tolerances must lie in (0, 1)\n"
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"ValueError: {name} must lie in (0, 1), got {float(value)}\n")
 
 
 def test_cli_verify_csv_has_one_row_per_fiber(tmp_path):

@@ -20,13 +20,16 @@ from helpers import field_from_fibers, haar_frame
 def test_lattice_validation():
     with pytest.raises(ValueError):
         TruncationLattice(0, 4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rank_tol must lie in \(0, 1\), got 0.0$"):
         TruncationLattice(4, 4, 1, rank_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^orth_tol must lie in \(0, 1\), got 2.0$"):
         TruncationLattice(4, 4, 1, orth_tol=2.0)
     for tol in (0.0, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="tolerances must lie"):
+        with pytest.raises(ValueError, match=rf"^inner_tol must lie in \(0, 1\), got {tol}$"):
             TruncationLattice(4, 4, 1, inner_tol=tol)
+    # the first bad field is named
+    with pytest.raises(ValueError, match="^orth_tol"):
+        TruncationLattice(4, 4, 1, orth_tol=-1.0, inner_tol=2.0)
     lat = TruncationLattice(8, 4, 3)
     assert lat.ambient == 12
     assert (lat.rank_tol, lat.orth_tol, lat.inner_tol) == (1e-9, 1e-8, 1e-6)

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fibershift.ranges as ranges
 from fibershift import (FiberedField, RangeFunctionH, RangeFunctionK,
                         ToleranceAmbiguity, TruncationLattice,
                         range_from_generators, shat_closure)
-from fibershift.ranges import (_fiber_stacks, closure_range, closure_ranks,
-                               complement_range)
+from fibershift.ranges import (closure_range, complement_range, generator_frames,
+                               generator_ranks)
 from fibershift.shifts import closure_counts
 
 from helpers import brute_projector, frame_projector, grid_seeds
@@ -88,12 +89,17 @@ def test_vanishing_factor_empties_fibers():
 
 def test_generator_guard_band_names_the_fiber():
     """A generator fiber with a singular value at the rank cutoff is refused,
-    by the spans and by the rank count alike, and the error names the fiber.
-    At n_z = 1 the fiber shift is zero, so the seeds are their own closure."""
+    by the range, the streaming frames and the rank count alike, and the
+    error names the fiber. At n_z = 1 the fiber shift is zero, so the seeds
+    are their own closure."""
     lat = TruncationLattice(2, 1, 2)
     a = FiberedField(lat, np.array([[[1.0, 0.0]], [[1.0, 0.0]]]))
     b = FiberedField(lat, np.array([[[0.0, 1.0]], [[0.0, 1e-9]]]))
-    for build in (range_from_generators, closure_range, closure_ranks):
+
+    def streamed(gens, lat):
+        return list(generator_frames(gens, lat))
+
+    for build in (range_from_generators, streamed, generator_ranks, closure_range):
         with pytest.raises(ToleranceAmbiguity) as err:
             build([a, b], lat)
         assert err.value.fiber == 1
@@ -106,7 +112,8 @@ def test_no_generators_span_the_zero_subspace():
     jm = range_from_generators([], lat)
     assert jm.ranks().tolist() == [0, 0, 0, 0]
     assert all(q.shape == (8, 0) for q in jm.frames)
-    assert closure_ranks([], lat).tolist() == [0, 0, 0, 0]
+    assert [q.shape for q in generator_frames([], lat)] == [(8, 0)] * 4
+    assert generator_ranks([], lat).tolist() == [0, 0, 0, 0]
 
 
 def test_range_frames_are_frozen():
@@ -141,28 +148,42 @@ def _closure_seeds(case: str) -> tuple[TruncationLattice, list[FiberedField]]:
 @pytest.mark.parametrize("case, counts", [
     ("high", [4]), ("mixed", [5]), ("vanish", [6]), ("zero-then-high", [0, 4]),
     ("all-zero", [0, 0]), ("three", [4, 6, 5])])
-def test_closure_stacks_are_the_closure_fields(case, counts):
-    """Each fiber's matrix is, bit for bit, the closure fields' fibers side
-    by side, seed by seed; spans and ranks are those of the closure."""
+def test_closure_stacks_are_the_closure_fields(monkeypatch, case, counts):
+    """Each fiber's matrix, as the frames' and the ranks' SVDs receive it,
+    is bit for bit the closure fields' fibers side by side, seed by seed,
+    and Fortran-ordered; the streamed frames and the ranks are those of the
+    closure's range."""
     lat, seeds = _closure_seeds(case)
     gens = shat_closure(seeds)
     assert closure_counts(seeds) == counts and sum(counts) == len(gens)
-    for m, stack in enumerate(_fiber_stacks(seeds, counts, lat)):
+    seen = []
+
+    def recording(fn):
+        def record(stack, *args, **kwargs):
+            seen.append((stack.shape, stack.tobytes(), stack.flags.f_contiguous))
+            return fn(stack, *args, **kwargs)
+        return record
+
+    for name in ("orthonormal_frame", "singular_values"):
+        monkeypatch.setattr(ranges, name, recording(getattr(ranges, name)))
+    frames = list(generator_frames(gens, lat))
+    ranks = generator_ranks(gens, lat)
+    assert len(seen) == 2 * lat.n_lambda
+    for m in range(lat.n_lambda):
         expected = (np.stack([g.flat()[m] for g in gens], axis=1) if gens
                     else np.zeros((lat.ambient, 0), dtype=complex))
-        assert stack.shape == expected.shape
-        assert stack.tobytes() == expected.tobytes()
-    jm, ref = closure_range(seeds, lat), range_from_generators(gens, lat)
+        for got in (seen[m], seen[lat.n_lambda + m]):
+            assert got == (expected.shape, expected.tobytes(), True)
+    ref = closure_range(seeds, lat)
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
-               for a, b in zip(jm.frames, ref.frames))
-    assert closure_ranks(seeds, lat).tolist() == ref.ranks().tolist()
+               for a, b in zip(frames, ref.frames, strict=True))
+    assert ranks.tolist() == ref.ranks().tolist()
 
 
 def test_closure_range_holds_one_fiber_at_a_time():
-    """Spanning the closure allocates J's frames and one fiber's matrix at a
-    time: the peak stays below twice the frames' bytes (1.1 times here).
-    ``range_from_generators(shat_closure(seeds), lat)``, which holds the
-    closure as fields of one buffer per seed, reads 1.2."""
+    """Spanning the closure allocates J's frames, the closure's buffers (two
+    copies of each seed) and one fiber's matrix at a time: the peak stays
+    below twice the frames' bytes (1.2 times here)."""
     lat = TruncationLattice(32, 32, 3)
     seeds = grid_seeds(np.random.default_rng(25), lat, 3)
     tracemalloc.start()
