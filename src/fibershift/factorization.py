@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ImagesDiffer, NotPartialIsometry
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .ranges import RangeFunctionH, RangeFunctionK, range_from_generators
+from .ranges import RangeFunctionH, RangeFunctionK, fiber_stacks, range_from_generators
 from .shifts import shifted_copies
 from .subspaces import canonical_columns
 from .wandering import wandering_range
@@ -64,7 +64,7 @@ class SymbolField:
 
     def op(self, m: int) -> np.ndarray:
         lat = self.lattice
-        return shifted_copies(self.phi[m], lat.n_z, lat.k, lat.n_z)
+        return shifted_copies(self.phi[m], lat.n_z, lat.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +210,7 @@ def rigidity_defect(phi: np.ndarray, p: np.ndarray, n_z: int, k: int) -> float:
     weights = np.full(n_z, 2.0)
     weights[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gram_defect(phi, shifted_copies(phi, n_z, k, n_z), p, weights)
+        return _gram_defect(phi, shifted_copies(phi, n_z, k), p, weights)
 
 
 def _rank_below(a0: np.ndarray, tol: float) -> bool:
@@ -240,15 +240,14 @@ def verify_per_fiber(res: DecompositionResult) -> dict[str, np.ndarray]:
     weights[0] = n_z
     iso, image = np.zeros((2, lat.n_lambda))
     seeds = res.seeds
-    flats = [g.flat() for i, g in enumerate(seeds)
-             if not (i and _is_shift_of(g.data, seeds[i - 1].data))]
+    kept = [g for i, g in enumerate(seeds)
+            if not (i and _is_shift_of(g.data, seeds[i - 1].data))]
     # entries near 1e+200 overflow to inf or NaN defects, which gates fail
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(lat.n_lambda):
+        for m, g in enumerate(fiber_stacks(kept, lat)):
             n = int(res.ranks[m])
-            g = np.array([f[m] for f in flats]).reshape(len(flats), lat.ambient).T
             phi = res.field.phi[m][:, :n]
-            w = shifted_copies(phi, n_z, k, n_z)
+            w = shifted_copies(phi, n_z, k)
             iso[m] = _gram_defect(phi, w, np.eye(n), weights)
             # a seed at or below the cutoff of the rank decision that built J
             # (rounding left by a factor that vanishes there) reads as zero

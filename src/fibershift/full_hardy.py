@@ -40,7 +40,7 @@ def full_hardy_from_base(base: RangeFunctionK) -> RangeFunctionH:
     """
     lat = base.lattice
     pad = ((0, lat.ambient - lat.k), (0, 0))
-    frames = tuple(shifted_copies(np.pad(b, pad), lat.n_z, lat.k, lat.n_z)
+    frames = tuple(shifted_copies(np.pad(b, pad), lat.n_z, lat.k)
                    for b in base.frames)
     return RangeFunctionH(lat, frames)
 
@@ -62,7 +62,7 @@ def is_full_hardy(range_fn: RangeFunctionH) -> tuple[bool, RangeFunctionK | None
         return False, None
     base_frames = []
     for q, r in zip(range_fn.frames, ranks):
-        if shift_leak(q.reshape(n_z, k, r)[::-1].reshape(n_z * k, r), n_z, k) > lat.orth_tol:
+        if shift_leak(q.reshape(n_z, k, r)[::-1].reshape(n_z * k, r), n_z, k)[0] > lat.orth_tol:
             return False, None
         u = robust_svd(q[:k])[0]
         base_frames.append(canonical_columns(u[:, : r // n_z]))

@@ -12,13 +12,14 @@ shift closure is spanned as the generator list ``shat_closure`` makes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FiberedField
 from .lattice import TruncationLattice, frozen_array
-from .shifts import shat_closure
+from .shifts import shat_closure, shift_leak
 from .subspaces import (
     canonical_columns,
     complement_frame,
@@ -75,6 +76,16 @@ class RangeFunctionH(_RangeFunction):
     def __post_init__(self):
         self._check(self.lattice.ambient)
 
+    @functools.cached_property
+    def shift_leaks(self) -> np.ndarray:
+        """Per-fiber ``shift_leak`` of the frames, computed once per object.
+        ``wandering_range`` fills it with the leaks it measured from the C*
+        it decides on, so a command that also reports the leak forms each
+        fiber's C* once."""
+        lat = self.lattice
+        return frozen_array([shift_leak(q, lat.n_z, lat.k)[0] for q in self.frames],
+                            dtype=float)
+
 
 @dataclass(frozen=True)
 class RangeFunctionK(_RangeFunction):
@@ -87,7 +98,7 @@ class RangeFunctionK(_RangeFunction):
         self._check(self.lattice.k)
 
 
-def _fiber_stacks(gens: list[FiberedField], lattice: TruncationLattice):
+def fiber_stacks(gens: list[FiberedField], lattice: TruncationLattice):
     """Per fiber m, the generators' fibers g(lambda_m) side by side, built
     when that fiber is reached (no stack over all fibers is held) and
     Fortran-ordered, as LAPACK reads it. No generators give zero columns."""
@@ -111,7 +122,7 @@ def generator_frames(gens: list[FiberedField], lattice: TruncationLattice):
     """The frames of ``range_from_generators(gens, lattice)``, made one
     fiber at a time as they are read. Each is the orthonormal frame its own
     SVD just made, so unlike a ``RangeFunctionH``'s it is not re-checked."""
-    for m, stack in enumerate(_fiber_stacks(gens, lattice)):
+    for m, stack in enumerate(fiber_stacks(gens, lattice)):
         yield orthonormal_frame(stack, lattice.rank_tol, fiber=m)
 
 
@@ -120,7 +131,7 @@ def generator_ranks(gens: list[FiberedField], lattice: TruncationLattice) -> np.
     frames: each fiber costs one SVD without singular vectors, and the rank
     decision, guard band included, is the one the frames make."""
     return np.array([rank_decision(singular_values(stack), lattice.rank_tol, fiber=m)
-                     for m, stack in enumerate(_fiber_stacks(gens, lattice))], dtype=int)
+                     for m, stack in enumerate(fiber_stacks(gens, lattice))], dtype=int)
 
 
 def closure_range(seeds: list[FiberedField], lattice: TruncationLattice) -> RangeFunctionH:

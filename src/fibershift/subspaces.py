@@ -1,9 +1,10 @@
 """Frame calculus for per-fiber subspaces.
 
 All subspaces are represented by matrices with orthonormal columns. Rank
-decisions happen in exactly one place (``rank_decision``), with a relative
-singular value cutoff and a guard band that refuses ambiguous inputs
-instead of silently committing to a rank.
+decisions happen in exactly one place (``rank_decision``), with a singular
+value cutoff relative to the largest value (or to a known scale) and a
+guard band that refuses ambiguous inputs instead of silently committing to
+a rank.
 """
 
 from __future__ import annotations
@@ -155,20 +156,24 @@ def canonical_columns(q: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
     return np.take(q, order, axis=1)
 
 
-def rank_decision(s: np.ndarray, rank_tol: float, fiber: int | None = None) -> int:
-    """Number of singular values above ``rank_tol * max(s)``.
+def rank_decision(s: np.ndarray, rank_tol: float, fiber: int | None = None,
+                  scale: float | None = None) -> int:
+    """Number of singular values above ``rank_tol * scale``.
 
-    ``s`` holds singular values in decreasing order. If any lies inside
-    [0.5, 2] times the cutoff the decision is ambiguous and
-    ToleranceAmbiguity is raised. Empty or all-zero input has rank 0; a
-    non-finite value raises LinAlgError.
+    ``s`` holds singular values in decreasing order. ``scale`` defaults to
+    max(s), so a span's rank is relative to its largest value; a matrix
+    whose values lie on a known scale (C in the wandering step, on [0, 1])
+    passes that scale instead. If any value lies inside [0.5, 2] times the
+    cutoff the decision is ambiguous and ToleranceAmbiguity is raised. Empty
+    or all-zero input has rank 0; a non-finite value raises LinAlgError.
     """
     if not np.all(np.isfinite(s)):
         raise np.linalg.LinAlgError("non-finite singular value")
-    smax = float(s[0]) if len(s) else 0.0
-    if smax == 0.0:
+    if scale is None:
+        scale = float(s[0]) if len(s) else 0.0
+    if scale == 0.0:
         return 0
-    cutoff = rank_tol * smax
+    cutoff = rank_tol * scale
     in_band = (s >= 0.5 * cutoff) & (s <= 2.0 * cutoff)
     if np.any(in_band):
         worst = float(s[in_band][0])

@@ -2,11 +2,12 @@
 
 For an invariant fiber subspace J the wandering part is J minus its shifted
 image, computed in the coordinates of J's own frame (one small matrix C*,
-which also gives the shift leak, one SVD and one rank decision per fiber),
-so it lies in J by construction. Its dimension never exceeds k (RankTooLarge
-names the fiber otherwise). The truncated shift is nilpotent, so J is the
-span of the n_z shifted copies of the wandering frame; ``decompose`` stores
-that frame as the symbol Phi and verification holds Phi H^2 to the seeds.
+which also gives the shift leak, one SVD and one rank decision per fiber,
+on C's unit scale), so it lies in J by construction. Its dimension never
+exceeds k (RankTooLarge names the fiber otherwise). The truncated shift is
+nilpotent, so J is the span of the n_z shifted copies of the wandering
+frame; ``decompose`` stores that frame as the symbol Phi and verification
+holds Phi H^2 to the seeds.
 
 The frame field phi_i is the i-th column of the ``wandering_range``
 frames, stored as ``Phi[:, :, i]``; the partition of the circle by
@@ -24,14 +25,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FibershiftError, NotInvariant, RankTooLarge, ToleranceAmbiguity
-from .lattice import TruncationLattice
+from .lattice import TruncationLattice, frozen_array
 from .ranges import RangeFunctionH
-from .shifts import compressed_shift_adjoint, leak_verdict, shift_leak, shift_leaks
+from .shifts import leak_verdict, shift_leak
 from .subspaces import canonical_columns, rank_decision, robust_svd, singular_values
 
 
 def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
-                     fiber: int | None = None, vectors: bool = True):
+                     fiber: int, vectors: bool):
     """``(leak, part)`` for one fiber: the ``shift_leak`` of the frame Q and
     the frame of J minus S J (with ``vectors``) or its dimension, both from
     one C*. A refusal is returned as the part, not raised.
@@ -43,6 +44,11 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     also returns in full. The truncated shift has a k-dimensional kernel, so
     for an invariant J ker(C*) has dimension at most k (RankTooLarge).
 
+    C compresses the contraction S to an orthonormal frame, so its singular
+    values lie in [0, 1] and its rank is decided on that unit scale, with
+    cutoff rank_tol: where J lies in the top degree, S J = 0 and C* is pure
+    rounding, which a cutoff relative to its largest value misreads.
+
     A numerical J is invariant only up to the leak, the part S Q - Q C of
     S J outside J. It is of the order of the frame's distance from an
     invariant subspace, and so of the error in C: beyond half the cutoff a
@@ -53,19 +59,17 @@ def _fiber_wandering(frame: np.ndarray, n_z: int, k: int, rank_tol: float,
     """
     if frame.shape[1] == 0:
         return 0.0, frame if vectors else 0
-    c_star = compressed_shift_adjoint(frame, n_z, k)
-    leak = shift_leak(frame, n_z, k, c_star)
+    leak, c_star = shift_leak(frame, n_z, k)
     try:
         if vectors:
             _, s, vh = robust_svd(c_star)
         else:
             s = singular_values(c_star)
-        rank = rank_decision(s, rank_tol, fiber)
-        cutoff = rank_tol * float(s[0])
-        if leak > 0.5 * cutoff:
+        rank = rank_decision(s, rank_tol, fiber, scale=1.0)
+        if leak > 0.5 * rank_tol:
             raise ToleranceAmbiguity(
                 f"shift leaves the subspace by {leak:.3e}, beyond half the cutoff "
-                f"{cutoff:.3e}", fiber=fiber)
+                f"{rank_tol:.3e}", fiber=fiber)
         if frame.shape[1] - rank > k:
             raise RankTooLarge(f"rank {frame.shape[1] - rank} exceeds k = {k}", fiber=fiber)
     except (FibershiftError, np.linalg.LinAlgError) as exc:
@@ -102,10 +106,10 @@ def wandering_range(range_fn: RangeFunctionH) -> RangeFunctionH:
     and otherwise the refusal of the lowest refused fiber: RankTooLarge
     where a wandering rank exceeds k, ToleranceAmbiguity where the rank
     decision is ambiguous or the leak passes half the cutoff. The leaks
-    are kept on ``range_fn`` (``shift_leaks``).
+    measured here fill ``range_fn.shift_leaks``.
     """
     _, leaks, parts = _wandering(range_fn.frames, range_fn.lattice, True)
-    shift_leaks(range_fn, leaks)
+    range_fn.__dict__.setdefault("shift_leaks", frozen_array(leaks, dtype=float))
     if parts is None:
         raise NotInvariant(f"input is not shift invariant (leak {np.max(leaks):.3e})")
     return RangeFunctionH(range_fn.lattice, parts)

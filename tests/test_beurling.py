@@ -115,21 +115,22 @@ def test_inner_from_invariant_forms_c_star_once(monkeypatch):
     """The leak and the wandering decision read one C*, and a refused
     decision is raised: a rank decision that keeps no singular value leaves
     all 14 dimensions of the span of z^2's shifts wandering."""
+    import fibershift.ranges
     import fibershift.shifts
     import fibershift.wandering
-    real = fibershift.shifts.compressed_shift_adjoint
+    real = fibershift.shifts.shift_leak
     calls = []
 
     def counting(frame, n_z, k):
         calls.append(frame.shape)
         return real(frame, n_z, k)
 
-    for module in (fibershift.shifts, fibershift.wandering):
-        monkeypatch.setattr(module, "compressed_shift_adjoint", counting)
+    for module in (fibershift.shifts, fibershift.wandering, fibershift.ranges):
+        monkeypatch.setattr(module, "shift_leak", counting)
     inner_from_invariant([_scalar([0, 0, 1], 16)])
     assert calls == [(16, 14)]
     monkeypatch.setattr(fibershift.wandering, "rank_decision",
-                        lambda s, tol, fiber=None: 0)
+                        lambda s, tol, fiber=None, scale=None: 0)
     with pytest.raises(RankTooLarge, match="rank 14 exceeds k = 1"):
         inner_from_invariant([_scalar([0, 0, 1], 16)])
 
@@ -237,7 +238,7 @@ def _range_of_phi_per_fiber(phi):
     frames = []
     for m in range(lat.n_lambda):
         if m in phi.support:
-            stack = shifted_copies(phi.fibers[m].coeffs[:, None], lat.n_z, 1, lat.n_z)
+            stack = shifted_copies(phi.fibers[m].coeffs[:, None], lat.n_z, 1)
             frames.append(orthonormal_frame(stack, lat.rank_tol, fiber=m))
         else:
             frames.append(np.zeros((lat.n_z, 0), dtype=complex))

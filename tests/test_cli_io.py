@@ -683,24 +683,53 @@ def test_cli_decompose_verify_roundtrip(tmp_path):
 @pytest.mark.parametrize("command", ["analyze", "decompose"])
 def test_cli_checks_invariance_once(tmp_path, monkeypatch, command):
     """The report's leak and the wandering step read one C* per fiber:
-    ``compressed_shift_adjoint`` runs once per fiber and command (twice at
-    the time the leak and the wandering step each formed their own)."""
+    ``shift_leak`` runs once per fiber and command (twice at the time the
+    leak and the wandering step each formed their own C*)."""
+    import fibershift.ranges
     import fibershift.shifts
     import fibershift.wandering
-    real = fibershift.shifts.compressed_shift_adjoint
+    real = fibershift.shifts.shift_leak
     calls = []
 
     def counting(frame, n_z, k):
         calls.append(frame.shape)
         return real(frame, n_z, k)
 
-    for module in (fibershift.shifts, fibershift.wandering):
-        monkeypatch.setattr(module, "compressed_shift_adjoint", counting)
+    for module in (fibershift.shifts, fibershift.wandering, fibershift.ranges):
+        monkeypatch.setattr(module, "shift_leak", counting)
     path = _write(tmp_path, CONSTANT_PROBLEM)
     code, out = run_cli([command, path])
     assert code == 0
     assert "s-invariant: yes (leak " in out
     assert calls == [(8, 8)] * 4    # n_lambda fibers, each of rank n_z
+
+
+TOP_DEGREE_PROBLEM = """\
+schema: fibershift-problem/1
+n_lambda: 4
+n_z: {n_z}
+k: 2
+generator: a
+term: 0 {d} 1 0.6 0.1
+term: 1 {d} 2 0.3 -0.4
+generator: b
+term: 2 {d} 1 0.2 0.5
+term: 0 {d} 2 -0.7 0.1
+"""
+
+
+@pytest.mark.parametrize("n_z", [2, 4, 8])
+def test_cli_wandering_in_the_top_degree(tmp_path, n_z):
+    """Two seeds at degree n_z - 1 span J = z^(n_z-1) C^2 on every fiber, so
+    S J = 0 and C* is pure rounding: the wandering dimension is 2. A cutoff
+    relative to C*'s largest value read dimension 1 at n_z = 2 (and
+    decompose exited 2), and refused with a cutoff of 0 at n_z = 4 and 8."""
+    path = _write(tmp_path, TOP_DEGREE_PROBLEM.format(n_z=n_z, d=n_z - 1))
+    out = str(tmp_path / "out")
+    for argv in (["analyze", path], ["decompose", path, "--out", out], ["verify", out]):
+        code, text = run_cli(argv)
+        assert code == 0, argv
+        assert "partition: dimension 2 on 4 fibers" in text
 
 
 @pytest.mark.parametrize("command", ["decompose", "beurling"])

@@ -315,6 +315,12 @@ def test_rank_decision():
     with pytest.raises(ToleranceAmbiguity) as exc:
         rank_decision(np.array([1.0, 1.2e-9]), 1e-9, fiber=4)
     assert exc.value.fiber == 4
+    # on a given scale, the cutoff is rank_tol times that scale, not max(s)
+    assert rank_decision(np.array([1e-16]), 1e-9) == 1
+    assert rank_decision(np.array([1e-16]), 1e-9, scale=1.0) == 0
+    assert rank_decision(np.array([0.5, 1e-12]), 1e-9, scale=1.0) == 1
+    with pytest.raises(ToleranceAmbiguity, match="cutoff 1.000e-09"):
+        rank_decision(np.array([1e-3, 1.5e-9]), 1e-9, scale=1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

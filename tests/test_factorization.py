@@ -277,7 +277,7 @@ def _band_references(phi: np.ndarray, n_z: int, k: int) -> tuple[float, float]:
     first layers, with W all n_z truncated shifts."""
     n = phi.shape[1]
     b = n_z - 1 - max(z_degree(phi.reshape(n_z, -1), DEGREE_TOL), 0)
-    w = shifted_copies(phi, n_z, k, n_z)
+    w = shifted_copies(phi, n_z, k)
     band = w[:, : n * (b + 1)]
     shifted = w[:, n: n * (b + 1)]
     return (float(np.linalg.norm(band.conj().T @ band - np.eye(band.shape[1]))),
@@ -334,7 +334,7 @@ def _h2_residual(res: DecompositionResult, seeds) -> float:
     out = 0.0
     for m in range(lat.n_lambda):
         phi = res.field.phi[m][:, :int(res.ranks[m])]
-        w = shifted_copies(phi, lat.n_z, lat.k, lat.n_z)
+        w = shifted_copies(phi, lat.n_z, lat.k)
         g = np.array([s.fiber(m).reshape(-1) for s in seeds]).T
         g = g / np.linalg.norm(g, axis=0)
         out = max(out, float(np.linalg.norm(g - w @ (w.conj().T @ g))))

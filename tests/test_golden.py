@@ -18,6 +18,7 @@ regeneration goes with a CHANGES.md entry saying why the outputs moved.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -118,3 +119,27 @@ def test_golden_reports(problem, tmp_path):
     # verify re-derives the defects from the stored Phi and seeds, bit for bit
     assert _diagnostic_lines(texts["verify"]) == _diagnostic_lines(texts["decompose"])
     assert len(_diagnostic_lines(texts["verify"])) == 2
+
+
+def test_digest_listing_covers_every_output(tmp_path):
+    """``golden/digests.py`` lists one sha256 per output of every command on
+    every golden problem: 96 lines of problem, case, output and digest.
+    Byte-identity claims between two checkouts rest on this listing."""
+    spec = importlib.util.spec_from_file_location("digests", GOLDEN / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    lines = []
+    for problem in PROBLEMS:
+        lines += digests.digest_problem(problem, str(GOLDEN / f"{problem}.txt"),
+                                        tmp_path / problem)
+    rows = [line.split("\t") for line in lines]
+    assert len(rows) == 96 and all(len(row) == 4 for row in rows)
+    assert len({tuple(row[:3]) for row in rows}) == 96
+    assert all(re.fullmatch("[0-9a-f]{64}", row[3]) for row in rows)
+    # every command exits 0, except beurling on the k > 1 problems (bad input)
+    refused = {(problem, f"beurling-{fmt}") for problem in PROBLEMS if problem[:2] != "k1"
+               for fmt in ("text", "csv")}
+    exits = {(row[0], row[1]): row[3] for row in rows if row[2] == "exit"}
+    assert len(exits) == 30
+    assert all(sha == digests._sha("3" if key in refused else "0")
+               for key, sha in exits.items())

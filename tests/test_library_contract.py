@@ -102,7 +102,7 @@ def test_load_decomposition_returns_the_result_and_j(tmp_path):
     for m in range(jm.lattice.n_lambda):
         cols = shifted_copies(
             np.stack([g.flat()[m] for g in seeds], axis=1),
-            jm.lattice.n_z, jm.lattice.k, jm.lattice.n_z)
+            jm.lattice.n_z, jm.lattice.k)
         q = jm.frames[m]
         assert np.abs(q @ q.conj().T - brute_projector(cols, 1e-9)).max() < 1e-6
 
